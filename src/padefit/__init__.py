@@ -28,15 +28,7 @@ from .fitting import (
     fit_regularized,
     interpolate_reference,
 )
-from .linsys import (
-    LinearSystem,
-    SolveDiagnostics,
-    apply_regularization,
-    assemble_interpolation_system,
-    assemble_normal_system,
-    free_columns,
-    solve_dense,
-)
+from .linsys import SolveDiagnostics, free_columns, solve_least_squares
 from .rational import PoleReport, RationalModel, Tail, add, pole_scan
 from .selection import (
     Candidate,
@@ -69,7 +61,6 @@ __all__ = [
     "FitReport",
     "FUNCTIONS",
     "LambdaSweep",
-    "LinearSystem",
     "NoiseSpec",
     "PoleReport",
     "RationalModel",
@@ -79,9 +70,6 @@ __all__ = [
     "Tail",
     "WeibullParams",
     "add",
-    "apply_regularization",
-    "assemble_interpolation_system",
-    "assemble_normal_system",
     "build_reference_points",
     "choose_lambda",
     "errors",
@@ -103,7 +91,7 @@ __all__ = [
     "sample_noisy",
     "simulate_weibull_failures",
     "sin2pi",
-    "solve_dense",
+    "solve_least_squares",
     "sqrt_exp",
     "transform_fit",
     "tune_lambda1",

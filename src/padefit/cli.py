@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .datagen import FUNCTIONS, NoiseSpec, sample_noisy, simulate_weibull_failures, uniform_grid
 from .diagnostics import DerivativeGridSpec
-from .errors import CountMismatch, DuplicateAbscissa, PadefitError
+from .errors import CountMismatch, DuplicateAbscissa, NoFeasibleModel, PadefitError
 from .fitting import (
     Dataset,
     FitConfig,
@@ -253,8 +253,8 @@ def _report_body(report: FitReport) -> dict:
             "sign_changes": [[_num(a), _num(b), _num(r)] for a, b, r in poles.sign_changes],
         },
         "solve": {
-            "pivot_min": _num(report.diagnostics.pivot_min),
-            "pivot_max": _num(report.diagnostics.pivot_max),
+            "condition": _num(report.diagnostics.condition),
+            "rank": report.diagnostics.rank,
             "condition_flag": report.diagnostics.condition_flag,
         },
     }
@@ -370,10 +370,9 @@ def cmd_sweep(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     chosen = sweep.chosen_lam()
-    interval = der_interval if der_interval is not None else data.interval()
-    report = fit_regularized(
-        data, replace(config, lam=chosen), DerivativeGridSpec(interval, args.der_points)
-    )
+    row = sweep.rows[sweep.chosen]
+    if row.report is None:
+        raise NoFeasibleModel(f"the fit at the chosen lambda failed: {row.error}")
     doc = {
         "command": "sweep",
         "data": {"file": args.data, "count": len(data)},
@@ -392,7 +391,7 @@ def cmd_sweep(args) -> int:
             "chosen_index": sweep.chosen,
             "chosen_lambda": chosen,
         },
-        **_report_body(report),
+        **_report_body(row.report),
     }
     return _emit_report(args, doc)
 

@@ -34,7 +34,7 @@ class NegativeWeight(PadefitError):
 
 
 class SingularSystem(PadefitError):
-    """Elimination hit a negligible pivot, or the solution failed the residual check."""
+    """The least-squares system is numerically rank deficient or cannot be factored."""
 
 
 class CountMismatch(PadefitError):

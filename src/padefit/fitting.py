@@ -3,12 +3,15 @@
 Two routes to a model:
 
 - least squares on the cross-multiplied residuals P(t_k) - F_k Q(t_k),
-  solved in closed form through the normal equations (fit_linearized,
-  fit_regularized);
+  with optional ridge penalties (fit_linearized, fit_regularized);
 - exact pass-through interpolation of a small set of reference points,
   one condition per free coefficient (interpolate_reference), with
   build_reference_points condensing noisy data into such a set by
   subset averaging.
+
+Both routes are one linear least-squares solve (linsys.solve_least_squares)
+on the design matrix of the cross-multiplied form; ridge penalties add
+rows to it and interpolation is its square case.
 
 Reports carry both error measures: s0 is the minimized sum of squared
 cross-multiplied residuals, while s is always recomputed from the actual
@@ -20,7 +23,7 @@ weighs each point by its denominator value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -28,7 +31,7 @@ import numpy as np
 from . import linsys
 from .diagnostics import DerivativeGridSpec, oscillation_measure, rmse
 from .errors import CountMismatch, DuplicateAbscissa, NegativeAbscissa
-from .linsys import SolveDiagnostics, solve_dense
+from .linsys import SolveDiagnostics
 from .rational import DENOM_TOL, PoleReport, RationalModel, Tail, pole_scan
 
 #: Default number of nodes for the pole scan over the data interval.
@@ -234,30 +237,39 @@ def _build_report(
     )
 
 
+def _fit(
+    data: Dataset,
+    config: FitConfig,
+    der_grid: DerivativeGridSpec | None,
+    scan_points: int,
+    evaluate_on: Dataset | None = None,
+) -> FitReport:
+    t = _substituted(data, config.x_power)
+    columns = linsys.free_columns(config.n, config.m, config.tail_power, config.zero_powers)
+    g = linsys.design_matrix(t, data.f, columns)
+    ridge = linsys.ridge_weights(columns, config.lam, config.lam1)
+    theta, diagnostics = linsys.solve_least_squares(g, data.f, ridge)
+    model = _model_from_solution(config, theta, columns)
+    target = evaluate_on if evaluate_on is not None else data
+    return _build_report(model, target, diagnostics, der_grid, scan_points)
+
+
 def fit_linearized(
     data: Dataset,
     config: FitConfig,
     *,
     scan_points: int = SCAN_POINTS,
 ) -> FitReport:
-    """Closed-form least squares on the cross-multiplied residuals.
+    """Least squares on the cross-multiplied residuals.
 
-    Assembles the normal equations on t = x**x_power, adds the ridge
-    penalties when nonzero, solves, and evaluates the model against the
-    data.  The report's pole scan covers [min x, max x].
+    Solves on t = x**x_power with the ridge penalties of the config, and
+    evaluates the model against the data.  The report's pole scan covers
+    [min x, max x].
 
     Identical inputs produce bit-identical reports; there is no random
     element anywhere in the pipeline.
     """
-    t = _substituted(data, config.x_power)
-    system = linsys.assemble_normal_system(
-        t, data.f, config.n, config.m, config.tail_power, config.zero_powers
-    )
-    if config.lam != 0.0 or config.lam1 != 0.0:
-        system = linsys.apply_regularization(system, config.lam, config.lam1)
-    theta, diagnostics = solve_dense(system)
-    model = _model_from_solution(config, theta, system.column_map)
-    return _build_report(model, data, diagnostics, None, scan_points)
+    return _fit(data, config, None, scan_points)
 
 
 def fit_regularized(
@@ -276,15 +288,7 @@ def fit_regularized(
     """
     if der_grid is None:
         der_grid = DerivativeGridSpec(data.interval(), 40)
-    t = _substituted(data, config.x_power)
-    system = linsys.assemble_normal_system(
-        t, data.f, config.n, config.m, config.tail_power, config.zero_powers
-    )
-    if config.lam != 0.0 or config.lam1 != 0.0:
-        system = linsys.apply_regularization(system, config.lam, config.lam1)
-    theta, diagnostics = solve_dense(system)
-    model = _model_from_solution(config, theta, system.column_map)
-    return _build_report(model, data, diagnostics, der_grid, scan_points)
+    return _fit(data, config, der_grid, scan_points)
 
 
 def interpolate_reference(
@@ -317,21 +321,13 @@ def interpolate_reference(
         If two reference points share an abscissa.
     """
     x = refpoints.x
-    f = refpoints.f
     if len(np.unique(x)) != len(x):
         raise DuplicateAbscissa("reference abscissae must be distinct")
-    free = len(linsys.free_columns(n, m, None, zero_powers))
+    config = FitConfig(n=n, m=m, zero_powers=zero_powers)
+    free = config.free_count()
     if len(x) < free:
         raise CountMismatch(f"{len(x)} reference points for {free} free coefficients")
-    if len(x) == free:
-        system = linsys.assemble_interpolation_system(x, f, n, m, zero_powers)
-    else:
-        system = linsys.assemble_normal_system(x, f, n, m, None, zero_powers)
-    theta, diagnostics = solve_dense(system)
-    config = FitConfig(n=n, m=m, zero_powers=zero_powers)
-    model = _model_from_solution(config, theta, system.column_map)
-    target = evaluate_on if evaluate_on is not None else refpoints
-    return _build_report(model, target, diagnostics, None, scan_points)
+    return _fit(refpoints, config, None, scan_points, evaluate_on)
 
 
 def build_reference_points(

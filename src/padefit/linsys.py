@@ -1,21 +1,23 @@
-"""Assembly and dense solving of the small linear systems behind the fits.
+"""Design matrices and the one least-squares solve behind every fit.
 
-The least-squares step works on the cross-multiplied residuals
+The fits work on the cross-multiplied residuals
 
     rho_k = P(t_k) - F_k * Q(t_k),
 
-which are linear in the unknown coefficients.  Stationarity of sum(rho^2)
-gives symmetric normal equations G'G theta = G'F with one design column per
-free coefficient:
+which are linear in the unknown coefficients, so each fit is the linear
+least-squares problem G theta ~ F with one design column per free
+coefficient:
 
     t_k**i            for a free numerator coefficient,
     -F_k * t_k**j     for a free denominator coefficient,
     (1 - F_k) * t_k**l for the shared tail coefficient.
 
-Systems here are tiny (a couple dozen unknowns at most), so the solver is a
-plain Gaussian elimination with partial pivoting that keeps its pivots
-visible for conditioning diagnostics.  No abscissa rescaling is applied; a
-condition flag warns when pivots collapse instead.
+A ridge penalty lambda_c theta_c**2 adds the row sqrt(lambda_c) e_c with
+right-hand side 0; exact interpolation is the square case.  The problem
+is solved directly (Householder QR, or LU when square) rather than
+through the normal equations G'G theta = G'F, which have the same
+minimizer in exact arithmetic but square the condition number (Golub &
+Van Loan, Matrix Computations, section 5.3).
 """
 
 from __future__ import annotations
@@ -24,22 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CountMismatch,
-    DuplicateAbscissa,
-    InsufficientData,
-    NegativeWeight,
-    SingularSystem,
-)
+from .errors import InsufficientData, NegativeWeight, SingularSystem
 
-#: A pivot below this multiple of the largest initial row max-norm is singular.
-PIVOT_REL_TOL = 1e-14
-
-#: pivot_min / pivot_max below this sets the ill-conditioning flag.
-CONDITION_FLAG_RATIO = 1e-12
-
-#: Solutions must satisfy ||A theta - b||_inf <= RESIDUAL_TOL * (1 + ||b||_inf).
-RESIDUAL_TOL = 1e-8
+#: A condition estimate above this sets the ill-conditioning flag: the
+#: coefficients then carry fewer than about eight significant digits.
+CONDITION_FLAG_LIMIT = 1e8
 
 #: Column identities: ("numer", power), ("denom", power) or ("tail", power).
 Column = tuple[str, int]
@@ -47,40 +38,13 @@ Column = tuple[str, int]
 
 @dataclass(frozen=True)
 class SolveDiagnostics:
-    """Pivot record of one elimination: smallest and largest |pivot|, and a
-    flag set when their ratio indicates severe ill-conditioning."""
+    """Conditioning of one solve, read from the singular values of the
+    column-equilibrated system: their ratio (condition), the numerical
+    rank, and a flag set when the condition exceeds CONDITION_FLAG_LIMIT."""
 
-    pivot_min: float
-    pivot_max: float
+    condition: float
+    rank: int
     condition_flag: bool
-
-
-@dataclass(frozen=True)
-class LinearSystem:
-    """A dense square system A theta = b with named columns.
-
-    Treated as a value: operations return new instances and never mutate
-    the arrays in place.
-    """
-
-    a: np.ndarray
-    b: np.ndarray
-    column_map: tuple[Column, ...]
-
-    def __post_init__(self):
-        a = np.array(self.a, dtype=float)
-        b = np.array(self.b, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError("matrix must be square")
-        if b.shape != (a.shape[0],):
-            raise ValueError("right-hand side length must match the matrix")
-        if len(self.column_map) != a.shape[1]:
-            raise ValueError("column map length must match the matrix")
-        a.setflags(write=False)
-        b.setflags(write=False)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "column_map", tuple(self.column_map))
 
 
 def free_columns(
@@ -119,131 +83,68 @@ def design_matrix(x: np.ndarray, f: np.ndarray, columns: tuple[Column, ...]) -> 
     return g
 
 
-def assemble_normal_system(
-    x: np.ndarray,
-    f: np.ndarray,
-    n: int,
-    m: int,
-    tail_power: int | None = None,
-    zero_powers: frozenset[int] = frozenset(),
-) -> LinearSystem:
-    """Build the normal equations G'G theta = G'F for the linearized fit.
+def ridge_weights(columns: tuple[Column, ...], lam: float, lam1: float) -> np.ndarray:
+    """Per-column ridge weights: lam1 on denominator columns, lam on
+    numerator and tail columns."""
+    return np.array([lam1 if kind == "denom" else lam for kind, _power in columns])
 
-    Abscissae are expected with any power substitution already applied.
-    The matrix is filled entry by entry from symmetric dot products, so
-    A[i, j] and A[j, i] are the same float by construction.
+
+def solve_least_squares(
+    g: np.ndarray,
+    f: np.ndarray,
+    ridge: np.ndarray | None = None,
+) -> tuple[np.ndarray, SolveDiagnostics]:
+    """Minimize ||G theta - F||**2 + sum_c ridge_c * theta_c**2.
+
+    Columns are equilibrated by exact powers of two, so the scaling adds
+    no rounding.  A system with more rows than columns (after the ridge
+    rows, stacked only when some weight is nonzero) is solved by
+    Householder QR; a square one by LU.
 
     Raises
     ------
     InsufficientData
-        If there are fewer points than free coefficients.
-    """
-    x = np.asarray(x, dtype=float)
-    f = np.asarray(f, dtype=float)
-    cols = free_columns(n, m, tail_power, zero_powers)
-    p = len(cols)
-    if len(x) < p:
-        raise InsufficientData(f"{len(x)} points for {p} free coefficients")
-    g = design_matrix(x, f, cols)
-    a = np.empty((p, p))
-    for i in range(p):
-        for j in range(i, p):
-            v = float(np.dot(g[:, i], g[:, j]))
-            a[i, j] = v
-            a[j, i] = v
-    b = np.array([float(np.dot(g[:, i], f)) for i in range(p)])
-    return LinearSystem(a=a, b=b, column_map=cols)
-
-
-def assemble_interpolation_system(
-    x: np.ndarray,
-    f: np.ndarray,
-    n: int,
-    m: int,
-    zero_powers: frozenset[int] = frozenset(),
-) -> LinearSystem:
-    """Build the exact pass-through conditions P(x_k) - F_k Q(x_k) = F_k.
-
-    One row per reference point; requires exactly as many points as free
-    coefficients.  The system is square but not symmetric.
-
-    Raises
-    ------
-    CountMismatch
-        If the point count differs from the free-coefficient count.
-    DuplicateAbscissa
-        If two reference points share an abscissa.
-    """
-    x = np.asarray(x, dtype=float)
-    f = np.asarray(f, dtype=float)
-    if len(np.unique(x)) != len(x):
-        raise DuplicateAbscissa("reference abscissae must be distinct")
-    cols = free_columns(n, m, None, zero_powers)
-    if len(x) != len(cols):
-        raise CountMismatch(f"{len(x)} reference points for {len(cols)} free coefficients")
-    a = design_matrix(x, f, cols)
-    return LinearSystem(a=a, b=f.copy(), column_map=cols)
-
-
-def apply_regularization(system: LinearSystem, lam: float, lam1: float) -> LinearSystem:
-    """Add ridge penalties to the diagonal: lam on numerator and tail
-    columns, lam1 on denominator columns.  Returns a new system.
-
-    Raises
-    ------
+        If G has fewer rows than columns.
     NegativeWeight
-        If either weight is negative.
-    """
-    if lam < 0.0 or lam1 < 0.0:
-        raise NegativeWeight("penalty weights must be nonnegative")
-    a = np.array(system.a, dtype=float)
-    for c, (kind, _power) in enumerate(system.column_map):
-        a[c, c] += lam1 if kind == "denom" else lam
-    return LinearSystem(a=a, b=system.b, column_map=system.column_map)
-
-
-def solve_dense(system: LinearSystem) -> tuple[np.ndarray, SolveDiagnostics]:
-    """Solve by Gaussian elimination with partial row pivoting.
-
-    The returned diagnostics carry the extreme |pivot| values; the solution
-    is multiplied back into the original system and must reproduce the
-    right-hand side to RESIDUAL_TOL.
-
-    Raises
-    ------
+        If a ridge weight is negative.
     SingularSystem
-        On a negligible pivot, or if the residual check fails.
+        If a column is zero or not finite, the system is numerically rank
+        deficient, or a coefficient overflows.
     """
-    a0 = system.a
-    b0 = system.b
-    p = len(b0)
-    a = np.array(a0, dtype=float)
-    b = np.array(b0, dtype=float)
-    row_norm = float(np.max(np.abs(a))) if a.size else 0.0
-    threshold = PIVOT_REL_TOL * row_norm
-    pivots = np.empty(p)
-    for k in range(p):
-        lead = k + int(np.argmax(np.abs(a[k:, k])))
-        if abs(a[lead, k]) <= threshold:
-            raise SingularSystem(f"pivot {abs(a[lead, k]):.3e} below threshold {threshold:.3e}")
-        if lead != k:
-            a[[k, lead]] = a[[lead, k]]
-            b[[k, lead]] = b[[lead, k]]
-        pivots[k] = abs(a[k, k])
-        factors = a[k + 1 :, k] / a[k, k]
-        a[k + 1 :, k:] -= np.outer(factors, a[k, k:])
-        b[k + 1 :] -= factors * b[k]
-    theta = np.empty(p)
-    for k in range(p - 1, -1, -1):
-        theta[k] = (b[k] - np.dot(a[k, k + 1 :], theta[k + 1 :])) / a[k, k]
-    residual = float(np.max(np.abs(a0 @ theta - b0)))
-    if residual > RESIDUAL_TOL * (1.0 + float(np.max(np.abs(b0)))):
-        raise SingularSystem(f"residual check failed: {residual:.3e}")
-    pivot_min = float(np.min(pivots))
-    pivot_max = float(np.max(pivots))
-    diagnostics = SolveDiagnostics(
-        pivot_min=pivot_min,
-        pivot_max=pivot_max,
-        condition_flag=pivot_min < CONDITION_FLAG_RATIO * pivot_max,
-    )
-    return theta, diagnostics
+    g = np.asarray(g, dtype=float)
+    f = np.asarray(f, dtype=float)
+    rows, p = g.shape
+    if rows < p:
+        raise InsufficientData(f"{rows} points for {p} free coefficients")
+    if ridge is not None:
+        ridge = np.asarray(ridge, dtype=float)
+        if np.any(ridge < 0.0):
+            raise NegativeWeight("penalty weights must be nonnegative")
+        if np.any(ridge > 0.0):
+            g = np.vstack([g, np.diag(np.sqrt(ridge))])
+            f = np.concatenate([f, np.zeros(p)])
+    # max-abs rather than 2-norm: squaring entries would underflow for tiny x
+    peaks = np.max(np.abs(g), axis=0)
+    if not np.all(np.isfinite(peaks) & (peaks > 0.0)):
+        raise SingularSystem("a design column is zero or not finite")
+    scale = np.ldexp(1.0, np.frexp(peaks)[1] - 1)  # column maxima land in [1, 2)
+    g = g / scale
+    try:
+        if g.shape[0] == p:
+            r, rhs = g, f
+        else:
+            q, r = np.linalg.qr(g)
+            rhs = q.T @ f
+        sv = np.linalg.svd(r, compute_uv=False)
+        rank = int(np.count_nonzero(sv > sv[0] * p * np.finfo(float).eps))
+        if rank < p:
+            raise SingularSystem(f"numerical rank {rank} of {p} columns")
+        y = np.linalg.solve(r, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem(str(exc)) from exc
+    with np.errstate(over="ignore"):
+        theta = y / scale
+    if not np.all(np.isfinite(theta)):
+        raise SingularSystem("coefficients overflow at this abscissa scale")
+    condition = float(sv[0] / sv[-1])
+    return theta, SolveDiagnostics(condition, rank, condition > CONDITION_FLAG_LIMIT)

@@ -127,13 +127,15 @@ def grid_search(
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One penalty value and its fit quality; error text when the fit failed."""
+    """One penalty value, its fit quality and its report; error text (and
+    no report) when the fit failed."""
 
     lam: float
     d: float
     d_der: float
     pole_count: int
     error: str | None = None
+    report: FitReport | None = None
 
 
 @dataclass(frozen=True)
@@ -180,7 +182,7 @@ def lambda_sweep(
         try:
             report = fit_regularized(data, cfg, der_grid, scan_points=scan_points)
             poles = pole_scan(report.model, interval, scan_points)
-            rows.append(SweepRow(lam, report.d, report.d_der, poles.count))
+            rows.append(SweepRow(lam, report.d, report.d_der, poles.count, report=report))
         except PadefitError as exc:
             rows.append(SweepRow(lam, math.nan, math.nan, 0, str(exc)))
     sweep = LambdaSweep(rows=tuple(rows), chosen=0)

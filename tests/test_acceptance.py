@@ -14,9 +14,11 @@ import statistics
 import time
 from collections import Counter
 
+import mpmath
 import numpy as np
 import pytest
 
+import oracle
 import padefit as pf
 from padefit import linsys
 from padefit.fitting import Dataset, FitConfig
@@ -144,9 +146,24 @@ def test_03_unregularized_table_fit(table1):
     assert _line("3  unregularized fit: D = 0.03195 +- 0.001 and a pole", ok)
 
 
+# D of the unregularized (6, 0, 12) CDF fit, derived by the 60-digit oracle below
+UNREGULARIZED_D = "0.0236606728852017748"
+
+
+def test_03_unregularized_d_oracle(table1):
+    columns = linsys.free_columns(6, 0, 12, frozenset({0}))
+    with mpmath.workdps(60):
+        theta = oracle.solve(oracle.design(table1.x, table1.f, columns), table1.f)
+        values = oracle.model_values(theta, columns, table1.x)
+        s = sum((v - mpmath.mpf(float(fk))) ** 2 for v, fk in zip(values, table1.f))
+        d = mpmath.sqrt(s / len(table1))
+        ok = abs(d - mpmath.mpf(UNREGULARIZED_D)) <= mpmath.mpf("1e-19")
+    assert _line("3o unregularized D from the 60-digit normal-equation oracle", ok)
+
+
 def test_03_unregularized_fit_companions(table1):
     plain = pf.fit_regularized(table1, FitConfig.cdf_form(6, 0, 12))
-    ok = plain.d == pytest.approx(0.023660672851119967, rel=1e-9)
+    ok = plain.d == pytest.approx(float(UNREGULARIZED_D), rel=1e-9)
     ok = ok and pf.pole_scan(plain.model, (0.0, 2.0)).count >= 1
     nearby = pf.fit_regularized(table1, FitConfig.cdf_form(6, 0, 12, lam=0.002))
     ok = ok and nearby.d == pytest.approx(0.0319424820516603, rel=1e-9)
@@ -254,9 +271,8 @@ def test_10_median_ranks(table1):
 
 
 def _fd_gradient_bound(data, n, m, tail_power, mask):
-    system = linsys.assemble_normal_system(data.x, data.f, n, m, tail_power, mask)
-    theta, _ = pf.solve_dense(system)
-    design = linsys.design_matrix(data.x, data.f, system.column_map)
+    design = linsys.design_matrix(data.x, data.f, linsys.free_columns(n, m, tail_power, mask))
+    theta, _ = pf.solve_least_squares(design, data.f)
 
     def s0(vec):
         resid = design @ vec - data.f

@@ -56,7 +56,7 @@ def test_fit_table1_cdf_unregularized(capsys):
     )
     assert code == 0
     doc = json.loads(out)
-    assert doc["metrics"]["d"] == pytest.approx(0.023660672851119967, rel=1e-9)
+    assert doc["metrics"]["d"] == pytest.approx(0.0236606728852017748, rel=1e-9)
     assert doc["poles"]["count"] >= 1
     assert doc["config"]["form"] == "cdf"
 
@@ -193,6 +193,16 @@ def test_search_table_covers_all_cells(capsys):
     assert len(doc["candidates"]) == 7 * 1 * 3
     assert doc["metrics"]["d"] <= 0.032
     assert doc["poles"]["count"] == 0
+
+
+def test_fit_solve_block_reports_conditioning(capsys, collinear):
+    code, out, _ = run(capsys, ["fit", collinear, "--n", "1", "--m", "0"])
+    assert code == 0
+    solve = json.loads(out)["solve"]
+    assert set(solve) == {"condition", "rank", "condition_flag"}
+    assert solve["rank"] == 2
+    assert 1.0 <= solve["condition"] < 1e3
+    assert solve["condition_flag"] is False
 
 
 # -- sweep ---------------------------------------------------------------------

@@ -1,25 +1,16 @@
-"""Normal-equation assembly, ridge augmentation, and the dense solver."""
+"""Design columns, ridge weights, and the least-squares solve, checked
+against exact (Fraction) and 50-digit (mpmath) oracles."""
 
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
-from padefit import (
-    apply_regularization,
-    assemble_interpolation_system,
-    assemble_normal_system,
-    free_columns,
-    solve_dense,
-)
-from padefit.errors import (
-    CountMismatch,
-    DuplicateAbscissa,
-    InsufficientData,
-    NegativeWeight,
-    SingularSystem,
-)
-from padefit.linsys import design_matrix
+import oracle
+from padefit import free_columns, solve_least_squares
+from padefit.errors import InsufficientData, NegativeWeight, SingularSystem
+from padefit.linsys import design_matrix, ridge_weights
 
 
 # -- column layout ----------------------------------------------------------
@@ -56,134 +47,143 @@ def test_design_matrix_column_content():
     np.testing.assert_array_equal(g[:, 3], (1.0 - f) * x**3)
 
 
-# -- normal equations -------------------------------------------------------
+# -- least squares ----------------------------------------------------------
+
+
+def _oracle_solve(g, f, ridge=None):
+    with mpmath.workdps(50):
+        return np.array([float(v) for v in oracle.solve(g, f, ridge)])
 
 
 def test_single_point_constant_system():
-    system = assemble_normal_system(np.array([2.0]), np.array([3.0]), 0, 0)
-    np.testing.assert_array_equal(system.a, [[1.0]])
-    np.testing.assert_array_equal(system.b, [3.0])
-    theta, _ = solve_dense(system)
+    g = design_matrix(np.array([2.0]), np.array([3.0]), free_columns(0, 0))
+    np.testing.assert_array_equal(g, [[1.0]])
+    theta, _ = solve_least_squares(g, np.array([3.0]))
     assert theta[0] == 3.0
 
 
 def test_polynomial_case_is_classical_least_squares():
-    # with integer abscissae every power sum is exact, so equality is exact
     x = np.arange(8, dtype=float)
     f = np.array([1.0, 2.0, 0.0, -1.0, 3.0, 5.0, 2.0, 4.0])
-    system = assemble_normal_system(x, f, 3, 0)
-    for i in range(4):
-        for j in range(4):
-            assert system.a[i, j] == float(np.sum(x ** (i + j)))
-        assert system.b[i] == float(np.sum(f * x**i))
+    g = design_matrix(x, f, free_columns(3, 0))
+    np.testing.assert_array_equal(g, np.vander(x, 4, increasing=True))
+    theta, diag = solve_least_squares(g, f)
+    np.testing.assert_allclose(theta, _oracle_solve(g, f), rtol=1e-12)
+    assert diag.rank == 4
 
 
 def test_three_point_system_matches_fraction_oracle():
     xs = [Fraction(0), Fraction(1), Fraction(2)]
     fs = [Fraction(1), Fraction(2), Fraction(5)]
-    # columns: numer 0, numer 1, denom 1 -> row (1, x, -F x)
-    rows = [(Fraction(1), x, -F * x) for x, F in zip(xs, fs)]
-    a_exact = [
-        [sum(r[i] * r[j] for r in rows) for j in range(3)] for i in range(3)
+    # columns: numer 0, numer 1, denom 1 -> row (1, x, -F x); square, so
+    # the least-squares solution passes through all three points
+    rows = [[Fraction(1), x, -F * x] for x, F in zip(xs, fs)]
+
+    def det(m):
+        return (
+            m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+        )
+
+    exact = [
+        det([[F if j == c else r[j] for j in range(3)] for r, F in zip(rows, fs)]) / det(rows)
+        for c in range(3)
     ]
-    b_exact = [sum(r[i] * F for r, F in zip(rows, fs)) for i in range(3)]
-
-    system = assemble_normal_system(
-        np.array([0.0, 1.0, 2.0]), np.array([1.0, 2.0, 5.0]), 1, 1
-    )
-    np.testing.assert_array_equal(system.a, np.array(a_exact, dtype=float))
-    np.testing.assert_array_equal(system.b, np.array(b_exact, dtype=float))
+    x = np.array([0.0, 1.0, 2.0])
+    f = np.array([1.0, 2.0, 5.0])
+    theta, _ = solve_least_squares(design_matrix(x, f, free_columns(1, 1)), f)
+    np.testing.assert_allclose(theta, [float(v) for v in exact], rtol=1e-14)
 
 
-def test_normal_system_is_exactly_symmetric():
+def test_overdetermined_matches_normal_equation_oracle():
     rng = np.random.default_rng(3)
     x = rng.uniform(0.1, 2.0, 30)
     f = rng.normal(size=30)
-    system = assemble_normal_system(x, f, 3, 2, tail_power=7)
-    p = len(system.b)
-    for i in range(p):
-        for j in range(p):
-            assert system.a[i, j] == system.a[j, i]
+    g = design_matrix(x, f, free_columns(3, 2, tail_power=7))
+    theta, diag = solve_least_squares(g, f)
+    np.testing.assert_allclose(theta, _oracle_solve(g, f), rtol=1e-10)
+    assert diag.rank == g.shape[1]
 
 
 def test_insufficient_data_raises():
     with pytest.raises(InsufficientData):
-        assemble_normal_system(np.array([1.0, 2.0]), np.array([1.0, 1.0]), 2, 1)
+        solve_least_squares(np.ones((2, 3)), np.ones(2))
 
 
 def test_system_arrays_are_immutable():
-    system = assemble_normal_system(np.array([1.0, 2.0]), np.array([1.0, 1.0]), 1, 0)
-    with pytest.raises(ValueError):
-        system.a[0, 0] = 99.0
-    with pytest.raises(ValueError):
-        system.b[0] = 99.0
-
-
-# -- regularization ---------------------------------------------------------
-
-
-def _toy_system():
     x = np.array([0.5, 1.0, 1.5, 2.0])
     f = np.array([1.0, 0.5, 2.0, 1.5])
-    return assemble_normal_system(x, f, 0, 1)
+    g = design_matrix(x, f, free_columns(1, 1))
+    ridge = np.array([0.1, 0.1, 0.2])
+    before = (g.copy(), f.copy(), ridge.copy())
+    for a in (g, f, ridge):
+        a.setflags(write=False)
+    solve_least_squares(g, f, ridge)
+    for a, b in zip((g, f, ridge), before):
+        np.testing.assert_array_equal(a, b)
+
+
+# -- ridge ------------------------------------------------------------------
+
+
+def _toy_problem():
+    x = np.array([0.5, 1.0, 1.5, 2.0])
+    f = np.array([1.0, 0.5, 2.0, 1.5])
+    return design_matrix(x, f, free_columns(0, 1)), f
 
 
 def test_zero_weights_leave_system_identical():
-    system = _toy_system()
-    out = apply_regularization(system, 0.0, 0.0)
-    np.testing.assert_array_equal(out.a, system.a)
-    np.testing.assert_array_equal(out.b, system.b)
-    assert out.column_map == system.column_map
+    g, f = _toy_problem()
+    plain = solve_least_squares(g, f)
+    zero = solve_least_squares(g, f, np.zeros(2))
+    np.testing.assert_array_equal(zero[0], plain[0])
+    assert zero[1] == plain[1]
 
 
 def test_diagonal_increments_are_exact():
-    system = _toy_system()  # columns (numer 0, denom 1)
-    out = apply_regularization(system, 0.1, 0.4)
-    assert out.a[0, 0] == system.a[0, 0] + 0.1
-    assert out.a[1, 1] == system.a[1, 1] + 0.4
-    assert out.a[0, 1] == system.a[0, 1]
-    np.testing.assert_array_equal(out.b, system.b)
-    # the input system is untouched
-    assert system.a[0, 0] == _toy_system().a[0, 0]
+    # the ridge rows add exactly lam_c to the diagonal of G'G: the solve
+    # matches (G'G + diag lam) theta = G'F from the 50-digit oracle
+    g, f = _toy_problem()  # columns (numer 0, denom 1)
+    ridge = np.array([0.1, 0.4])
+    theta, _ = solve_least_squares(g, f, ridge)
+    np.testing.assert_allclose(theta, _oracle_solve(g, f, ridge), rtol=1e-13)
+    rng = np.random.default_rng(8)
+    x = rng.uniform(0.1, 2.0, 25)
+    f = rng.normal(size=25)
+    cols = free_columns(4, 2, tail_power=6, zero_powers=frozenset({0}))
+    g = design_matrix(x, f, cols)
+    ridge = ridge_weights(cols, 1e-3, 0.5)
+    theta, _ = solve_least_squares(g, f, ridge)
+    np.testing.assert_allclose(theta, _oracle_solve(g, f, ridge), rtol=1e-10)
 
 
 def test_tail_column_uses_numerator_weight():
-    x = np.array([0.5, 1.0, 1.5, 2.0])
-    f = np.array([0.1, 0.4, 0.7, 0.9])
-    system = assemble_normal_system(x, f, 1, 0, tail_power=3)
-    out = apply_regularization(system, 0.25, 0.75)
-    tail_idx = system.column_map.index(("tail", 3))
-    assert out.a[tail_idx, tail_idx] == system.a[tail_idx, tail_idx] + 0.25
+    cols = free_columns(1, 1, tail_power=3)
+    np.testing.assert_array_equal(ridge_weights(cols, 0.25, 0.75), [0.25, 0.25, 0.75, 0.25])
 
 
 def test_negative_weight_rejected():
-    system = _toy_system()
+    g, f = _toy_problem()
     with pytest.raises(NegativeWeight):
-        apply_regularization(system, -0.1, 0.0)
+        solve_least_squares(g, f, np.array([-0.1, 0.0]))
     with pytest.raises(NegativeWeight):
-        apply_regularization(system, 0.0, -1e-9)
+        solve_least_squares(g, f, np.array([0.0, -1e-9]))
 
 
-# -- dense solver -----------------------------------------------------------
-
-
-def _system_from(a, b):
-    a = np.asarray(a, dtype=float)
-    cols = tuple(("numer", i) for i in range(len(b)))
-    from padefit import LinearSystem
-
-    return LinearSystem(a=a, b=np.asarray(b, dtype=float), column_map=cols)
+# -- square systems and conditioning ----------------------------------------
 
 
 def test_identity_solve():
-    theta, diag = solve_dense(_system_from(np.eye(3), [1.0, 2.0, 3.0]))
+    theta, diag = solve_least_squares(np.eye(3), np.array([1.0, 2.0, 3.0]))
     np.testing.assert_array_equal(theta, [1.0, 2.0, 3.0])
-    assert diag.pivot_min == 1.0
+    assert diag.condition == 1.0
+    assert diag.rank == 3
     assert not diag.condition_flag
 
 
 def test_diagonal_solve():
-    theta, _ = solve_dense(_system_from([[2.0, 0.0], [0.0, 4.0]], [2.0, 8.0]))
+    theta, _ = solve_least_squares(np.array([[2.0, 0.0], [0.0, 4.0]]), np.array([2.0, 8.0]))
     np.testing.assert_array_equal(theta, [1.0, 2.0])
 
 
@@ -192,7 +192,7 @@ def test_spd_multiply_back():
     m = rng.normal(size=(8, 8))
     a = m.T @ m + np.eye(8)
     b = rng.normal(size=8)
-    theta, _ = solve_dense(_system_from(a, b))
+    theta, _ = solve_least_squares(a, b)
     resid = np.max(np.abs(a @ theta - b))
     assert resid / np.max(np.abs(b)) <= 1e-10
 
@@ -202,26 +202,49 @@ def test_matches_library_solver_on_random_systems():
     for _ in range(20):
         a = rng.normal(size=(6, 6)) + 6 * np.eye(6)
         b = rng.normal(size=6)
-        theta, _ = solve_dense(_system_from(a, b))
+        theta, _ = solve_least_squares(a, b)
         np.testing.assert_allclose(theta, np.linalg.solve(a, b), rtol=1e-10)
+        tall = rng.normal(size=(15, 6))
+        rhs = rng.normal(size=15)
+        theta, _ = solve_least_squares(tall, rhs)
+        np.testing.assert_allclose(theta, np.linalg.lstsq(tall, rhs)[0], rtol=1e-10)
 
 
 def test_singular_matrix_raises():
     with pytest.raises(SingularSystem):
-        solve_dense(_system_from([[1.0, 1.0], [1.0, 1.0]], [1.0, 2.0]))
+        solve_least_squares(np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([1.0, 2.0]))
+    # rank deficient least squares: the third column is the sum of the others
+    g = np.random.default_rng(2).normal(size=(10, 3))
+    g[:, 2] = g[:, 0] + g[:, 1]
+    with pytest.raises(SingularSystem):
+        solve_least_squares(g, np.ones(10))
+    # a zero column (all-zero ordinates null the denominator column)
+    with pytest.raises(SingularSystem):
+        solve_least_squares(np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]]), np.ones(3))
+
+
+def test_overflowing_coefficients_raise():
+    # a well-conditioned system whose exact solution (1e320) is not a float
+    with pytest.raises(SingularSystem):
+        solve_least_squares(np.array([[1e-310], [1e-310]]), np.array([1e10, 1e10]))
 
 
 def test_condition_flag_on_tiny_pivot_ratio():
-    theta, diag = solve_dense(
-        _system_from([[1.0, 0.0], [0.0, 1e-13]], [1.0, 1e-13])
-    )
-    np.testing.assert_allclose(theta, [1.0, 1.0], rtol=1e-12)
+    # LU pivots 1 and 1e-13: nearly collinear columns
+    a = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-13]])
+    theta, diag = solve_least_squares(a, a @ np.array([1.0, 1.0]))
+    np.testing.assert_allclose(theta, [1.0, 1.0], rtol=1e-2)
     assert diag.condition_flag
-    assert diag.pivot_min >= 0.0
+    assert diag.condition > 1e12
+    # badly scaled but independent columns are not ill-conditioned
+    theta, diag = solve_least_squares(np.diag([1.0, 1e-13]), np.array([1.0, 1e-13]))
+    np.testing.assert_array_equal(theta, [1.0, 1.0])
+    assert diag.condition < 2.0  # equilibrated column maxima lie in [1, 2)
+    assert not diag.condition_flag
 
 
 def test_partial_pivoting_handles_zero_leading_entry():
-    theta, _ = solve_dense(_system_from([[0.0, 1.0], [1.0, 0.0]], [2.0, 3.0]))
+    theta, _ = solve_least_squares(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([2.0, 3.0]))
     np.testing.assert_array_equal(theta, [3.0, 2.0])
 
 
@@ -229,34 +252,16 @@ def test_partial_pivoting_handles_zero_leading_entry():
 
 
 def test_two_point_line_interpolation():
-    system = assemble_interpolation_system(
-        np.array([0.0, 1.0]), np.array([1.0, 3.0]), 1, 0
-    )
-    theta, _ = solve_dense(system)
+    x = np.array([0.0, 1.0])
+    f = np.array([1.0, 3.0])
+    theta, _ = solve_least_squares(design_matrix(x, f, free_columns(1, 0)), f)
     np.testing.assert_allclose(theta, [1.0, 2.0], rtol=1e-14)
 
 
 def test_interpolation_row_form():
     x = np.array([0.5, 1.0, 2.0])
     f = np.array([0.2, 0.4, 0.8])
-    system = assemble_interpolation_system(x, f, 1, 1)
+    g = design_matrix(x, f, free_columns(1, 1))
     # row k: alpha_0 + alpha_1 x_k - F_k x_k beta_1 = F_k
     for k in range(3):
-        np.testing.assert_array_equal(
-            system.a[k], [1.0, x[k], -f[k] * x[k]]
-        )
-        assert system.b[k] == f[k]
-
-
-def test_interpolation_count_mismatch():
-    with pytest.raises(CountMismatch):
-        assemble_interpolation_system(
-            np.array([0.0, 1.0, 2.0]), np.array([1.0, 2.0, 3.0]), 1, 0
-        )
-
-
-def test_interpolation_duplicate_abscissa():
-    with pytest.raises(DuplicateAbscissa):
-        assemble_interpolation_system(
-            np.array([1.0, 1.0]), np.array([1.0, 2.0]), 1, 0
-        )
+        np.testing.assert_array_equal(g[k], [1.0, x[k], -f[k] * x[k]])

@@ -153,6 +153,25 @@ def test_sweep_flags_failing_rows():
     assert math.isfinite(sweep.rows[1].d)
 
 
+def test_sweep_rows_carry_their_reports(table1):
+    config = FitConfig.cdf_form(6, 0, 12)
+    grid = (0.0, 0.0005, 0.001, 0.002, 0.0025, 0.005, 0.01)
+    sweep = lambda_sweep(table1, config, grid, (0.0, 2.0), 40)
+    chosen = sweep.rows[sweep.chosen]
+    fresh = fit_regularized(
+        table1, FitConfig.cdf_form(6, 0, 12, lam=chosen.lam), DerivativeGridSpec((0.0, 2.0), 40)
+    )
+    assert chosen.report == fresh
+    failing = lambda_sweep(
+        Dataset(np.full(4, 1.0), np.array([1.0, 2.0, 3.0, 4.0])),
+        FitConfig(n=2, m=0),
+        (0.0, 0.1),
+        der_interval=(0.0, 2.0),
+    )
+    assert failing.rows[0].report is None
+    assert failing.rows[1].report is not None
+
+
 def test_sweep_grid_must_ascend():
     data = _exact_data()
     with pytest.raises(ValueError):
