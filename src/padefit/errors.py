@@ -77,5 +77,10 @@ class NonconvergentTail(PadefitError):
     """A model CDF never approaches 1 within the search cap."""
 
 
+class NonconvergentQuadrature(PadefitError):
+    """Adaptive quadrature met a non-finite integrand value or ran out of
+    its evaluation budget before reaching the tolerance."""
+
+
 class PoleOnRange(PadefitError):
     """A pole lies inside an integration or evaluation range."""

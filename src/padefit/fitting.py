@@ -30,9 +30,9 @@ import numpy as np
 
 from . import linsys
 from .diagnostics import DerivativeGridSpec, oscillation_measure, rmse
-from .errors import CountMismatch, DuplicateAbscissa, NegativeAbscissa
+from .errors import CountMismatch, DuplicateAbscissa
 from .linsys import SolveDiagnostics
-from .rational import DENOM_TOL, PoleReport, RationalModel, Tail, pole_scan
+from .rational import DENOM_TOL, PoleReport, RationalModel, Tail, pole_scan, require_nonnegative
 
 #: Default number of nodes for the pole scan over the data interval.
 SCAN_POINTS = 1001
@@ -161,9 +161,7 @@ class FitReport:
 
 
 def _substituted(data: Dataset, x_power: float) -> np.ndarray:
-    if x_power != 1.0 and not float(x_power).is_integer():
-        if np.any(data.x < 0.0):
-            raise NegativeAbscissa("non-integer x_power needs x >= 0")
+    require_nonnegative(float(np.min(data.x)), x_power)
     return data.x**x_power
 
 
@@ -193,7 +191,6 @@ def _build_report(
     diagnostics: SolveDiagnostics,
     der_grid: DerivativeGridSpec | None,
     scan_points: int,
-    scan_interval: tuple[float, float] | None = None,
 ) -> FitReport:
     num, den = model.parts(data.x)
     num = np.atleast_1d(num)
@@ -216,7 +213,7 @@ def _build_report(
         d = math.sqrt(s / len(data))
         if data.underlying is not None:
             d1 = rmse(r, truth)
-    lo, hi = scan_interval if scan_interval is not None else data.interval()
+    lo, hi = data.interval()
     if hi > lo:
         poles = pole_scan(model, (lo, hi), scan_points)
     else:

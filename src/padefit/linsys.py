@@ -67,6 +67,7 @@ def free_columns(
     return tuple(cols)
 
 
+@np.errstate(over="ignore")  # an overflowing power is an inf column: SingularSystem
 def design_matrix(x: np.ndarray, f: np.ndarray, columns: tuple[Column, ...]) -> np.ndarray:
     """One row per point, one column per free coefficient (see module doc)."""
     x = np.asarray(x, dtype=float)

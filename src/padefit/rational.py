@@ -23,6 +23,7 @@ from numpy.polynomial import polynomial as npoly
 
 from .errors import (
     DenominatorZero,
+    NegativeAbscissa,
     NormalizationImpossible,
     UnsupportedSubstitution,
 )
@@ -295,18 +296,26 @@ class PoleReport:
         return len(self.sign_changes)
 
 
+def require_nonnegative(x_min: float, x_power: float) -> None:
+    """Non-integer substitution powers are defined only for x >= 0."""
+    if x_min < 0.0 and not float(x_power).is_integer():
+        raise NegativeAbscissa("non-integer x_power needs x >= 0")
+
+
 def pole_scan(model: RationalModel, interval: tuple[float, float], points: int = 1001) -> PoleReport:
     """Scan the denominator for sign changes on a uniform abscissa grid.
 
     The denominator is evaluated in the substituted coordinate t = x**x_power;
     brackets are refined by bisection on x.  An exact zero on a grid node is
-    reported as a degenerate bracket.
+    reported as a degenerate bracket, once per run of zero nodes.  Raises
+    NegativeAbscissa for an interval below 0 with a non-integer x_power.
     """
     a, b = float(interval[0]), float(interval[1])
     if not (b > a):
         raise ValueError("scan interval must have positive length")
     if points < 2:
         raise ValueError("need at least two scan points")
+    require_nonnegative(a, model.x_power)
     _, q = model._dense
 
     def den(x):
@@ -314,32 +323,27 @@ def pole_scan(model: RationalModel, interval: tuple[float, float], points: int =
 
     xs = np.linspace(a, b, points)
     vals = den(xs)
-    min_abs = float(np.min(np.abs(vals)))
+    zero = vals == 0.0
+    # First nodes of zero runs among nodes 0..points-2, and sign changes
+    # (never at a zero node), bisected in grid order.
+    run_start = zero[:-1] & ~np.concatenate(([False], zero[:-2]))
     changes = []
-    for i in range(points - 1):
-        lo, hi = xs[i], xs[i + 1]
-        vlo, vhi = vals[i], vals[i + 1]
-        if vlo == 0.0:
-            if i == 0 or vals[i - 1] != 0.0:
-                changes.append((float(lo), float(lo), float(lo)))
+    for i in np.flatnonzero(run_start | (vals[:-1] * vals[1:] < 0.0)):
+        lo, hi, vlo = xs[i], xs[i + 1], vals[i]
+        if zero[i]:
+            changes.append((float(lo),) * 3)
             continue
-        if vlo * vhi < 0.0:
-            while hi - lo > POLE_REFINE_TOL:
-                mid = 0.5 * (lo + hi)
-                vmid = den(mid)
-                if vmid == 0.0:
-                    lo = hi = mid
-                    break
-                if vlo * vmid < 0.0:
-                    hi = mid
-                else:
-                    lo, vlo = mid, vmid
-            changes.append((float(lo), float(hi), float(0.5 * (lo + hi))))
-    if vals[-1] == 0.0:
-        changes.append((float(xs[-1]), float(xs[-1]), float(xs[-1])))
-    return PoleReport(
-        scan_interval=(a, b),
-        scan_points=points,
-        min_abs_denominator=min_abs,
-        sign_changes=tuple(changes),
-    )
+        while hi - lo > POLE_REFINE_TOL:
+            mid = 0.5 * (lo + hi)
+            vmid = den(mid)
+            if vmid == 0.0:
+                lo = hi = mid
+                break
+            if vlo * vmid < 0.0:
+                hi = mid
+            else:
+                lo, vlo = mid, vmid
+        changes.append((float(lo), float(hi), float(0.5 * (lo + hi))))
+    if zero[-1]:
+        changes.append((float(xs[-1]),) * 3)
+    return PoleReport((a, b), points, float(np.min(np.abs(vals))), tuple(changes))

@@ -181,12 +181,21 @@ def lambda_sweep(
         cfg = replace(config, lam=lam)
         try:
             report = fit_regularized(data, cfg, der_grid, scan_points=scan_points)
-            poles = pole_scan(report.model, interval, scan_points)
-            rows.append(SweepRow(lam, report.d, report.d_der, poles.count, report=report))
+            count = _pole_count(report, interval, scan_points)
+            rows.append(SweepRow(lam, report.d, report.d_der, count, report=report))
         except PadefitError as exc:
             rows.append(SweepRow(lam, math.nan, math.nan, 0, str(exc)))
     sweep = LambdaSweep(rows=tuple(rows), chosen=0)
     return replace(sweep, chosen=_choose_index(sweep, rel_tol=0.05))
+
+
+def _pole_count(report: FitReport, interval, scan_points: int) -> int:
+    """Sign changes of the fit's denominator on `interval`; the fit's own
+    scan answers when it covered the same grid."""
+    poles = report.poles
+    if poles.scan_interval != tuple(map(float, interval)) or poles.scan_points != scan_points:
+        poles = pole_scan(report.model, interval, scan_points)
+    return poles.count
 
 
 def _choose_index(sweep: LambdaSweep, rel_tol: float) -> int:
@@ -305,8 +314,8 @@ def tune_lambda1(
 
     def admissible_fit(lam1):
         report = fit_regularized(data, replace(config, lam1=lam1), der_grid, scan_points=scan_points)
-        poles = pole_scan(report.model, scan_interval, scan_points)
-        ok = poles.count == 0 and abs(report.d_der - baseline_d_der) <= rel_window * baseline_d_der
+        count = _pole_count(report, scan_interval, scan_points)
+        ok = count == 0 and abs(report.d_der - baseline_d_der) <= rel_window * baseline_d_der
         return ok, report
 
     best: tuple[float, FitReport] | None = None

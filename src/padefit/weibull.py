@@ -22,6 +22,7 @@ from .errors import (
     EmptyInput,
     LengthMismatch,
     NoBracket,
+    NonconvergentQuadrature,
     NonconvergentTail,
     PoleOnRange,
 )
@@ -38,6 +39,9 @@ TAIL_EPS = 1e-6
 
 #: Absolute tolerance of the adaptive Simpson quadrature.
 QUAD_TOL = 1e-6
+
+#: Integrand evaluations the adaptive Simpson quadrature may spend.
+QUAD_MAX_EVALS = 100_000
 
 
 @dataclass(frozen=True)
@@ -165,8 +169,25 @@ def mle_fit(times: np.ndarray) -> WeibullParams:
     return WeibullParams(theta=theta, shape=shape)
 
 
-def _adaptive_simpson(fn, a: float, b: float, tol: float) -> float:
-    """Adaptive Simpson quadrature with Richardson error control."""
+def _adaptive_simpson(fn, a: float, b: float, tol: float, max_evals: int = QUAD_MAX_EVALS) -> float:
+    """Adaptive Simpson quadrature with Richardson error control.
+
+    Raises NonconvergentQuadrature on a non-finite integrand value, which
+    no refinement can bring within tolerance, and once more than
+    max_evals integrand evaluations would be needed (Gander & Gautschi,
+    "Adaptive quadrature - revisited", BIT 40, 2000).
+    """
+    evals = 0
+
+    def checked(x):
+        nonlocal evals
+        evals += 1
+        if evals > max_evals:
+            raise NonconvergentQuadrature(f"no convergence on [{a:g}, {b:g}] within {max_evals} evaluations")
+        y = fn(x)
+        if not math.isfinite(y):
+            raise NonconvergentQuadrature(f"integrand is {y} at x = {x:g}")
+        return y
 
     def simpson(lo, hi, flo, fmid, fhi):
         return (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
@@ -175,8 +196,8 @@ def _adaptive_simpson(fn, a: float, b: float, tol: float) -> float:
         mid = 0.5 * (lo + hi)
         lmid = 0.5 * (lo + mid)
         rmid = 0.5 * (mid + hi)
-        fl = fn(lmid)
-        fr = fn(rmid)
+        fl = checked(lmid)
+        fr = checked(rmid)
         left = simpson(lo, mid, flo, fl, fmid)
         right = simpson(mid, hi, fmid, fr, fhi)
         if depth <= 0:
@@ -188,7 +209,7 @@ def _adaptive_simpson(fn, a: float, b: float, tol: float) -> float:
             mid, hi, fmid, fr, fhi, right, tol / 2.0, depth - 1
         )
 
-    fa, fm, fb = fn(a), fn(0.5 * (a + b)), fn(b)
+    fa, fm, fb = checked(a), checked(0.5 * (a + b)), checked(b)
     whole = simpson(a, b, fa, fm, fb)
     return recurse(a, b, fa, fm, fb, whole, tol, depth=48)
 
@@ -218,6 +239,9 @@ def _rational_tail_integral(model: RationalModel, x_cut: float) -> float:
     return float(c * x_cut ** (-expo) / expo)
 
 
+# Far enough out both polynomials overflow and R is inf/inf; the quadrature
+# turns that NaN into NonconvergentQuadrature, so the warnings are noise.
+@np.errstate(over="ignore", invalid="ignore")
 def mttf(obj: WeibullParams | RationalModel, *, x_max: float | None = None) -> float:
     """Mean time to failure of a CDF.
 
@@ -238,6 +262,9 @@ def mttf(obj: WeibullParams | RationalModel, *, x_max: float | None = None) -> f
         If the model denominator changes sign inside the integration range.
     NonconvergentTail
         If 1 - R decays too slowly for a finite integral.
+    NonconvergentQuadrature
+        If R is not finite below the cutoff (it overflows for a huge
+        x_max) or the quadrature exhausts its evaluation budget.
     """
     if isinstance(obj, WeibullParams):
         return obj.theta * math.gamma(1.0 + 1.0 / obj.shape)

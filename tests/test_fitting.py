@@ -1,6 +1,7 @@
 """End-to-end fits, exact interpolation, and reference-point averaging."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -172,6 +173,16 @@ def test_fitted_values_do_not_depend_on_abscissa_scale(scale):
     base = fit_linearized(Dataset(xs, sin2pi(xs)), FitConfig(n=4, m=2))
     scaled = fit_linearized(Dataset(xs * scale, sin2pi(xs)), FitConfig(n=4, m=2))
     np.testing.assert_allclose(scaled.model(xs * scale), base.model(xs), rtol=0, atol=1e-12)
+
+
+def test_overflowing_design_column_is_singular_without_warning():
+    # (x * 1e80)**4 overflows: the inf column ends in SingularSystem, and
+    # the overflow itself raises no RuntimeWarning
+    xs = uniform_grid(0.0, 1.0, 30)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularSystem):
+            fit_linearized(Dataset(xs * 1e80, sin2pi(xs)), FitConfig(n=4, m=2))
 
 
 def test_substituted_fit_recovers_sqrt_shape():

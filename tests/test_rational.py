@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
 from padefit import RationalModel, Tail, add, pole_scan
 from padefit.errors import (
     DenominatorZero,
+    NegativeAbscissa,
     NormalizationImpossible,
     UnsupportedSubstitution,
 )
@@ -346,6 +348,77 @@ def test_pole_scan_validates_arguments():
         pole_scan(m, (0.0, 2.0), 1)
     with pytest.raises(ValueError):
         pole_scan(m, (2.0, 2.0), 10)
+
+
+def test_pole_scan_rejects_negative_interval_for_fractional_power():
+    m = RationalModel(numer=(1.0,), denom=(0.5,), x_power=0.5)
+    with pytest.raises(NegativeAbscissa):
+        pole_scan(m, (-1.0, 1.0))
+    # integer powers are defined for negative x
+    squared = RationalModel(numer=(1.0,), denom=(0.5,), x_power=2.0)
+    assert pole_scan(squared, (-1.0, 1.0)).count == 0
+
+
+def test_pole_scan_exact_zeros():
+    # 1 - x vanishes exactly at x = 1, and the grid nodes of an interval a
+    # few ulps wide round onto 1.0: one bracket per run of zero nodes among
+    # nodes 0..points-2, plus one for a zero last node.
+    m = RationalModel(numer=(1.0,), denom=(-1.0,))
+    ulp = float(np.spacing(1.0))
+    start = pole_scan(m, (1.0, 1.0 + 4 * ulp), 101)
+    assert start.sign_changes == ((1.0, 1.0, 1.0),)
+    end = pole_scan(m, (1.0 - 2 * ulp, 1.0), 101)
+    assert end.sign_changes == ((1.0, 1.0, 1.0), (1.0, 1.0, 1.0))
+    # the first bisection midpoint of [0, 2] is the root itself
+    midpoint = pole_scan(m, (0.0, 2.0), 2)
+    assert midpoint.sign_changes == ((1.0, 1.0, 1.0),)
+    for report in (start, end, midpoint):
+        assert report == oracle.pole_scan(m, report.scan_interval, report.scan_points)
+
+
+SCAN_POINTS = (2, 3, 101, 1001, 4097)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    denom=st.lists(st.floats(-8.0, 8.0), max_size=6),
+    x_power=st.sampled_from((0.5, 1.0, 1.5, 2.0, 2.5, 3.0)),
+    lo=st.floats(0.0, 1.0),
+    width=st.floats(0.01, 3.0),
+    points=st.sampled_from(SCAN_POINTS),
+)
+def test_pole_scan_matches_per_interval_loop(denom, x_power, lo, width, points):
+    model = RationalModel(numer=(1.0,), denom=tuple(denom), x_power=x_power)
+    interval = (lo, lo + width)
+    assert pole_scan(model, interval, points) == oracle.pole_scan(model, interval, points)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    root=st.sampled_from((0.25, 0.5, 1.0, 2.0, 4.0)),
+    x_power=st.sampled_from((1.0, 2.0, 3.0)),
+    where=st.sampled_from(("first", "last", "run_start", "run_end", "run_middle", "midpoint")),
+    ulps=st.integers(1, 6),
+    points=st.sampled_from(SCAN_POINTS),
+)
+def test_pole_scan_matches_per_interval_loop_on_zero_nodes(root, x_power, where, ulps, points):
+    # Q(t) = 1 - t / root**x_power is exactly 0 at x = root: every factor
+    # is a power of two.  Intervals a few ulps wide put runs of nodes on it;
+    # on [0, 2 root] it is the middle node or the first bisection midpoint.
+    model = RationalModel(numer=(1.0,), denom=(-(root**-x_power),), x_power=x_power)
+    ulp = float(np.spacing(root))
+    interval = {
+        "first": (root, 1.5 * root),
+        "last": (0.5 * root, root),
+        "run_start": (root, root + ulps * ulp),
+        "run_end": (root - ulps * ulp, root),
+        "run_middle": (root - ulps * ulp, root + ulps * ulp),
+        "midpoint": (0.0, 2.0 * root),
+    }[where]
+    new = pole_scan(model, interval, points)
+    assert new == oracle.pole_scan(model, interval, points)
+    if where != "run_middle":
+        assert root in new.sign_changes[0] or new.min_abs_denominator == 0.0
 
 
 # -- serialization ----------------------------------------------------------

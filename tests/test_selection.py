@@ -20,7 +20,9 @@ from padefit import (
     fit_regularized,
     grid_search,
     lambda_sweep,
+    pole_scan,
     q_search,
+    selection,
     tune_lambda1,
     uniform_grid,
 )
@@ -292,6 +294,59 @@ def test_tune_lambda1_rejects_impossible_window():
     der = DerivativeGridSpec((0.4, 2.0), 40)
     with pytest.raises(NoFeasibleModel):
         tune_lambda1(data, FitConfig(n=2, m=1), 1e9, der_grid=der)
+
+
+def _counted_scans(monkeypatch):
+    calls = []
+
+    def counting(model, interval, points=1001):
+        calls.append(tuple(interval))
+        return pole_scan(model, interval, points)
+
+    monkeypatch.setattr(selection, "pole_scan", counting)
+    return calls
+
+
+def _always_rescan(report, interval, points):
+    return pole_scan(report.model, interval, points).count
+
+
+def _tune_case():
+    rng = np.random.default_rng(6)
+    xs = np.linspace(0.1, 2.0, 25)
+    data = Dataset(xs, GEN(xs) * (1 + 0.05 * rng.normal(size=25)))
+    der = DerivativeGridSpec((0.1, 2.0), 40)
+    baseline = fit_regularized(data, FitConfig(n=3, m=0), der).d_der
+    return data, der, baseline
+
+
+@pytest.mark.parametrize("pole_interval", [None, (0.1, 2.0), (0.0, 3.0)])
+def test_tune_lambda1_scans_each_fit_once(monkeypatch, pole_interval):
+    data, der, baseline = _tune_case()
+    config = FitConfig(n=2, m=2)
+    monkeypatch.setattr(selection, "_pole_count", _always_rescan)
+    want = tune_lambda1(data, config, baseline, der_grid=der, pole_interval=pole_interval)
+    monkeypatch.undo()
+    calls = _counted_scans(monkeypatch)
+    got = tune_lambda1(data, config, baseline, der_grid=der, pole_interval=pole_interval)
+    assert got == want
+    if pole_interval == (0.0, 3.0):
+        # an interval wider than the fit's own scan needs a scan of its own
+        assert calls and set(calls) == {(0.0, 3.0)}
+    else:
+        assert calls == []
+
+
+@pytest.mark.parametrize("der_interval", [None, (0.0, 2.0)])
+def test_sweep_scans_each_fit_once(monkeypatch, table1, der_interval):
+    config = FitConfig.cdf_form(6, 0, 12)
+    grid = (0.0, 0.0025, 0.01)
+    monkeypatch.setattr(selection, "_pole_count", _always_rescan)
+    want = lambda_sweep(table1, config, grid, der_interval)
+    monkeypatch.undo()
+    calls = _counted_scans(monkeypatch)
+    assert lambda_sweep(table1, config, grid, der_interval) == want
+    assert calls == ([] if der_interval is None else [der_interval] * len(grid))
 
 
 def test_tune_lambda1_validates_baseline():

@@ -1,6 +1,8 @@
 """Weibull estimation, plotting positions, and mean time to failure."""
 
 import math
+import time
+import warnings
 
 import mpmath
 import numpy as np
@@ -9,9 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padefit import (
+    DerivativeGridSpec,
+    FitConfig,
     RationalModel,
     Tail,
     WeibullParams,
+    fit_regularized,
     median_ranks,
     mle_fit,
     mttf,
@@ -24,9 +29,11 @@ from padefit.errors import (
     EmptyInput,
     LengthMismatch,
     NoBracket,
+    NonconvergentQuadrature,
     NonconvergentTail,
     PoleOnRange,
 )
+from padefit.weibull import _adaptive_simpson
 
 
 def test_params_must_be_positive():
@@ -226,3 +233,24 @@ def test_mttf_divergent_tail():
     model = RationalModel(numer=(0.0,), tail=Tail(2, 1.0), x_power=0.5)
     with pytest.raises(NonconvergentTail):
         mttf(model, x_max=100.0)
+
+
+def test_mttf_huge_cap_ends_in_typed_error(table1):
+    # Past x ~ 1e25 the table-1 CDF fit's polynomials overflow to inf/inf:
+    # the quadrature meets NaN and stops with a typed error, quietly.
+    fit = fit_regularized(table1, FitConfig.cdf_form(6, 0, 12, lam=0.0025), DerivativeGridSpec((0.0, 2.0), 40))
+    assert mttf(fit.model, x_max=100.0) == 0.830434297179879
+    start = time.perf_counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NonconvergentQuadrature):
+            mttf(fit.model, x_max=1e300)
+    assert time.perf_counter() - start < 2.0
+
+
+def test_quadrature_evaluation_budget():
+    assert _adaptive_simpson(lambda x: x * x, 0.0, 3.0, 1e-6) == pytest.approx(9.0, abs=1e-9)
+    with pytest.raises(NonconvergentQuadrature):
+        _adaptive_simpson(lambda x: math.sin(1.0 / x) if x else 0.0, 0.0, 1.0, 1e-12, max_evals=1000)
+    with pytest.raises(NonconvergentQuadrature):
+        _adaptive_simpson(lambda x: math.nan if x > 0.5 else 1.0, 0.0, 1.0, 1e-6)
