@@ -15,9 +15,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .diagnostics import DerivativeGridSpec
-from .errors import EmptySweep, NegativeAbscissa, NoFeasibleModel, PadefitError
+from .errors import EmptySweep, NoFeasibleModel, PadefitError
 from .fitting import Dataset, FitConfig, FitReport, fit_linearized, fit_regularized
-from .rational import pole_scan
+from .rational import pole_scan, require_nonnegative
 
 
 @dataclass(frozen=True)
@@ -257,8 +257,9 @@ def q_search(
         raise ValueError("q_grid must be nonempty")
     if any(not (q > 0) for q in qs):
         raise ValueError("substitution exponents must be positive")
-    if np.any(data.x < 0.0) and any(not float(q).is_integer() for q in qs):
-        raise NegativeAbscissa("non-integer exponents need x >= 0")
+    x_min = float(np.min(data.x))
+    for q in qs:
+        require_nonnegative(x_min, q)
     best: tuple[float, FitReport] | None = None
     for q in qs:
         try:

@@ -169,12 +169,12 @@ def mle_fit(times: np.ndarray) -> WeibullParams:
     return WeibullParams(theta=theta, shape=shape)
 
 
-def _adaptive_simpson(fn, a: float, b: float, tol: float, max_evals: int = QUAD_MAX_EVALS) -> float:
+def _adaptive_simpson(fn, a: float, b: float, tol: float) -> float:
     """Adaptive Simpson quadrature with Richardson error control.
 
     Raises NonconvergentQuadrature on a non-finite integrand value, which
     no refinement can bring within tolerance, and once more than
-    max_evals integrand evaluations would be needed (Gander & Gautschi,
+    QUAD_MAX_EVALS integrand evaluations would be needed (Gander & Gautschi,
     "Adaptive quadrature - revisited", BIT 40, 2000).
     """
     evals = 0
@@ -182,8 +182,8 @@ def _adaptive_simpson(fn, a: float, b: float, tol: float, max_evals: int = QUAD_
     def checked(x):
         nonlocal evals
         evals += 1
-        if evals > max_evals:
-            raise NonconvergentQuadrature(f"no convergence on [{a:g}, {b:g}] within {max_evals} evaluations")
+        if evals > QUAD_MAX_EVALS:
+            raise NonconvergentQuadrature(f"no convergence on [{a:g}, {b:g}] within {QUAD_MAX_EVALS} evaluations")
         y = fn(x)
         if not math.isfinite(y):
             raise NonconvergentQuadrature(f"integrand is {y} at x = {x:g}")

@@ -33,7 +33,7 @@ from padefit.errors import (
     NonconvergentTail,
     PoleOnRange,
 )
-from padefit.weibull import _adaptive_simpson
+from padefit.weibull import QUAD_MAX_EVALS, _adaptive_simpson
 
 
 def test_params_must_be_positive():
@@ -250,7 +250,15 @@ def test_mttf_huge_cap_ends_in_typed_error(table1):
 
 def test_quadrature_evaluation_budget():
     assert _adaptive_simpson(lambda x: x * x, 0.0, 3.0, 1e-6) == pytest.approx(9.0, abs=1e-9)
+    calls = 0
+
+    def oscillating(x):
+        nonlocal calls
+        calls += 1
+        return math.sin(1.0 / x) if x else 0.0
+
     with pytest.raises(NonconvergentQuadrature):
-        _adaptive_simpson(lambda x: math.sin(1.0 / x) if x else 0.0, 0.0, 1.0, 1e-12, max_evals=1000)
+        _adaptive_simpson(oscillating, 0.0, 1.0, 1e-12)
+    assert calls == QUAD_MAX_EVALS
     with pytest.raises(NonconvergentQuadrature):
         _adaptive_simpson(lambda x: math.nan if x > 0.5 else 1.0, 0.0, 1.0, 1e-6)
