@@ -13,8 +13,8 @@ from typing import Callable, Literal
 
 import numpy as np
 
-from .errors import EmptyInput, LengthMismatch
-from .rational import RationalModel
+from .errors import DenominatorZero, EmptyInput, LengthMismatch
+from .rational import DENOM_TOL, RationalModel, denominator_zero, slopes
 
 #: Relative step for the finite-difference fallback derivative.
 FD_STEP = 1e-6
@@ -90,4 +90,18 @@ def oscillation_measure(
     else:
         h = FD_STEP * np.maximum(1.0, np.abs(xs))
         d = (np.asarray(fn(xs + h), dtype=float) - np.asarray(fn(xs - h), dtype=float)) / (2.0 * h)
+    return _rms(d)
+
+
+def oscillation_measures(models, grid: DerivativeGridSpec) -> list[float | DenominatorZero]:
+    """oscillation_measure of rational models sharing one structure, from one
+    stacked quotient-rule pass; a model whose denominator vanishes on the
+    grid gets the DenominatorZero its own measure would raise."""
+    xs = grid.grid()
+    d, den = slopes(models, xs)
+    vanishing = (np.abs(den).min(axis=1) <= DENOM_TOL).tolist()
+    return [denominator_zero(xs, q) if v else _rms(row) for row, q, v in zip(d, den, vanishing)]
+
+
+def _rms(d: np.ndarray) -> float:
     return float(np.sqrt(np.mean(d * d)))

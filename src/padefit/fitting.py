@@ -29,10 +29,10 @@ from typing import Callable
 import numpy as np
 
 from . import linsys
-from .diagnostics import DerivativeGridSpec, oscillation_measure, rmse
-from .errors import CountMismatch, DuplicateAbscissa
+from .diagnostics import DerivativeGridSpec, oscillation_measures, rmse
+from .errors import CountMismatch, DuplicateAbscissa, PadefitError
 from .linsys import SolveDiagnostics
-from .rational import DENOM_TOL, PoleReport, RationalModel, Tail, pole_scan, require_nonnegative
+from .rational import DENOM_TOL, PoleReport, RationalModel, Tail, pole_scans, require_nonnegative, stacked_parts
 
 #: Default number of nodes for the pole scan over the data interval.
 SCAN_POINTS = 1001
@@ -161,21 +161,21 @@ class FitReport:
 
 
 def _substituted(data: Dataset, x_power: float) -> np.ndarray:
-    require_nonnegative(float(np.min(data.x)), x_power)
+    require_nonnegative(data.x, x_power)
     return data.x**x_power
 
 
 def _model_from_solution(config: FitConfig, theta: np.ndarray, columns) -> RationalModel:
-    numer = np.zeros(config.n + 1)
-    denom = np.zeros(config.m)
+    numer = [0.0] * (config.n + 1)
+    denom = [0.0] * config.m
     tail = None
-    for value, (kind, power) in zip(theta, columns):
+    for value, (kind, power) in zip(theta.tolist(), columns):
         if kind == "numer":
             numer[power] = value
         elif kind == "denom":
             denom[power - 1] = value
         else:
-            tail = Tail(power, float(value))
+            tail = Tail(power, value)
     return RationalModel(
         numer=tuple(numer),
         denom=tuple(denom),
@@ -185,70 +185,103 @@ def _model_from_solution(config: FitConfig, theta: np.ndarray, columns) -> Ratio
     )
 
 
-def _build_report(
-    model: RationalModel,
+def _build_reports(
+    models: list[RationalModel],
+    diagnostics: list[SolveDiagnostics],
     data: Dataset,
-    diagnostics: SolveDiagnostics,
     der_grid: DerivativeGridSpec | None,
     scan_points: int,
-) -> FitReport:
-    num, den = model.parts(data.x)
-    num = np.atleast_1d(num)
-    den = np.atleast_1d(den)
-    rho = num - data.f * den
-    s0 = float(np.dot(rho, rho))
-    vanishes = bool(np.min(np.abs(den)) <= DENOM_TOL)
-    d0 = d1 = None
-    if data.underlying is not None:
-        truth = np.asarray(data.underlying(data.x), dtype=float)
-        d0 = rmse(data.f, truth)
-    if vanishes:
-        s = d = math.inf
-        if data.underlying is not None:
-            d1 = math.inf
-    else:
-        r = num / den
-        res = r - data.f
-        s = float(np.dot(res, res))
-        d = math.sqrt(s / len(data))
-        if data.underlying is not None:
-            d1 = rmse(r, truth)
+) -> list[FitReport | PadefitError]:
+    # Models share one structure: their values at the data, pole-scan grid
+    # and derivative grid come from one stacked evaluation each.
     lo, hi = data.interval()
-    if hi > lo:
-        poles = pole_scan(model, (lo, hi), scan_points)
-    else:
-        # Single-abscissa data: nothing to scan, report a clean empty record.
-        poles = PoleReport((lo, hi), 0, float(np.min(np.abs(den))), ())
-    d_der = oscillation_measure(model, der_grid) if der_grid is not None else None
-    return FitReport(
-        model=model,
-        s=s,
-        s0=s0,
-        d=d,
-        d0=d0,
-        d1=d1,
-        d_der=d_der,
-        poles=poles,
-        diagnostics=diagnostics,
-        denominator_vanishes=vanishes,
-    )
+    try:
+        num, den = stacked_parts(models, data.x)
+        truth = d0 = None
+        if data.underlying is not None:
+            truth = np.asarray(data.underlying(data.x), dtype=float)
+            d0 = rmse(data.f, truth)
+        # Single-abscissa data has nothing to scan: a clean empty record.
+        poles = pole_scans(models, (lo, hi), scan_points) if hi > lo else None
+        d_ders = oscillation_measures(models, der_grid) if der_grid is not None else [None] * len(models)
+    except PadefitError as exc:
+        return [exc] * len(models)
+    reports = []
+    for k, model in enumerate(models):
+        if isinstance(d_ders[k], PadefitError):
+            reports.append(d_ders[k])
+            continue
+        rho = num[k] - data.f * den[k]
+        s0 = float(np.dot(rho, rho))
+        lowest = float(np.min(np.abs(den[k])))
+        vanishes = lowest <= DENOM_TOL
+        d1 = None
+        if vanishes:
+            s = d = math.inf
+            if truth is not None:
+                d1 = math.inf
+        else:
+            r = num[k] / den[k]
+            res = r - data.f
+            s = float(np.dot(res, res))
+            d = math.sqrt(s / len(data))
+            if truth is not None:
+                d1 = rmse(r, truth)
+        reports.append(
+            FitReport(
+                model=model,
+                s=s,
+                s0=s0,
+                d=d,
+                d0=d0,
+                d1=d1,
+                d_der=d_ders[k],
+                poles=poles[k] if poles is not None else PoleReport((lo, hi), 0, lowest, ()),
+                diagnostics=diagnostics[k],
+                denominator_vanishes=vanishes,
+            )
+        )
+    return reports
 
 
 def _fit(
     data: Dataset,
     config: FitConfig,
+    penalties,
     der_grid: DerivativeGridSpec | None,
     scan_points: int,
     evaluate_on: Dataset | None = None,
-) -> FitReport:
-    t = _substituted(data, config.x_power)
+) -> list[FitReport | PadefitError]:
+    """Fit the structure of `config` once per (lam, lam1) pair in `penalties`
+    (config's own lam and lam1 are not used): one design matrix, one stacked
+    solve, and one stacked evaluation, pole scan and derivative pass.
+    Returns each pair's report, or the PadefitError that ended its fit
+    alone."""
+    if not penalties:
+        return []
     columns = linsys.free_columns(config.n, config.m, config.tail_power, config.zero_powers)
+    try:
+        t = _substituted(data, config.x_power)
+    except PadefitError as exc:
+        return [exc] * len(penalties)
     g = linsys.design_matrix(t, data.f, columns)
-    ridge = linsys.ridge_weights(columns, config.lam, config.lam1)
-    theta, diagnostics = linsys.solve_least_squares(g, data.f, ridge)
-    model = _model_from_solution(config, theta, columns)
-    target = evaluate_on if evaluate_on is not None else data
-    return _build_report(model, target, diagnostics, der_grid, scan_points)
+    ridges = [linsys.ridge_weights(columns, lam, lam1) for lam, lam1 in penalties]
+    out = linsys.solve_least_squares(g, data.f, ridges)
+    solved = [k for k, result in enumerate(out) if not isinstance(result, PadefitError)]
+    if solved:
+        models = [_model_from_solution(config, out[k][0], columns) for k in solved]
+        target = evaluate_on if evaluate_on is not None else data
+        reports = _build_reports(models, [out[k][1] for k in solved], target, der_grid, scan_points)
+        for k, report in zip(solved, reports):
+            out[k] = report
+    return out
+
+
+def _one(results: list[FitReport | PadefitError]) -> FitReport:
+    (result,) = results
+    if isinstance(result, PadefitError):
+        raise result
+    return result
 
 
 def fit_linearized(
@@ -266,7 +299,7 @@ def fit_linearized(
     Identical inputs produce bit-identical reports; there is no random
     element anywhere in the pipeline.
     """
-    return _fit(data, config, None, scan_points)
+    return _one(_fit(data, config, [(config.lam, config.lam1)], None, scan_points))
 
 
 def fit_regularized(
@@ -285,7 +318,7 @@ def fit_regularized(
     """
     if der_grid is None:
         der_grid = DerivativeGridSpec(data.interval(), 40)
-    return _fit(data, config, der_grid, scan_points)
+    return _one(_fit(data, config, [(config.lam, config.lam1)], der_grid, scan_points))
 
 
 def interpolate_reference(
@@ -324,7 +357,7 @@ def interpolate_reference(
     free = config.free_count()
     if len(x) < free:
         raise CountMismatch(f"{len(x)} reference points for {free} free coefficients")
-    return _fit(refpoints, config, None, scan_points, evaluate_on)
+    return _one(_fit(refpoints, config, [(config.lam, config.lam1)], None, scan_points, evaluate_on))
 
 
 def build_reference_points(

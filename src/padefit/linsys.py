@@ -26,11 +26,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientData, NegativeWeight, SingularSystem
+from .errors import InsufficientData, NegativeWeight, PadefitError, SingularSystem
 
 #: A condition estimate above this sets the ill-conditioning flag: the
 #: coefficients then carry fewer than about eight significant digits.
 CONDITION_FLAG_LIMIT = 1e8
+
+#: Machine epsilon; the rank tolerance is p * EPS * (largest singular value).
+EPS = np.finfo(float).eps
 
 #: Column identities: ("numer", power), ("denom", power) or ("tail", power).
 Column = tuple[str, int]
@@ -93,17 +96,22 @@ def ridge_weights(columns: tuple[Column, ...], lam: float, lam1: float) -> np.nd
 def solve_least_squares(
     g: np.ndarray,
     f: np.ndarray,
-    ridge: np.ndarray | None = None,
-) -> tuple[np.ndarray, SolveDiagnostics]:
-    """Minimize ||G theta - F||**2 + sum_c ridge_c * theta_c**2.
+    ridges: np.ndarray,
+) -> list[tuple[np.ndarray, SolveDiagnostics] | PadefitError]:
+    """Minimize ||G theta - F||**2 + sum_c ridge_c * theta_c**2 for each row
+    of `ridges`, a (K, p) stack of per-column weights.
 
-    Columns are equilibrated by exact powers of two, so the scaling adds
-    no rounding.  A system with more rows than columns (after the ridge
-    rows, stacked only when some weight is nonzero) is solved by
-    Householder QR; a square one by LU.
+    The K problems share G and F.  Columns are equilibrated by exact powers
+    of two, so the scaling adds no rounding.  Problems with some positive
+    weight get sqrt(ridge) rows stacked under G; the others are solved
+    without them, in their own stack.  A system with more rows than
+    columns is solved by Householder QR, a square one by LU; each stack
+    takes one batched call of each factorization, so a problem's solution
+    does not depend on the others in its batch.
 
-    Raises
-    ------
+    Returns, per row of `ridges`, theta and its SolveDiagnostics, or the
+    PadefitError that problem raised:
+
     InsufficientData
         If G has fewer rows than columns.
     NegativeWeight
@@ -114,38 +122,72 @@ def solve_least_squares(
     """
     g = np.asarray(g, dtype=float)
     f = np.asarray(f, dtype=float)
+    ridges = np.asarray(ridges, dtype=float)
     rows, p = g.shape
+    if ridges.ndim != 2 or ridges.shape[1] != p:
+        raise ValueError(f"ridges must be a (K, {p}) stack of weights")
     if rows < p:
-        raise InsufficientData(f"{rows} points for {p} free coefficients")
-    if ridge is not None:
-        ridge = np.asarray(ridge, dtype=float)
-        if np.any(ridge < 0.0):
-            raise NegativeWeight("penalty weights must be nonnegative")
-        if np.any(ridge > 0.0):
-            g = np.vstack([g, np.diag(np.sqrt(ridge))])
-            f = np.concatenate([f, np.zeros(p)])
+        return [InsufficientData(f"{rows} points for {p} free coefficients") for _ in ridges]
+    negative, positive = (ridges < 0.0).any(axis=1).tolist(), (ridges > 0.0).any(axis=1).tolist()
+    kinds = ["negative" if n else "ridged" if r else "plain" for n, r in zip(negative, positive)]
+    # The problems without a positive weight are all one problem, G theta ~ F.
+    plain = _solve_stack(g[None], f)[0] if "plain" in kinds else None
+    solved = iter(())
+    if "ridged" in kinds:
+        # G with the diagonal rows sqrt(ridge) under it, one copy per problem
+        weights = np.sqrt(ridges[[kind == "ridged" for kind in kinds]])
+        stack = np.zeros((len(weights), rows + p, p))
+        stack[:, :rows] = g
+        stack[:, rows + np.arange(p), np.arange(p)] = weights
+        solved = iter(_solve_stack(stack, np.concatenate([f, np.zeros(p)])))
+    return [
+        plain if kind == "plain" else next(solved) if kind == "ridged" else NegativeWeight("penalty weights must be nonnegative")
+        for kind in kinds
+    ]
+
+
+def _solve_stack(g: np.ndarray, f: np.ndarray) -> list[tuple[np.ndarray, SolveDiagnostics] | SingularSystem]:
+    # solve_least_squares for a (K, rows, p) stack of systems sharing F.
+    k, rows, p = g.shape
     # max-abs rather than 2-norm: squaring entries would underflow for tiny x
-    peaks = np.max(np.abs(g), axis=0)
-    if not np.all(np.isfinite(peaks) & (peaks > 0.0)):
-        raise SingularSystem("a design column is zero or not finite")
+    peaks = np.abs(g).max(axis=1)
+    usable = ((peaks > 0.0) & (peaks < np.inf)).all(axis=1)
+    if not usable.all():
+        out: list = [SingularSystem("a design column is zero or not finite") for _ in range(k)]
+        for i, result in zip(np.flatnonzero(usable), _solve_stack(g[usable], f) if usable.any() else ()):
+            out[i] = result
+        return out
     scale = np.ldexp(1.0, np.frexp(peaks)[1] - 1)  # column maxima land in [1, 2)
-    g = g / scale
+    a = g / scale[:, None, :]
     try:
-        if g.shape[0] == p:
-            r, rhs = g, f
+        if rows == p:
+            r, rhs = a, np.broadcast_to(f[:, None], (k, p, 1))
         else:
-            q, r = np.linalg.qr(g)
-            rhs = q.T @ f
+            q, r = np.linalg.qr(a)
+            rhs = np.swapaxes(q, 1, 2) @ f[:, None]
         sv = np.linalg.svd(r, compute_uv=False)
-        rank = int(np.count_nonzero(sv > sv[0] * p * np.finfo(float).eps))
-        if rank < p:
-            raise SingularSystem(f"numerical rank {rank} of {p} columns")
-        y = np.linalg.solve(r, rhs)
+        rank = (sv > sv[:, :1] * p * EPS).sum(axis=1)
+        full = rank == p
+        if not full.all():  # solve only the full-rank problems
+            r, rhs, scale = r[full], rhs[full], scale[full]
+        y = np.linalg.solve(r, rhs)[..., 0]
     except np.linalg.LinAlgError as exc:
-        raise SingularSystem(str(exc)) from exc
+        if k == 1:
+            return [SingularSystem(str(exc))]
+        # A failure in a batched call: find its problem, keep the others.
+        return [_solve_stack(g[i : i + 1], f)[0] for i in range(k)]
     with np.errstate(over="ignore"):
         theta = y / scale
-    if not np.all(np.isfinite(theta)):
-        raise SingularSystem("coefficients overflow at this abscissa scale")
-    condition = float(sv[0] / sv[-1])
-    return theta, SolveDiagnostics(condition, rank, condition > CONDITION_FLAG_LIMIT)
+    solved = zip(theta, np.isfinite(theta).all(axis=1).tolist())
+    out = []
+    for ok, rk, s_max, s_min in zip(full.tolist(), rank.tolist(), sv[:, 0].tolist(), sv[:, -1].tolist()):
+        if not ok:
+            out.append(SingularSystem(f"numerical rank {rk} of {p} columns"))
+            continue
+        coefficients, finite = next(solved)
+        if not finite:
+            out.append(SingularSystem("coefficients overflow at this abscissa scale"))
+            continue
+        condition = s_max / s_min
+        out.append((coefficients, SolveDiagnostics(condition, p, condition > CONDITION_FLAG_LIMIT)))
+    return out

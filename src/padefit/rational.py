@@ -25,6 +25,7 @@ from .errors import (
     DenominatorZero,
     NegativeAbscissa,
     NormalizationImpossible,
+    SingularDerivative,
     UnsupportedSubstitution,
 )
 
@@ -35,12 +36,15 @@ DENOM_TOL = 1e-300
 POLE_REFINE_TOL = 1e-12
 
 
-def _first_vanishing(x, den):
-    """First abscissa whose denominator value is an exact zero, for messages."""
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
+def denominator_zero(x, den) -> DenominatorZero | None:
+    """The DenominatorZero at the first x where |Q| <= DENOM_TOL, or None
+    when the denominator values `den` at `x` do not vanish."""
     ds = np.atleast_1d(den)
+    if not np.min(np.abs(ds)) <= DENOM_TOL:
+        return None
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
     hit = xs[np.abs(ds) <= DENOM_TOL]
-    return float(hit[0]) if hit.size else float(xs[0])
+    return DenominatorZero(float(hit[0]) if hit.size else float(xs[0]))
 
 
 @dataclass(frozen=True)
@@ -134,43 +138,38 @@ class RationalModel:
         q.setflags(write=False)
         return p, q
 
-    def _substitute(self, x):
-        t = np.asarray(x, dtype=float) ** self.x_power
-        return t
+    @cached_property
+    def _slope_dense(self) -> tuple[np.ndarray, np.ndarray]:
+        # Derivatives of the _dense arrays in t, for the quotient rule: the
+        # values npoly.polyder gives, without its per-call overhead, padded
+        # with a top zero to the _dense length (Horner's values unchanged).
+        dp, dq = (c * 0.0 if len(c) == 1 else np.concatenate((c[1:] * np.arange(1.0, len(c)), [0.0])) for c in self._dense)
+        dp.setflags(write=False)
+        dq.setflags(write=False)
+        return dp, dq
 
     def parts(self, x):
-        """Numerator and denominator values P(t), Q(t) at t = x**x_power."""
+        """Numerator and denominator values P(t), Q(t) at t = x**x_power.
+
+        Raises NegativeAbscissa for x < 0 with a non-integer x_power.
+        """
         p, q = self._dense
-        t = self._substitute(x)
+        t = _substitute(x, self.x_power)
         return npoly.polyval(t, p), npoly.polyval(t, q)
 
     def __call__(self, x):
         """Evaluate the model; scalar in, scalar out; array in, array out."""
         num, den = self.parts(x)
-        if np.min(np.abs(den)) <= DENOM_TOL:
-            raise DenominatorZero(_first_vanishing(x, den))
+        if (err := denominator_zero(x, den)) is not None:
+            raise err
         out = num / den
         return out if np.ndim(x) else float(out)
 
     def derivative(self, x):
-        """First derivative dR/dx by the quotient rule.
-
-        The chain rule contributes x_power * x**(x_power - 1) from the
-        substitution; for x_power == 1 that factor is exactly 1.
-        """
-        p, q = self._dense
-        dp = npoly.polyder(p)
-        dq = npoly.polyder(q)
-        t = self._substitute(x)
-        num = npoly.polyval(t, p)
-        den = npoly.polyval(t, q)
-        if np.min(np.abs(den)) <= DENOM_TOL:
-            raise DenominatorZero(_first_vanishing(x, den))
-        dnum = npoly.polyval(t, dp)
-        dden = npoly.polyval(t, dq)
-        out = (dnum * den - num * dden) / (den * den)
-        if self.x_power != 1.0:
-            out = out * self.x_power * np.asarray(x, dtype=float) ** (self.x_power - 1.0)
+        """First derivative dR/dx by the quotient rule (see `slopes`)."""
+        (out,), (den,) = slopes((self,), x)
+        if (err := denominator_zero(x, den)) is not None:
+            raise err
         return out if np.ndim(x) else float(out)
 
     def taylor_coefficients(self, count: int) -> tuple[float, ...]:
@@ -296,10 +295,62 @@ class PoleReport:
         return len(self.sign_changes)
 
 
-def require_nonnegative(x_min: float, x_power: float) -> None:
+def require_nonnegative(x, x_power: float) -> None:
     """Non-integer substitution powers are defined only for x >= 0."""
-    if x_min < 0.0 and not float(x_power).is_integer():
+    if not float(x_power).is_integer() and (np.asarray(x) < 0.0).any():
         raise NegativeAbscissa("non-integer x_power needs x >= 0")
+
+
+def _substitute(x, x_power: float):
+    xs = np.asarray(x, dtype=float)
+    require_nonnegative(xs, x_power)
+    return xs**x_power
+
+
+def _horner(t, arrays) -> np.ndarray:
+    # Equal-length coefficient arrays evaluated at t in one polyval call,
+    # one row per array.
+    return npoly.polyval(t, np.array(arrays).T)
+
+
+def stacked_parts(models, x) -> tuple[np.ndarray, np.ndarray]:
+    """RationalModel.parts of models sharing one structure (and x_power),
+    one row per model.  (`parts` keeps its own two polyval calls: mttf's
+    quadrature evaluates one model at one x per call, where stacking
+    would more than double the cost.)"""
+    p, q = zip(*(m._dense for m in models))
+    vals = _horner(_substitute(x, models[0].x_power), p + q)
+    return vals[: len(p)], vals[len(p) :]
+
+
+def slopes(models, x) -> tuple[np.ndarray, np.ndarray]:
+    """dR/dx of models sharing one structure (and x_power) by the quotient
+    rule, with their denominator values; one row per model.
+
+    The chain rule contributes x_power * x**(x_power - 1) from the
+    substitution; for x_power == 1 that factor is exactly 1.  Entries
+    where |Q| <= DENOM_TOL hold no derivative: callers check the
+    denominator row before using a slope row.
+
+    Raises
+    ------
+    NegativeAbscissa
+        For x < 0 with a non-integer x_power.
+    SingularDerivative
+        For x = 0 with x_power < 1, where the chain-rule factor is infinite.
+    """
+    x_power = models[0].x_power
+    xs = np.asarray(x, dtype=float)
+    t = _substitute(xs, x_power)
+    if x_power < 1.0 and np.any(xs == 0.0):
+        raise SingularDerivative(f"dR/dx at x = 0 needs x_power >= 1, not {x_power:g}")
+    p, q = zip(*(m._dense for m in models))
+    dp, dq = zip(*(m._slope_dense for m in models))
+    num, den, dnum, dden = _horner(t, p + q + dp + dq).reshape(4, len(models), *np.shape(t))
+    out = (dnum * den - num * dden) / np.where(np.abs(den) <= DENOM_TOL, 1.0, den * den)
+    if x_power != 1.0:
+        out = out * x_power * xs ** (x_power - 1.0)
+    return out, den
 
 
 def pole_scan(model: RationalModel, interval: tuple[float, float], points: int = 1001) -> PoleReport:
@@ -310,40 +361,53 @@ def pole_scan(model: RationalModel, interval: tuple[float, float], points: int =
     reported as a degenerate bracket, once per run of zero nodes.  Raises
     NegativeAbscissa for an interval below 0 with a non-integer x_power.
     """
+    return pole_scans((model,), interval, points)[0]
+
+
+def pole_scans(models, interval: tuple[float, float], points: int = 1001) -> list[PoleReport]:
+    """pole_scan of models sharing one structure (and x_power): one stacked
+    evaluation of the denominators on the grid, then each model's own
+    brackets, bisected in grid order."""
     a, b = float(interval[0]), float(interval[1])
     if not (b > a):
         raise ValueError("scan interval must have positive length")
     if points < 2:
         raise ValueError("need at least two scan points")
-    require_nonnegative(a, model.x_power)
-    _, q = model._dense
-
-    def den(x):
-        return npoly.polyval(np.asarray(x, dtype=float) ** model.x_power, q)
-
+    x_power = models[0].x_power
+    require_nonnegative(a, x_power)
     xs = np.linspace(a, b, points)
-    vals = den(xs)
+    vals = _horner(xs**x_power, [m._dense[1] for m in models])
     zero = vals == 0.0
-    # First nodes of zero runs among nodes 0..points-2, and sign changes
-    # (never at a zero node), bisected in grid order.
-    run_start = zero[:-1] & ~np.concatenate(([False], zero[:-2]))
-    changes = []
-    for i in np.flatnonzero(run_start | (vals[:-1] * vals[1:] < 0.0)):
-        lo, hi, vlo = xs[i], xs[i + 1], vals[i]
-        if zero[i]:
-            changes.append((float(lo),) * 3)
-            continue
-        while hi - lo > POLE_REFINE_TOL:
-            mid = 0.5 * (lo + hi)
-            vmid = den(mid)
-            if vmid == 0.0:
-                lo = hi = mid
-                break
-            if vlo * vmid < 0.0:
-                hi = mid
-            else:
-                lo, vlo = mid, vmid
-        changes.append((float(lo), float(hi), float(0.5 * (lo + hi))))
-    if zero[-1]:
-        changes.append((float(xs[-1]),) * 3)
-    return PoleReport((a, b), points, float(np.min(np.abs(vals))), tuple(changes))
+    # Sign changes (never at a zero node) and the first nodes of zero runs
+    # among nodes 0..points-2.
+    brackets = vals[:, :-1] * vals[:, 1:] < 0.0
+    brackets[:, 0] |= zero[:, 0]
+    brackets[:, 1:] |= zero[:, 1:-1] & ~zero[:, :-2]
+    reports = []
+    for model, row, zrow, hits, low in zip(models, vals, zero, brackets, np.abs(vals).min(axis=1).tolist()):
+        changes = []
+        for i in np.flatnonzero(hits):
+            if zrow[i]:
+                changes.append((float(xs[i]),) * 3)
+                continue
+            lo, hi = _bisect(model._dense[1], x_power, xs[i], xs[i + 1], row[i])
+            changes.append((float(lo), float(hi), float(0.5 * (lo + hi))))
+        if zrow[-1]:
+            changes.append((float(xs[-1]),) * 3)
+        reports.append(PoleReport((a, b), points, low, tuple(changes)))
+    return reports
+
+
+def _bisect(q: np.ndarray, x_power: float, lo, hi, vlo):
+    # Narrow a sign change of the denominator Q(x**x_power) on [lo, hi],
+    # where Q(lo) = vlo, to POLE_REFINE_TOL (or to an exact zero).
+    while hi - lo > POLE_REFINE_TOL:
+        mid = 0.5 * (lo + hi)
+        vmid = npoly.polyval(np.asarray(mid, dtype=float) ** x_power, q)
+        if vmid == 0.0:
+            return mid, mid
+        if vlo * vmid < 0.0:
+            hi = mid
+        else:
+            lo, vlo = mid, vmid
+    return lo, hi

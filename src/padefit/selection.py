@@ -12,12 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .diagnostics import DerivativeGridSpec
 from .errors import EmptySweep, NoFeasibleModel, PadefitError
-from .fitting import Dataset, FitConfig, FitReport, fit_linearized, fit_regularized
-from .rational import pole_scan, require_nonnegative
+from .fitting import Dataset, FitConfig, FitReport, _fit, fit_linearized
+from .rational import pole_scans, require_nonnegative
 
 
 @dataclass(frozen=True)
@@ -160,7 +158,8 @@ def lambda_sweep(
     placement: str = "right",
     scan_points: int = 1001,
 ) -> LambdaSweep:
-    """Refit with each penalty value and tabulate d, d_der and pole count.
+    """Fit every penalty value, as one batch, and tabulate d, d_der and
+    pole count.
 
     Pole counting and the oscillation measure both run over der_interval
     (default: the data interval), so the sweep judges smoothness on the
@@ -176,26 +175,34 @@ def lambda_sweep(
         raise ValueError("penalty grid must be strictly ascending")
     interval = der_interval if der_interval is not None else data.interval()
     der_grid = DerivativeGridSpec(interval, der_points, placement)
+    fits = _fit_counted(data, config, [(lam, config.lam1) for lam in lams], der_grid, interval, scan_points)
     rows = []
-    for lam in lams:
-        cfg = replace(config, lam=lam)
-        try:
-            report = fit_regularized(data, cfg, der_grid, scan_points=scan_points)
-            count = _pole_count(report, interval, scan_points)
+    for lam, fit in zip(lams, fits):
+        if isinstance(fit, PadefitError):
+            rows.append(SweepRow(lam, math.nan, math.nan, 0, str(fit)))
+        else:
+            report, count = fit
             rows.append(SweepRow(lam, report.d, report.d_der, count, report=report))
-        except PadefitError as exc:
-            rows.append(SweepRow(lam, math.nan, math.nan, 0, str(exc)))
     sweep = LambdaSweep(rows=tuple(rows), chosen=0)
     return replace(sweep, chosen=_choose_index(sweep, rel_tol=0.05))
 
 
-def _pole_count(report: FitReport, interval, scan_points: int) -> int:
-    """Sign changes of the fit's denominator on `interval`; the fit's own
-    scan answers when it covered the same grid."""
-    poles = report.poles
-    if poles.scan_interval != tuple(map(float, interval)) or poles.scan_points != scan_points:
-        poles = pole_scan(report.model, interval, scan_points)
-    return poles.count
+def _fit_counted(data, config, penalties, der_grid, interval, scan_points):
+    """_fit of one batch, each report paired with its denominator's sign
+    changes on `interval`.  The fits' own scans answer when they covered
+    the same grid; otherwise one stacked scan counts them all, and its
+    failure becomes their error."""
+    fits = _fit(data, config, penalties, der_grid, scan_points)
+    reports = [r for r in fits if isinstance(r, FitReport)]
+    counts = [r.poles.count for r in reports]
+    own = (tuple(map(float, interval)), scan_points)
+    if reports and (reports[0].poles.scan_interval, reports[0].poles.scan_points) != own:
+        try:
+            counts = [poles.count for poles in pole_scans([r.model for r in reports], interval, scan_points)]
+        except PadefitError as exc:
+            return [r if isinstance(r, PadefitError) else exc for r in fits]
+    counts = iter(counts)
+    return [r if isinstance(r, PadefitError) else (r, next(counts)) for r in fits]
 
 
 def _choose_index(sweep: LambdaSweep, rel_tol: float) -> int:
@@ -257,9 +264,8 @@ def q_search(
         raise ValueError("q_grid must be nonempty")
     if any(not (q > 0) for q in qs):
         raise ValueError("substitution exponents must be positive")
-    x_min = float(np.min(data.x))
     for q in qs:
-        require_nonnegative(x_min, q)
+        require_nonnegative(data.x, q)
     best: tuple[float, FitReport] | None = None
     for q in qs:
         try:
@@ -292,7 +298,7 @@ def tune_lambda1(
     polynomials being immune to pole artifacts); among those the smallest
     s wins.  A coarse pass over `coarse` (default 1.0 down to 0.1 in
     steps of 0.1, then 0) brackets the winner, and one refinement pass at
-    refine_step granularity finishes the job.
+    refine_step granularity finishes the job; each pass is one batch fit.
 
     pole_interval widens the pole-free requirement past the smoothness
     grid (default: the grid's own interval).  A model meant for
@@ -311,22 +317,22 @@ def tune_lambda1(
         grid = [1.0 - 0.1 * i for i in range(10)] + [0.0]
     else:
         grid = [float(v) for v in coarse]
+    if any(v < 0 for v in grid):
+        raise ValueError("penalty values must be nonnegative")
     scan_interval = pole_interval if pole_interval is not None else der_grid.interval
 
-    def admissible_fit(lam1):
-        report = fit_regularized(data, replace(config, lam1=lam1), der_grid, scan_points=scan_points)
-        count = _pole_count(report, scan_interval, scan_points)
-        ok = count == 0 and abs(report.d_der - baseline_d_der) <= rel_window * baseline_d_der
-        return ok, report
+    def best_of(lam1s, best):
+        penalties = [(config.lam, lam1) for lam1 in lam1s]
+        for lam1, fit in zip(lam1s, _fit_counted(data, config, penalties, der_grid, scan_interval, scan_points)):
+            if isinstance(fit, PadefitError):
+                continue
+            report, count = fit
+            ok = count == 0 and abs(report.d_der - baseline_d_der) <= rel_window * baseline_d_der
+            if ok and (best is None or report.s < best[1].s):
+                best = (lam1, report)
+        return best
 
-    best: tuple[float, FitReport] | None = None
-    for lam1 in grid:
-        try:
-            ok, report = admissible_fit(lam1)
-        except PadefitError:
-            continue
-        if ok and (best is None or report.s < best[1].s):
-            best = (lam1, report)
+    best = best_of(grid, None)
     if best is None:
         raise NoFeasibleModel("no admissible denominator penalty in the coarse grid")
     center = best[0]
@@ -334,11 +340,4 @@ def tune_lambda1(
     lo = max(0.0, center - half)
     hi = min(max(grid), center + half)
     fine = [lo + refine_step * i for i in range(int(round((hi - lo) / refine_step)) + 1)]
-    for lam1 in fine:
-        try:
-            ok, report = admissible_fit(lam1)
-        except PadefitError:
-            continue
-        if ok and report.s < best[1].s:
-            best = (lam1, report)
-    return best
+    return best_of(fine, best)

@@ -37,11 +37,18 @@ SHAPE_TOL = 1e-10
 #: A model CDF must come within this of 1 for the MTTF integral to close.
 TAIL_EPS = 1e-6
 
+#: A cutoff at x_max where |1 - R| >= TAIL_EPS still needs 1 - R within
+#: this relative distance of its leading power law there.
+TAIL_MATCH = 0.1
+
 #: Absolute tolerance of the adaptive Simpson quadrature.
 QUAD_TOL = 1e-6
 
 #: Integrand evaluations the adaptive Simpson quadrature may spend.
 QUAD_MAX_EVALS = 100_000
+
+#: Halvings of one subinterval the adaptive Simpson quadrature may make.
+QUAD_MAX_DEPTH = 48
 
 
 @dataclass(frozen=True)
@@ -173,11 +180,13 @@ def _adaptive_simpson(fn, a: float, b: float, tol: float) -> float:
     """Adaptive Simpson quadrature with Richardson error control.
 
     Raises NonconvergentQuadrature on a non-finite integrand value, which
-    no refinement can bring within tolerance, and once more than
-    QUAD_MAX_EVALS integrand evaluations would be needed (Gander & Gautschi,
-    "Adaptive quadrature - revisited", BIT 40, 2000).
+    no refinement can bring within tolerance, once more than
+    QUAD_MAX_EVALS integrand evaluations would be needed, and when a
+    subinterval still misses its tolerance after QUAD_MAX_DEPTH halvings
+    (Gander & Gautschi, "Adaptive quadrature - revisited", BIT 40, 2000).
     """
     evals = 0
+    missed = []  # subintervals still off tolerance at the depth limit
 
     def checked(x):
         nonlocal evals
@@ -200,42 +209,59 @@ def _adaptive_simpson(fn, a: float, b: float, tol: float) -> float:
         fr = checked(rmid)
         left = simpson(lo, mid, flo, fl, fmid)
         right = simpson(mid, hi, fmid, fr, fhi)
-        if depth <= 0:
-            return left + right
         err = left + right - whole
         if abs(err) <= 15.0 * tol:
             return left + right + err / 15.0
+        if depth <= 0:
+            # Finish the sweep first, so a spent evaluation budget is the
+            # error reported when both limits are hit.
+            missed.append((lo, hi))
+            return left + right
         return recurse(lo, mid, flo, fl, fmid, left, tol / 2.0, depth - 1) + recurse(
             mid, hi, fmid, fr, fhi, right, tol / 2.0, depth - 1
         )
 
     fa, fm, fb = checked(a), checked(0.5 * (a + b)), checked(b)
     whole = simpson(a, b, fa, fm, fb)
-    return recurse(a, b, fa, fm, fb, whole, tol, depth=48)
+    total = recurse(a, b, fa, fm, fb, whole, tol, depth=QUAD_MAX_DEPTH)
+    if missed:
+        lo, hi = missed[0]
+        raise NonconvergentQuadrature(
+            f"no convergence on [{a:g}, {b:g}]: [{lo:g}, {hi:g}] misses its tolerance after {QUAD_MAX_DEPTH} halvings"
+        )
+    return total
 
 
-def _rational_tail_integral(model: RationalModel, x_cut: float) -> float:
-    """Closed-form estimate of the remaining integral of 1 - R past x_cut.
+def _tail_power_law(model: RationalModel) -> tuple[float, float] | None:
+    """(c, k) with 1 - R ~ c * x**-k for large x; None when 1 - R == 0.
 
     With the shared tail coefficient, the numerator of 1 - R loses its top
-    power exactly, so 1 - R decays like (c_n / c_d) * x**(dn - dd) and the
-    remainder integrates to a single power term.  Returns 0 for the exact
-    case 1 - R == 0; raises NonconvergentTail when the decay is too slow
-    for the remaining integral to be finite.
+    power exactly, so 1 - R decays like (c_n / c_d) * x**(dn - dd) in the
+    substituted coordinate.
     """
     p, q = model._dense
     diff = q - p
     if not np.any(diff):
-        return 0.0
+        return None
     dn = int(np.max(np.nonzero(diff)[0]))
     dd = int(np.max(np.nonzero(q)[0]))
-    decay = dd - dn
-    expo = model.x_power * decay - 1.0
+    return diff[dn] / q[dd], model.x_power * (dd - dn)
+
+
+def _rational_tail_integral(model: RationalModel, x_cut: float) -> float:
+    """Closed-form estimate of the remaining integral of 1 - R past x_cut,
+    from its leading power law (see _tail_power_law).  Returns 0 for the
+    exact case 1 - R == 0; raises NonconvergentTail when the decay is too
+    slow for the remaining integral to be finite.
+    """
+    law = _tail_power_law(model)
+    if law is None:
+        return 0.0
+    c, k = law
+    expo = k - 1.0
     if expo <= 0.0:
-        raise NonconvergentTail(f"1 - R decays like x**{-model.x_power * decay:g}, integral diverges")
-    # integral of c * x**(-power*decay) dx from x_cut:
-    # c * x_cut**(1 - power*decay) / (power*decay - 1)
-    c = diff[dn] / q[dd]
+        raise NonconvergentTail(f"1 - R decays like x**{-k:g}, integral diverges")
+    # integral of c * x**-k dx from x_cut: c * x_cut**(1 - k) / (k - 1)
     return float(c * x_cut ** (-expo) / expo)
 
 
@@ -261,10 +287,14 @@ def mttf(obj: WeibullParams | RationalModel, *, x_max: float | None = None) -> f
     PoleOnRange
         If the model denominator changes sign inside the integration range.
     NonconvergentTail
-        If 1 - R decays too slowly for a finite integral.
+        If 1 - R decays too slowly for a finite integral, or is still at
+        least TAIL_EPS at x_max without following its leading power law
+        there (to within TAIL_MATCH).
     NonconvergentQuadrature
         If R is not finite below the cutoff (it overflows for a huge
-        x_max) or the quadrature exhausts its evaluation budget.
+        x_max), or the quadrature exhausts its evaluation budget or its
+        subdivision depth (a cutoff so far out that the CDF's rise is
+        narrower than the finest subinterval).
     """
     if isinstance(obj, WeibullParams):
         return obj.theta * math.gamma(1.0 + 1.0 / obj.shape)
@@ -284,7 +314,12 @@ def mttf(obj: WeibullParams | RationalModel, *, x_max: float | None = None) -> f
     if loud.size == 0:
         x_cut = float(xs[0])
     elif loud[-1] == xs.size - 1:
+        # The cutoff falls on x_max itself: the tail formula holds there only
+        # if 1 - R already follows its leading power law.
         x_cut = float(xs[-1])
+        c, k = _tail_power_law(model)
+        if not abs(c * np.float64(x_cut) ** -k - shortfall[-1]) <= TAIL_MATCH * abs(shortfall[-1]):
+            raise NonconvergentTail(f"1 - R has not reached its leading-order decay by x_max = {x_max:g}")
     else:
         x_cut = float(xs[loud[-1] + 1])
 

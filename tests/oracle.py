@@ -4,13 +4,20 @@ The least-squares oracle solves the normal equations
 (G'G + diag ridge) theta = G'F by LU in mpmath at the working precision of
 the caller (mpmath.workdps), so squaring the condition number costs it
 nothing at 50 digits and more.  The pole-scan oracle is the plain
-per-interval loop that padefit.rational.pole_scan vectorizes.
+per-interval loop that padefit.rational.pole_scan vectorizes, and the
+sweep and tuning oracles are the per-penalty loops of single fits that
+padefit.selection runs as batches.
 """
+
+import math
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
+from padefit import DerivativeGridSpec, SweepRow, fit_regularized
+from padefit.errors import NoFeasibleModel, PadefitError
 from padefit.rational import POLE_REFINE_TOL, PoleReport
 
 
@@ -100,3 +107,46 @@ def pole_scan(model, interval, points=1001):
         min_abs_denominator=min_abs,
         sign_changes=tuple(changes),
     )
+
+
+def sweep_rows(data, config, grid, der_interval=None, der_points=40, scan_points=1001):
+    """padefit.lambda_sweep's rows from one fit_regularized per penalty,
+    each counted by a fresh pole scan over the derivative interval."""
+    interval = der_interval if der_interval is not None else data.interval()
+    der_grid = DerivativeGridSpec(interval, der_points)
+    rows = []
+    for lam in grid:
+        try:
+            report = fit_regularized(data, replace(config, lam=lam), der_grid, scan_points=scan_points)
+            count = pole_scan(report.model, interval, scan_points).count
+        except PadefitError as exc:
+            rows.append(SweepRow(lam, math.nan, math.nan, 0, str(exc)))
+            continue
+        rows.append(SweepRow(lam, report.d, report.d_der, count, report=report))
+    return tuple(rows)
+
+
+def tune_lambda1(data, config, baseline, der_grid, pole_interval=None, rel_window=0.10, refine_step=0.01):
+    """padefit.tune_lambda1 (default coarse grid) from one fit_regularized
+    per penalty, each counted by a fresh pole scan."""
+    scan_interval = pole_interval if pole_interval is not None else der_grid.interval
+    grid = [1.0 - 0.1 * i for i in range(10)] + [0.0]
+
+    def best_of(lam1s, best):
+        for lam1 in lam1s:
+            try:
+                report = fit_regularized(data, replace(config, lam1=lam1), der_grid)
+                count = pole_scan(report.model, scan_interval).count
+            except PadefitError:
+                continue
+            ok = count == 0 and abs(report.d_der - baseline) <= rel_window * baseline
+            if ok and (best is None or report.s < best[1].s):
+                best = (lam1, report)
+        return best
+
+    best = best_of(grid, None)
+    if best is None:
+        raise NoFeasibleModel("no admissible denominator penalty in the coarse grid")
+    lo = max(0.0, best[0] - 5 * refine_step)
+    hi = min(max(grid), best[0] + 5 * refine_step)
+    return best_of([lo + refine_step * i for i in range(int(round((hi - lo) / refine_step)) + 1)], best)

@@ -272,7 +272,7 @@ def test_10_median_ranks(table1):
 
 def _fd_gradient_bound(data, n, m, tail_power, mask):
     design = linsys.design_matrix(data.x, data.f, linsys.free_columns(n, m, tail_power, mask))
-    theta, _ = pf.solve_least_squares(design, data.f)
+    ((theta, _),) = pf.solve_least_squares(design, data.f, np.zeros((1, design.shape[1])))
 
     def s0(vec):
         resid = design @ vec - data.f

@@ -285,6 +285,18 @@ def test_eval_needs_one_grid_source(capsys, tmp_path):
     assert code == 1
 
 
+def test_eval_fractional_power_at_origin_exits_2(capsys, tmp_path):
+    # dR/dx of a sqrt-substituted model is unbounded at x = 0: a typed error
+    path = tmp_path / "sqrt.json"
+    path.write_text(json.dumps(RationalModel(numer=(0.0, 1.0), x_power=0.5).to_dict()))
+    code, out, err = run(capsys, ["eval", "--model", str(path), "--points", "0:1:11"])
+    assert code == 2
+    assert out == ""
+    assert "x_power" in err
+    code, _, _ = run(capsys, ["eval", "--model", str(path), "--points", "0.1:1:10"])
+    assert code == 0
+
+
 def test_eval_rejects_non_model_file(capsys, tmp_path):
     path = tmp_path / "junk.json"
     path.write_text('{"hello": "world"}')

@@ -2,27 +2,35 @@
 
 import math
 import warnings
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracle
 from padefit import (
     Dataset,
     DerivativeGridSpec,
     FitConfig,
+    NoiseSpec,
     RationalModel,
     build_reference_points,
     fit_linearized,
     fit_regularized,
+    fitting,
     free_columns,
     interpolate_reference,
     oscillation_measure,
+    sample_noisy,
     sin2pi,
+    sqrt_exp,
     uniform_grid,
 )
-from padefit.errors import CountMismatch, DuplicateAbscissa, InsufficientData, SingularSystem
+from padefit.cli import read_points
+from padefit.errors import CountMismatch, DuplicateAbscissa, InsufficientData, PadefitError, SingularSystem
 
 GEN = RationalModel(numer=(1.0, -0.4, 0.2), denom=(0.25,))
 
@@ -191,6 +199,63 @@ def test_substituted_fit_recovers_sqrt_shape():
     report = fit_linearized(data, FitConfig(n=1, m=0, x_power=0.5))
     assert report.s <= 1e-20
     np.testing.assert_allclose(report.model.numer, (0.0, 1.0), atol=1e-10)
+
+
+# -- batches ----------------------------------------------------------------
+
+
+def _batch_cases():
+    table1 = Dataset(*read_points(str(Path(__file__).resolve().parent.parent / "data" / "table1.csv")))
+    sqrt_data = sample_noisy(sqrt_exp, uniform_grid(0.0, 2.0, 10), NoiseSpec(0.1, 5))
+    return [
+        # the extrapolation study's tuned structure, with truth metrics
+        (sqrt_data, FitConfig(n=3, m=6, x_power=0.65, zero_powers=frozenset({0})), DerivativeGridSpec((0.0, 2.0), 100)),
+        (table1, FitConfig.cdf_form(6, 0, 12), DerivativeGridSpec((0.0, 2.0), 40)),
+        # four copies of one abscissa: rank deficient unless ridged
+        (Dataset(np.full(4, 1.0), np.array([1.0, 2.0, 3.0, 4.0])), FitConfig(n=2, m=0), DerivativeGridSpec((0.0, 2.0), 40)),
+        # zero ordinates null the denominator column unless lam1 > 0
+        (Dataset(np.linspace(0.5, 2.0, 6), np.zeros(6)), FitConfig(n=1, m=1), DerivativeGridSpec((0.5, 2.0), 40)),
+    ]
+
+
+BATCH_CASES = _batch_cases()
+PENALTY = st.one_of(st.just(0.0), st.floats(1e-12, 1e-6), st.floats(1e-6, 2.0))
+
+
+def _assert_same_outcome(got, want):
+    if isinstance(want, PadefitError):
+        assert type(got) is type(want) and str(got) == str(want)
+    else:
+        assert got == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    case=st.sampled_from(range(len(BATCH_CASES))),
+    penalties=st.lists(st.tuples(PENALTY, PENALTY), min_size=1, max_size=12),
+)
+def test_batch_members_equal_lone_fits(case, penalties):
+    data, config, der = BATCH_CASES[case]
+    batch = fitting._fit(data, config, penalties, der, 1001)
+    assert len(batch) == len(penalties)
+    for (lam, lam1), got in zip(penalties, batch):
+        (lone,) = fitting._fit(data, config, [(lam, lam1)], der, 1001)
+        _assert_same_outcome(got, lone)
+
+
+@pytest.mark.parametrize("case", [2, 3])
+def test_failing_member_leaves_its_neighbours_alone(case):
+    data, config, der = BATCH_CASES[case]
+    penalties = [(0.0, 0.0), (0.1, 0.1), (0.0, 0.0), (0.2, 0.3)]
+    batch = fitting._fit(data, config, penalties, der, 1001)
+    for (lam, lam1), got in zip(penalties, batch):
+        cfg = FitConfig(config.n, config.m, lam=lam, lam1=lam1)
+        if lam == lam1 == 0.0:
+            assert isinstance(got, SingularSystem)
+            with pytest.raises(SingularSystem, match=str(got)):
+                fit_regularized(data, cfg, der)
+        else:
+            assert got == fit_regularized(data, cfg, der)
 
 
 # -- exact interpolation ----------------------------------------------------

@@ -55,10 +55,20 @@ def _oracle_solve(g, f, ridge=None):
         return np.array([float(v) for v in oracle.solve(g, f, ridge)])
 
 
+def _solve(g, f, ridge=None):
+    """One problem through the stacked solve, raising its error."""
+    p = np.shape(g)[1]
+    ridges = np.zeros((1, p)) if ridge is None else np.asarray(ridge)[None]
+    (result,) = solve_least_squares(g, f, ridges)
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
 def test_single_point_constant_system():
     g = design_matrix(np.array([2.0]), np.array([3.0]), free_columns(0, 0))
     np.testing.assert_array_equal(g, [[1.0]])
-    theta, _ = solve_least_squares(g, np.array([3.0]))
+    theta, _ = _solve(g, np.array([3.0]))
     assert theta[0] == 3.0
 
 
@@ -67,7 +77,7 @@ def test_polynomial_case_is_classical_least_squares():
     f = np.array([1.0, 2.0, 0.0, -1.0, 3.0, 5.0, 2.0, 4.0])
     g = design_matrix(x, f, free_columns(3, 0))
     np.testing.assert_array_equal(g, np.vander(x, 4, increasing=True))
-    theta, diag = solve_least_squares(g, f)
+    theta, diag = _solve(g, f)
     np.testing.assert_allclose(theta, _oracle_solve(g, f), rtol=1e-12)
     assert diag.rank == 4
 
@@ -92,7 +102,7 @@ def test_three_point_system_matches_fraction_oracle():
     ]
     x = np.array([0.0, 1.0, 2.0])
     f = np.array([1.0, 2.0, 5.0])
-    theta, _ = solve_least_squares(design_matrix(x, f, free_columns(1, 1)), f)
+    theta, _ = _solve(design_matrix(x, f, free_columns(1, 1)), f)
     np.testing.assert_allclose(theta, [float(v) for v in exact], rtol=1e-14)
 
 
@@ -101,14 +111,14 @@ def test_overdetermined_matches_normal_equation_oracle():
     x = rng.uniform(0.1, 2.0, 30)
     f = rng.normal(size=30)
     g = design_matrix(x, f, free_columns(3, 2, tail_power=7))
-    theta, diag = solve_least_squares(g, f)
+    theta, diag = _solve(g, f)
     np.testing.assert_allclose(theta, _oracle_solve(g, f), rtol=1e-10)
     assert diag.rank == g.shape[1]
 
 
 def test_insufficient_data_raises():
     with pytest.raises(InsufficientData):
-        solve_least_squares(np.ones((2, 3)), np.ones(2))
+        _solve(np.ones((2, 3)), np.ones(2))
 
 
 def test_system_arrays_are_immutable():
@@ -119,7 +129,7 @@ def test_system_arrays_are_immutable():
     before = (g.copy(), f.copy(), ridge.copy())
     for a in (g, f, ridge):
         a.setflags(write=False)
-    solve_least_squares(g, f, ridge)
+    _solve(g, f, ridge)
     for a, b in zip((g, f, ridge), before):
         np.testing.assert_array_equal(a, b)
 
@@ -134,11 +144,13 @@ def _toy_problem():
 
 
 def test_zero_weights_leave_system_identical():
+    # a zero-weight problem gets no ridge rows, even batched with a ridged one
     g, f = _toy_problem()
-    plain = solve_least_squares(g, f)
-    zero = solve_least_squares(g, f, np.zeros(2))
+    plain = _solve(g, f)
+    zero, ridged = solve_least_squares(g, f, np.array([[0.0, 0.0], [0.1, 0.4]]))
     np.testing.assert_array_equal(zero[0], plain[0])
     assert zero[1] == plain[1]
+    np.testing.assert_array_equal(ridged[0], _solve(g, f, np.array([0.1, 0.4]))[0])
 
 
 def test_diagonal_increments_are_exact():
@@ -146,7 +158,7 @@ def test_diagonal_increments_are_exact():
     # matches (G'G + diag lam) theta = G'F from the 50-digit oracle
     g, f = _toy_problem()  # columns (numer 0, denom 1)
     ridge = np.array([0.1, 0.4])
-    theta, _ = solve_least_squares(g, f, ridge)
+    theta, _ = _solve(g, f, ridge)
     np.testing.assert_allclose(theta, _oracle_solve(g, f, ridge), rtol=1e-13)
     rng = np.random.default_rng(8)
     x = rng.uniform(0.1, 2.0, 25)
@@ -154,7 +166,7 @@ def test_diagonal_increments_are_exact():
     cols = free_columns(4, 2, tail_power=6, zero_powers=frozenset({0}))
     g = design_matrix(x, f, cols)
     ridge = ridge_weights(cols, 1e-3, 0.5)
-    theta, _ = solve_least_squares(g, f, ridge)
+    theta, _ = _solve(g, f, ridge)
     np.testing.assert_allclose(theta, _oracle_solve(g, f, ridge), rtol=1e-10)
 
 
@@ -166,16 +178,16 @@ def test_tail_column_uses_numerator_weight():
 def test_negative_weight_rejected():
     g, f = _toy_problem()
     with pytest.raises(NegativeWeight):
-        solve_least_squares(g, f, np.array([-0.1, 0.0]))
+        _solve(g, f, np.array([-0.1, 0.0]))
     with pytest.raises(NegativeWeight):
-        solve_least_squares(g, f, np.array([0.0, -1e-9]))
+        _solve(g, f, np.array([0.0, -1e-9]))
 
 
 # -- square systems and conditioning ----------------------------------------
 
 
 def test_identity_solve():
-    theta, diag = solve_least_squares(np.eye(3), np.array([1.0, 2.0, 3.0]))
+    theta, diag = _solve(np.eye(3), np.array([1.0, 2.0, 3.0]))
     np.testing.assert_array_equal(theta, [1.0, 2.0, 3.0])
     assert diag.condition == 1.0
     assert diag.rank == 3
@@ -183,7 +195,7 @@ def test_identity_solve():
 
 
 def test_diagonal_solve():
-    theta, _ = solve_least_squares(np.array([[2.0, 0.0], [0.0, 4.0]]), np.array([2.0, 8.0]))
+    theta, _ = _solve(np.array([[2.0, 0.0], [0.0, 4.0]]), np.array([2.0, 8.0]))
     np.testing.assert_array_equal(theta, [1.0, 2.0])
 
 
@@ -192,7 +204,7 @@ def test_spd_multiply_back():
     m = rng.normal(size=(8, 8))
     a = m.T @ m + np.eye(8)
     b = rng.normal(size=8)
-    theta, _ = solve_least_squares(a, b)
+    theta, _ = _solve(a, b)
     resid = np.max(np.abs(a @ theta - b))
     assert resid / np.max(np.abs(b)) <= 1e-10
 
@@ -202,49 +214,49 @@ def test_matches_library_solver_on_random_systems():
     for _ in range(20):
         a = rng.normal(size=(6, 6)) + 6 * np.eye(6)
         b = rng.normal(size=6)
-        theta, _ = solve_least_squares(a, b)
+        theta, _ = _solve(a, b)
         np.testing.assert_allclose(theta, np.linalg.solve(a, b), rtol=1e-10)
         tall = rng.normal(size=(15, 6))
         rhs = rng.normal(size=15)
-        theta, _ = solve_least_squares(tall, rhs)
+        theta, _ = _solve(tall, rhs)
         np.testing.assert_allclose(theta, np.linalg.lstsq(tall, rhs)[0], rtol=1e-10)
 
 
 def test_singular_matrix_raises():
     with pytest.raises(SingularSystem):
-        solve_least_squares(np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([1.0, 2.0]))
+        _solve(np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([1.0, 2.0]))
     # rank deficient least squares: the third column is the sum of the others
     g = np.random.default_rng(2).normal(size=(10, 3))
     g[:, 2] = g[:, 0] + g[:, 1]
     with pytest.raises(SingularSystem):
-        solve_least_squares(g, np.ones(10))
+        _solve(g, np.ones(10))
     # a zero column (all-zero ordinates null the denominator column)
     with pytest.raises(SingularSystem):
-        solve_least_squares(np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]]), np.ones(3))
+        _solve(np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]]), np.ones(3))
 
 
 def test_overflowing_coefficients_raise():
     # a well-conditioned system whose exact solution (1e320) is not a float
     with pytest.raises(SingularSystem):
-        solve_least_squares(np.array([[1e-310], [1e-310]]), np.array([1e10, 1e10]))
+        _solve(np.array([[1e-310], [1e-310]]), np.array([1e10, 1e10]))
 
 
 def test_condition_flag_on_tiny_pivot_ratio():
     # LU pivots 1 and 1e-13: nearly collinear columns
     a = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-13]])
-    theta, diag = solve_least_squares(a, a @ np.array([1.0, 1.0]))
+    theta, diag = _solve(a, a @ np.array([1.0, 1.0]))
     np.testing.assert_allclose(theta, [1.0, 1.0], rtol=1e-2)
     assert diag.condition_flag
     assert diag.condition > 1e12
     # badly scaled but independent columns are not ill-conditioned
-    theta, diag = solve_least_squares(np.diag([1.0, 1e-13]), np.array([1.0, 1e-13]))
+    theta, diag = _solve(np.diag([1.0, 1e-13]), np.array([1.0, 1e-13]))
     np.testing.assert_array_equal(theta, [1.0, 1.0])
     assert diag.condition < 2.0  # equilibrated column maxima lie in [1, 2)
     assert not diag.condition_flag
 
 
 def test_partial_pivoting_handles_zero_leading_entry():
-    theta, _ = solve_least_squares(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([2.0, 3.0]))
+    theta, _ = _solve(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([2.0, 3.0]))
     np.testing.assert_array_equal(theta, [3.0, 2.0])
 
 
@@ -254,7 +266,7 @@ def test_partial_pivoting_handles_zero_leading_entry():
 def test_two_point_line_interpolation():
     x = np.array([0.0, 1.0])
     f = np.array([1.0, 3.0])
-    theta, _ = solve_least_squares(design_matrix(x, f, free_columns(1, 0)), f)
+    theta, _ = _solve(design_matrix(x, f, free_columns(1, 0)), f)
     np.testing.assert_allclose(theta, [1.0, 2.0], rtol=1e-14)
 
 

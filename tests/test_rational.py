@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +16,7 @@ from padefit.errors import (
     DenominatorZero,
     NegativeAbscissa,
     NormalizationImpossible,
+    SingularDerivative,
     UnsupportedSubstitution,
 )
 
@@ -189,6 +191,36 @@ def test_derivative_chain_rule_through_substitution():
     m = RationalModel(numer=(0.0, 1.0), x_power=0.5)
     assert m.derivative(4.0) == pytest.approx(0.25, rel=1e-12)
     assert m.derivative(0.25) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_negative_abscissa_with_fractional_power_raises():
+    m = RationalModel(numer=(1.0, 2.0), denom=(0.5,), x_power=0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in (-1.0, np.array([0.5, -1e-300, 1.0])):
+            with pytest.raises(NegativeAbscissa):
+                m(x)
+            with pytest.raises(NegativeAbscissa):
+                m.parts(x)
+            with pytest.raises(NegativeAbscissa):
+                m.derivative(x)
+        # integer powers are defined everywhere
+        squared = RationalModel(numer=(1.0, 2.0), denom=(0.5,), x_power=2.0)
+        assert squared(-1.0) == 3.0 / 1.5
+        assert math.isfinite(squared.derivative(-1.0))
+
+
+def test_derivative_at_origin_needs_unit_power():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for q in (0.5, 0.9):
+            m = RationalModel(numer=(1.0, 2.0), denom=(0.5,), x_power=q)
+            assert math.isfinite(m(0.0))
+            for x in (0.0, np.array([0.5, 0.0])):
+                with pytest.raises(SingularDerivative):
+                    m.derivative(x)
+        # from x_power = 1 up the chain-rule factor is finite at 0
+        assert RationalModel(numer=(0.0, 1.0), x_power=1.5).derivative(0.0) == 0.0
 
 
 # -- Maclaurin coefficients -------------------------------------------------

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
 from padefit import (
     Dataset,
     DerivativeGridSpec,
     FitConfig,
     LambdaSweep,
+    NoiseSpec,
     RationalModel,
     SearchSpace,
     SweepRow,
@@ -20,13 +22,15 @@ from padefit import (
     fit_regularized,
     grid_search,
     lambda_sweep,
-    pole_scan,
     q_search,
+    sample_noisy,
     selection,
+    sqrt_exp,
     tune_lambda1,
     uniform_grid,
 )
 from padefit.errors import EmptySweep, NegativeAbscissa, NoFeasibleModel
+from padefit.rational import pole_scans
 
 GEN = RationalModel(numer=(1.0, -0.4, 0.2), denom=(0.25,))
 
@@ -299,16 +303,12 @@ def test_tune_lambda1_rejects_impossible_window():
 def _counted_scans(monkeypatch):
     calls = []
 
-    def counting(model, interval, points=1001):
-        calls.append(tuple(interval))
-        return pole_scan(model, interval, points)
+    def counting(models, interval, points=1001):
+        calls.append((tuple(interval), len(models)))
+        return pole_scans(models, interval, points)
 
-    monkeypatch.setattr(selection, "pole_scan", counting)
+    monkeypatch.setattr(selection, "pole_scans", counting)
     return calls
-
-
-def _always_rescan(report, interval, points):
-    return pole_scan(report.model, interval, points).count
 
 
 def _tune_case():
@@ -324,15 +324,15 @@ def _tune_case():
 def test_tune_lambda1_scans_each_fit_once(monkeypatch, pole_interval):
     data, der, baseline = _tune_case()
     config = FitConfig(n=2, m=2)
-    monkeypatch.setattr(selection, "_pole_count", _always_rescan)
-    want = tune_lambda1(data, config, baseline, der_grid=der, pole_interval=pole_interval)
-    monkeypatch.undo()
+    want = oracle.tune_lambda1(data, config, baseline, der, pole_interval)
     calls = _counted_scans(monkeypatch)
     got = tune_lambda1(data, config, baseline, der_grid=der, pole_interval=pole_interval)
     assert got == want
     if pole_interval == (0.0, 3.0):
-        # an interval wider than the fit's own scan needs a scan of its own
-        assert calls and set(calls) == {(0.0, 3.0)}
+        # an interval wider than the fits' own scans needs one stacked
+        # scan per batch: the coarse grid, then the fine grid
+        assert [interval for interval, _count in calls] == [(0.0, 3.0)] * 2
+        assert calls[0][1] == 11
     else:
         assert calls == []
 
@@ -341,12 +341,38 @@ def test_tune_lambda1_scans_each_fit_once(monkeypatch, pole_interval):
 def test_sweep_scans_each_fit_once(monkeypatch, table1, der_interval):
     config = FitConfig.cdf_form(6, 0, 12)
     grid = (0.0, 0.0025, 0.01)
-    monkeypatch.setattr(selection, "_pole_count", _always_rescan)
-    want = lambda_sweep(table1, config, grid, der_interval)
-    monkeypatch.undo()
+    want = oracle.sweep_rows(table1, config, grid, der_interval)
     calls = _counted_scans(monkeypatch)
-    assert lambda_sweep(table1, config, grid, der_interval) == want
-    assert calls == ([] if der_interval is None else [der_interval] * len(grid))
+    assert lambda_sweep(table1, config, grid, der_interval).rows == want
+    assert calls == ([] if der_interval is None else [(der_interval, len(grid))])
+
+
+def test_sweep_equals_per_lambda_loop(table1):
+    cases = [
+        (table1, FitConfig.cdf_form(6, 0, 12), (0.0, 0.0005, 0.001, 0.002, 0.0025, 0.005, 0.01), (0.0, 2.0)),
+        (table1, FitConfig.cdf_form(6, 0, 12, lam1=0.01), (0.0, 0.0025, 0.01), None),
+        (Dataset(np.full(4, 1.0), np.array([1.0, 2.0, 3.0, 4.0])), FitConfig(n=2, m=0), (0.0, 0.1, 0.2), (0.0, 2.0)),
+    ]
+    for data, config, grid, der_interval in cases:
+        sweep = lambda_sweep(data, config, grid, der_interval)
+        want = oracle.sweep_rows(data, config, grid, der_interval)
+        assert sweep.rows == want
+        assert sweep.chosen_lam() == choose_lambda(LambdaSweep(want, 0))
+
+
+@pytest.mark.parametrize("q", [0.5, 0.65, 0.8, 1.0])
+def test_tune_lambda1_equals_per_lambda_loop(q):
+    data = sample_noisy(sqrt_exp, uniform_grid(0.0, 2.0, 10), NoiseSpec(0.1, 5))
+    der = DerivativeGridSpec((0.0, 2.0), 100)
+    baseline = fit_regularized(data, FitConfig(n=3, m=0, x_power=0.65), der).d_der
+    config = FitConfig(n=3, m=6, x_power=q, zero_powers=frozenset({0}))
+    try:
+        want = oracle.tune_lambda1(data, config, baseline, der)
+    except NoFeasibleModel as exc:
+        with pytest.raises(NoFeasibleModel, match=str(exc)):
+            tune_lambda1(data, config, baseline, der_grid=der)
+    else:
+        assert tune_lambda1(data, config, baseline, der_grid=der) == want
 
 
 def test_tune_lambda1_validates_baseline():
@@ -354,3 +380,17 @@ def test_tune_lambda1_validates_baseline():
     der = DerivativeGridSpec((0.4, 2.0), 40)
     with pytest.raises(ValueError):
         tune_lambda1(data, FitConfig(n=2, m=1), 0.0, der_grid=der)
+
+
+def test_tune_lambda1_rejects_negative_penalties():
+    data = _exact_data()
+    der = DerivativeGridSpec((0.4, 2.0), 40)
+    with pytest.raises(ValueError):
+        tune_lambda1(data, FitConfig(n=2, m=1), 1.0, der_grid=der, coarse=(0.5, -0.1))
+
+
+def test_tune_lambda1_empty_coarse_grid_is_infeasible():
+    data = _exact_data()
+    der = DerivativeGridSpec((0.4, 2.0), 40)
+    with pytest.raises(NoFeasibleModel):
+        tune_lambda1(data, FitConfig(n=2, m=1), 1.0, der_grid=der, coarse=())

@@ -33,7 +33,7 @@ from padefit.errors import (
     NonconvergentTail,
     PoleOnRange,
 )
-from padefit.weibull import QUAD_MAX_EVALS, _adaptive_simpson
+from padefit.weibull import QUAD_MAX_DEPTH, QUAD_MAX_EVALS, _adaptive_simpson
 
 
 def test_params_must_be_positive():
@@ -246,6 +246,24 @@ def test_mttf_huge_cap_ends_in_typed_error(table1):
         with pytest.raises(NonconvergentQuadrature):
             mttf(fit.model, x_max=1e300)
     assert time.perf_counter() - start < 2.0
+
+
+def test_mttf_far_cap_exhausts_quadrature_depth(table1):
+    # A cutoff near 1e20/4096 leaves the CDF's whole rise inside the finest
+    # subinterval; the depth-48 estimate used to come back as the MTTF (7.228).
+    fit = fit_regularized(table1, FitConfig.cdf_form(6, 0, 12, lam=0.0025), DerivativeGridSpec((0.0, 2.0), 40))
+    with pytest.raises(NonconvergentQuadrature, match=f"after {QUAD_MAX_DEPTH} halvings"):
+        mttf(fit.model, x_max=1e20)
+    assert mttf(fit.model, x_max=100.0) == 0.830434297179879
+
+
+def test_mttf_cap_before_the_tail_decays():
+    # R = x^2 / (1 + x^2) is nowhere near 1 on [0, 1e-300]: the tail formula
+    # would return 1e300 for a true MTTF of pi/2
+    model = RationalModel(numer=(0.0,), tail=Tail(2, 1.0))
+    with pytest.raises(NonconvergentTail):
+        mttf(model, x_max=1e-300)
+    assert mttf(model, x_max=1e7) == pytest.approx(math.pi / 2, rel=1e-6)
 
 
 def test_quadrature_evaluation_budget():
