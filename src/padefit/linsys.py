@@ -128,8 +128,10 @@ def solve_least_squares(
         raise ValueError(f"ridges must be a (K, {p}) stack of weights")
     if rows < p:
         return [InsufficientData(f"{rows} points for {p} free coefficients") for _ in ridges]
-    negative, positive = (ridges < 0.0).any(axis=1).tolist(), (ridges > 0.0).any(axis=1).tolist()
-    kinds = ["negative" if n else "ridged" if r else "plain" for n, r in zip(negative, positive)]
+    kinds = [
+        "negative" if any(w < 0.0 for w in row) else "ridged" if any(w > 0.0 for w in row) else "plain"
+        for row in ridges.tolist()
+    ]
     # The problems without a positive weight are all one problem, G theta ~ F.
     plain = _solve_stack(g[None], f)[0] if "plain" in kinds else None
     solved = iter(())
@@ -151,8 +153,9 @@ def _solve_stack(g: np.ndarray, f: np.ndarray) -> list[tuple[np.ndarray, SolveDi
     k, rows, p = g.shape
     # max-abs rather than 2-norm: squaring entries would underflow for tiny x
     peaks = np.abs(g).max(axis=1)
-    usable = ((peaks > 0.0) & (peaks < np.inf)).all(axis=1)
+    usable = (peaks > 0.0) & (peaks < np.inf)
     if not usable.all():
+        usable = usable.all(axis=1)
         out: list = [SingularSystem("a design column is zero or not finite") for _ in range(k)]
         for i, result in zip(np.flatnonzero(usable), _solve_stack(g[usable], f) if usable.any() else ()):
             out[i] = result
@@ -166,9 +169,9 @@ def _solve_stack(g: np.ndarray, f: np.ndarray) -> list[tuple[np.ndarray, SolveDi
             q, r = np.linalg.qr(a)
             rhs = np.swapaxes(q, 1, 2) @ f[:, None]
         sv = np.linalg.svd(r, compute_uv=False)
-        rank = (sv > sv[:, :1] * p * EPS).sum(axis=1)
-        full = rank == p
-        if not full.all():  # solve only the full-rank problems
+        rank = np.add.reduce(sv > sv[:, :1] * p * EPS, axis=1).tolist()
+        full = [rk == p for rk in rank]
+        if not all(full):  # solve only the full-rank problems
             r, rhs, scale = r[full], rhs[full], scale[full]
         y = np.linalg.solve(r, rhs)[..., 0]
     except np.linalg.LinAlgError as exc:
@@ -180,7 +183,7 @@ def _solve_stack(g: np.ndarray, f: np.ndarray) -> list[tuple[np.ndarray, SolveDi
         theta = y / scale
     solved = zip(theta, np.isfinite(theta).all(axis=1).tolist())
     out = []
-    for ok, rk, s_max, s_min in zip(full.tolist(), rank.tolist(), sv[:, 0].tolist(), sv[:, -1].tolist()):
+    for ok, rk, (s_max, s_min) in zip(full, rank, sv[:, [0, -1]].tolist()):
         if not ok:
             out.append(SingularSystem(f"numerical rank {rk} of {p} columns"))
             continue
