@@ -168,8 +168,8 @@ def _solve_stack(g: np.ndarray, f: np.ndarray) -> list[tuple[np.ndarray, SolveDi
         else:
             q, r = np.linalg.qr(a)
             rhs = np.swapaxes(q, 1, 2) @ f[:, None]
-        sv = np.linalg.svd(r, compute_uv=False)
-        rank = np.add.reduce(sv > sv[:, :1] * p * EPS, axis=1).tolist()
+        sv = np.linalg.svd(r, compute_uv=False).tolist()
+        rank = [sum(s > row[0] * p * EPS for s in row) for row in sv]
         full = [rk == p for rk in rank]
         if not all(full):  # solve only the full-rank problems
             r, rhs, scale = r[full], rhs[full], scale[full]
@@ -183,7 +183,7 @@ def _solve_stack(g: np.ndarray, f: np.ndarray) -> list[tuple[np.ndarray, SolveDi
         theta = y / scale
     solved = zip(theta, np.isfinite(theta).all(axis=1).tolist())
     out = []
-    for ok, rk, (s_max, s_min) in zip(full, rank, sv[:, [0, -1]].tolist()):
+    for ok, rk, row in zip(full, rank, sv):
         if not ok:
             out.append(SingularSystem(f"numerical rank {rk} of {p} columns"))
             continue
@@ -191,6 +191,6 @@ def _solve_stack(g: np.ndarray, f: np.ndarray) -> list[tuple[np.ndarray, SolveDi
         if not finite:
             out.append(SingularSystem("coefficients overflow at this abscissa scale"))
             continue
-        condition = s_max / s_min
+        condition = row[0] / row[-1]
         out.append((coefficients, SolveDiagnostics(condition, p, condition > CONDITION_FLAG_LIMIT)))
     return out

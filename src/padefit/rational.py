@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -375,7 +375,7 @@ def pole_scans(models, interval: tuple[float, float], points: int = 1001) -> lis
         raise ValueError("need at least two scan points")
     x_power = models[0].x_power
     require_nonnegative(a, x_power)
-    xs = np.linspace(a, b, points)
+    xs = _scan_grid(a, b, points)
     vals = _horner(xs**x_power, [m._dense[1] for m in models])
     zero = vals == 0.0
     # Sign changes (never at a zero node) and the first nodes of zero runs
@@ -396,6 +396,15 @@ def pole_scans(models, interval: tuple[float, float], points: int = 1001) -> lis
             changes.append((float(xs[-1]),) * 3)
         reports.append(PoleReport((a, b), points, low, tuple(changes)))
     return reports
+
+
+@lru_cache(maxsize=8)
+def _scan_grid(a: float, b: float, points: int) -> np.ndarray:
+    # Searches and batches scan the same interval fit after fit: build each
+    # grid once.  Read-only, since every caller shares it.
+    xs = np.linspace(a, b, points)
+    xs.setflags(write=False)
+    return xs
 
 
 def _bisect(q: np.ndarray, x_power: float, lo, hi, vlo):

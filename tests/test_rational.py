@@ -494,3 +494,13 @@ def test_serialization_round_trip_property(numer, denom):
     m = RationalModel(numer=tuple(numer), denom=tuple(denom))
     back = RationalModel.loads(m.dumps())
     assert back == m
+
+
+def test_scan_grid_is_built_once_and_read_only():
+    from padefit.rational import _scan_grid
+
+    grid = _scan_grid(0.0, 2.0, 101)
+    assert grid is _scan_grid(0.0, 2.0, 101)
+    np.testing.assert_array_equal(grid, np.linspace(0.0, 2.0, 101))
+    with pytest.raises(ValueError):
+        grid[0] = 1.0
