@@ -8,6 +8,7 @@ so the score separates smooth fits from oscillating ones.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Literal
 
@@ -45,6 +46,8 @@ class DerivativeGridSpec:
         a, b = self.interval
         if not (b > a):
             raise ValueError("interval must have positive length")
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise ValueError("interval must be finite")
         if self.count < 1:
             raise ValueError("count must be positive")
         if self.placement not in ("inside", "midpoint", "right"):
@@ -94,7 +97,7 @@ def oscillation_measure(
 
 
 def oscillation_measures(models, grid: DerivativeGridSpec) -> list[float | DenominatorZero]:
-    """oscillation_measure of rational models sharing one structure, from one
+    """oscillation_measure of rational models sharing x_power, from one
     stacked quotient-rule pass; a model whose denominator vanishes on the
     grid gets the DenominatorZero its own measure would raise."""
     xs = grid.grid()

@@ -108,14 +108,11 @@ class FitConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "zero_powers", frozenset(int(i) for i in self.zero_powers))
-        if self.n < 0 or self.m < 0:
-            raise ValueError("degrees must be nonnegative")
-        if self.tail_power is not None and (self.tail_power <= self.n or self.tail_power <= self.m):
-            raise ValueError("tail power must exceed both degrees")
-        if not (self.x_power > 0):
-            raise ValueError("x_power must be positive")
-        if self.lam < 0 or self.lam1 < 0:
-            raise ValueError("penalty weights must be nonnegative")
+        linsys.free_columns(self.n, self.m, self.tail_power, self.zero_powers)  # validates the structure
+        if not (0 < self.x_power < math.inf):
+            raise ValueError("x_power must be positive and finite")
+        if not (0 <= self.lam < math.inf and 0 <= self.lam1 < math.inf):
+            raise ValueError("penalty weights must be nonnegative and finite")
 
     @classmethod
     def cdf_form(cls, n: int, m: int, tail_power: int, **kwargs) -> "FitConfig":
@@ -192,8 +189,8 @@ def _build_reports(
     der_grid: DerivativeGridSpec | None,
     scan_points: int,
 ) -> list[FitReport | PadefitError]:
-    # Models share one structure: their values at the data, pole-scan grid
-    # and derivative grid come from one stacked evaluation each.
+    # Models share x_power: their values at the data, pole-scan grid and
+    # derivative grid come from one stacked evaluation each.
     lo, hi = data.interval()
     try:
         num, den = stacked_parts(models, data.x)
@@ -246,30 +243,38 @@ def _build_reports(
 
 def _fit(
     data: Dataset,
-    config: FitConfig,
-    penalties,
+    configs: list[FitConfig],
     der_grid: DerivativeGridSpec | None,
     scan_points: int,
     evaluate_on: Dataset | None = None,
 ) -> list[FitReport | PadefitError]:
-    """Fit the structure of `config` once per (lam, lam1) pair in `penalties`
-    (config's own lam and lam1 are not used): one design matrix, one stacked
-    solve, and one stacked evaluation, pole scan and derivative pass.
-    Returns each pair's report, or the PadefitError that ended its fit
+    """Fit each of `configs`, which share `data` and x_power: one design
+    matrix for the union of their columns, one stacked solve per column
+    count, and one stacked evaluation, pole scan and derivative pass.
+    Returns each config's report, or the PadefitError that ended its fit
     alone."""
-    if not penalties:
+    if not configs:
         return []
-    columns = linsys.free_columns(config.n, config.m, config.tail_power, config.zero_powers)
     try:
-        t = _substituted(data, config.x_power)
+        t = _substituted(data, configs[0].x_power)
     except PadefitError as exc:
-        return [exc] * len(penalties)
-    g = linsys.design_matrix(t, data.f, columns)
-    ridges = [linsys.ridge_weights(columns, lam, lam1) for lam, lam1 in penalties]
-    out = linsys.solve_least_squares(g, data.f, ridges)
+        return [exc] * len(configs)
+    columns = [linsys.free_columns(c.n, c.m, c.tail_power, c.zero_powers) for c in configs]
+    union = tuple(dict.fromkeys(col for cols in columns for col in cols))
+    g = linsys.design_matrix(t, data.f, union)
+    where = {col: i for i, col in enumerate(union)}
+    out: list = [None] * len(configs)
+    by_count: dict[int, list[int]] = {}
+    for k, cols in enumerate(columns):
+        by_count.setdefault(len(cols), []).append(k)
+    for ks in by_count.values():
+        stack = np.stack([g[:, [where[col] for col in columns[k]]] for k in ks])
+        ridges = [linsys.ridge_weights(columns[k], configs[k].lam, configs[k].lam1) for k in ks]
+        for k, result in zip(ks, linsys.solve_least_squares(stack, data.f, ridges)):
+            out[k] = result
     solved = [k for k, result in enumerate(out) if not isinstance(result, PadefitError)]
     if solved:
-        models = [_model_from_solution(config, out[k][0], columns) for k in solved]
+        models = [_model_from_solution(configs[k], out[k][0], columns[k]) for k in solved]
         target = evaluate_on if evaluate_on is not None else data
         reports = _build_reports(models, [out[k][1] for k in solved], target, der_grid, scan_points)
         for k, report in zip(solved, reports):
@@ -299,7 +304,7 @@ def fit_linearized(
     Identical inputs produce bit-identical reports; there is no random
     element anywhere in the pipeline.
     """
-    return _one(_fit(data, config, [(config.lam, config.lam1)], None, scan_points))
+    return _one(_fit(data, [config], None, scan_points))
 
 
 def fit_regularized(
@@ -318,7 +323,7 @@ def fit_regularized(
     """
     if der_grid is None:
         der_grid = DerivativeGridSpec(data.interval(), 40)
-    return _one(_fit(data, config, [(config.lam, config.lam1)], der_grid, scan_points))
+    return _one(_fit(data, [config], der_grid, scan_points))
 
 
 def interpolate_reference(
@@ -357,7 +362,7 @@ def interpolate_reference(
     free = config.free_count()
     if len(x) < free:
         raise CountMismatch(f"{len(x)} reference points for {free} free coefficients")
-    return _one(_fit(refpoints, config, [(config.lam, config.lam1)], None, scan_points, evaluate_on))
+    return _one(_fit(refpoints, [config], None, scan_points, evaluate_on))
 
 
 def build_reference_points(

@@ -101,13 +101,15 @@ def solve_least_squares(
     """Minimize ||G theta - F||**2 + sum_c ridge_c * theta_c**2 for each row
     of `ridges`, a (K, p) stack of per-column weights.
 
-    The K problems share G and F.  Columns are equilibrated by exact powers
-    of two, so the scaling adds no rounding.  Problems with some positive
-    weight get sqrt(ridge) rows stacked under G; the others are solved
-    without them, in their own stack.  A system with more rows than
-    columns is solved by Householder QR, a square one by LU; each stack
-    takes one batched call of each factorization, so a problem's solution
-    does not depend on the others in its batch.
+    G is one (rows, p) matrix shared by the K problems, or a (K, rows, p)
+    stack with one matrix per problem; F is shared.  Columns are
+    equilibrated by exact powers of two, so the scaling adds no rounding.
+    Problems with some positive weight get sqrt(ridge) rows stacked under
+    their G; the others are solved without them, in their own stack.  A
+    system with more rows than columns is solved by Householder QR, a
+    square one by LU; each stack takes one batched call of each
+    factorization, so a problem's solution does not depend on the others
+    in its batch.
 
     Returns, per row of `ridges`, theta and its SolveDiagnostics, or the
     PadefitError that problem raised:
@@ -123,27 +125,28 @@ def solve_least_squares(
     g = np.asarray(g, dtype=float)
     f = np.asarray(f, dtype=float)
     ridges = np.asarray(ridges, dtype=float)
-    rows, p = g.shape
-    if ridges.ndim != 2 or ridges.shape[1] != p:
-        raise ValueError(f"ridges must be a (K, {p}) stack of weights")
+    rows, p = g.shape[-2:]
+    if ridges.shape[1:] != (p,) or g.shape[:-2] not in ((), ridges.shape[:1]):
+        raise ValueError(f"ridges must be a (K, {p}) stack of weights, one per matrix of G")
     if rows < p:
         return [InsufficientData(f"{rows} points for {p} free coefficients") for _ in ridges]
     kinds = [
         "negative" if any(w < 0.0 for w in row) else "ridged" if any(w > 0.0 for w in row) else "plain"
         for row in ridges.tolist()
     ]
-    # The problems without a positive weight are all one problem, G theta ~ F.
-    plain = _solve_stack(g[None], f)[0] if "plain" in kinds else None
-    solved = iter(())
+    g = np.broadcast_to(g, (len(ridges), rows, p))
+    plain = iter(_solve_stack(g[[kind == "plain" for kind in kinds]], f) if "plain" in kinds else ())
+    ridged = iter(())
     if "ridged" in kinds:
-        # G with the diagonal rows sqrt(ridge) under it, one copy per problem
-        weights = np.sqrt(ridges[[kind == "ridged" for kind in kinds]])
+        # each G with the diagonal rows sqrt(ridge) under it
+        chosen = [kind == "ridged" for kind in kinds]
+        weights = np.sqrt(ridges[chosen])
         stack = np.zeros((len(weights), rows + p, p))
-        stack[:, :rows] = g
+        stack[:, :rows] = g[chosen]
         stack[:, rows + np.arange(p), np.arange(p)] = weights
-        solved = iter(_solve_stack(stack, np.concatenate([f, np.zeros(p)])))
+        ridged = iter(_solve_stack(stack, np.concatenate([f, np.zeros(p)])))
     return [
-        plain if kind == "plain" else next(solved) if kind == "ridged" else NegativeWeight("penalty weights must be nonnegative")
+        next(plain) if kind == "plain" else next(ridged) if kind == "ridged" else NegativeWeight("penalty weights must be nonnegative")
         for kind in kinds
     ]
 

@@ -103,8 +103,8 @@ class RationalModel:
             raise ValueError("numerator needs at least the constant coefficient")
         if not all(math.isfinite(c) for c in self.numer + self.denom):
             raise ValueError("coefficients must be finite")
-        if not (self.x_power > 0):
-            raise ValueError("x_power must be positive")
+        if not (0 < self.x_power < math.inf):
+            raise ValueError("x_power must be positive and finite")
         if self.tail is not None:
             if self.tail.power <= self.degree_numer or self.tail.power <= self.degree_denom:
                 raise ValueError("tail power must exceed both polynomial degrees")
@@ -308,24 +308,28 @@ def _substitute(x, x_power: float):
 
 
 def _horner(t, arrays) -> np.ndarray:
-    # Equal-length coefficient arrays evaluated at t in one polyval call,
-    # one row per array.
-    return npoly.polyval(t, np.array(arrays).T)
+    # Coefficient arrays evaluated at t in one polyval call, one row per
+    # array.  Shorter arrays are padded with top zeros, which leave
+    # Horner's values unchanged.
+    c = np.zeros((max(map(len, arrays)), len(arrays)))
+    for k, a in enumerate(arrays):
+        c[: len(a), k] = a
+    return npoly.polyval(t, c)
 
 
 def stacked_parts(models, x) -> tuple[np.ndarray, np.ndarray]:
-    """RationalModel.parts of models sharing one structure (and x_power),
-    one row per model.  (`parts` keeps its own two polyval calls: mttf's
-    quadrature evaluates one model at one x per call, where stacking
-    would more than double the cost.)"""
+    """RationalModel.parts of models sharing x_power, one row per model.
+    (`parts` keeps its own two polyval calls: mttf's quadrature evaluates
+    one model at one x per call, where stacking would more than double
+    the cost.)"""
     p, q = zip(*(m._dense for m in models))
     vals = _horner(_substitute(x, models[0].x_power), p + q)
     return vals[: len(p)], vals[len(p) :]
 
 
 def slopes(models, x) -> tuple[np.ndarray, np.ndarray]:
-    """dR/dx of models sharing one structure (and x_power) by the quotient
-    rule, with their denominator values; one row per model.
+    """dR/dx of models sharing x_power by the quotient rule, with their
+    denominator values; one row per model.
 
     The chain rule contributes x_power * x**(x_power - 1) from the
     substitution; for x_power == 1 that factor is exactly 1.  Entries
@@ -365,12 +369,14 @@ def pole_scan(model: RationalModel, interval: tuple[float, float], points: int =
 
 
 def pole_scans(models, interval: tuple[float, float], points: int = 1001) -> list[PoleReport]:
-    """pole_scan of models sharing one structure (and x_power): one stacked
-    evaluation of the denominators on the grid, then each model's own
-    brackets, bisected in grid order."""
+    """pole_scan of models sharing x_power: one stacked evaluation of the
+    denominators on the grid, then each model's own brackets, bisected in
+    grid order."""
     a, b = float(interval[0]), float(interval[1])
     if not (b > a):
         raise ValueError("scan interval must have positive length")
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError("scan interval must be finite")
     if points < 2:
         raise ValueError("need at least two scan points")
     x_power = models[0].x_power
@@ -390,8 +396,8 @@ def pole_scans(models, interval: tuple[float, float], points: int = 1001) -> lis
             if zrow[i]:
                 changes.append((float(xs[i]),) * 3)
                 continue
-            lo, hi = _bisect(model._dense[1], x_power, xs[i], xs[i + 1], row[i])
-            changes.append((float(lo), float(hi), float(0.5 * (lo + hi))))
+            lo, hi = _bisect(model._dense[1], x_power, float(xs[i]), float(xs[i + 1]), float(row[i]))
+            changes.append((lo, hi, 0.5 * (lo + hi)))
         if zrow[-1]:
             changes.append((float(xs[-1]),) * 3)
         reports.append(PoleReport((a, b), points, low, tuple(changes)))
@@ -407,12 +413,20 @@ def _scan_grid(a: float, b: float, points: int) -> np.ndarray:
     return xs
 
 
-def _bisect(q: np.ndarray, x_power: float, lo, hi, vlo):
+def _bisect(q: np.ndarray, x_power: float, lo: float, hi: float, vlo: float):
     # Narrow a sign change of the denominator Q(x**x_power) on [lo, hi],
-    # where Q(lo) = vlo, to POLE_REFINE_TOL (or to an exact zero).
+    # where Q(lo) = vlo, to POLE_REFINE_TOL (or to an exact zero).  Horner
+    # runs in Python floats with npoly.polyval's operation order, so the
+    # values are its bits.  The power stays numpy's: Python's ** and
+    # math.pow differ from it in the last bit for some arguments, and
+    # x**1.0 is x exactly.
+    top, *rest = q.tolist()[::-1]
     while hi - lo > POLE_REFINE_TOL:
         mid = 0.5 * (lo + hi)
-        vmid = npoly.polyval(np.asarray(mid, dtype=float) ** x_power, q)
+        t = mid if x_power == 1.0 else float(np.asarray(mid, dtype=float) ** x_power)
+        vmid = top + t * 0.0
+        for c in rest:
+            vmid = c + vmid * t
         if vmid == 0.0:
             return mid, mid
         if vlo * vmid < 0.0:

@@ -39,8 +39,8 @@ class SearchSpace:
             raise ValueError("degrees must be nonnegative")
         if not self.q_grid:
             raise ValueError("q_grid must be nonempty")
-        if any(not (q > 0) for q in self.q_grid):
-            raise ValueError("substitution exponents must be positive")
+        if not all(0 < q < math.inf for q in self.q_grid):
+            raise ValueError("substitution exponents must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,8 @@ class Candidate:
 
     attempt is the raw (n, m, tail_power, x_power) tuple that was tried;
     config is its validated form, None when the structure itself is
-    invalid (a tail power not clearing both degrees).  Exactly one of
+    invalid (a tail power not clearing both degrees, or no free
+    coefficient).  Exactly one of
     report and error is set.
     """
 
@@ -80,10 +81,12 @@ def grid_search(
     """Fit every structure in the space and return the best report plus
     every attempted candidate.
 
-    Combinations whose free-coefficient count exceeds the data size, or
-    whose tail power does not clear both degrees, are recorded as failed
-    candidates rather than silently skipped.  The search is exhaustive
-    and deterministic; candidates are enumerated in q, n, m, l order.
+    Combinations whose free-coefficient count exceeds the data size, whose
+    tail power does not clear both degrees, or that leave no coefficient
+    free, are recorded as failed candidates rather than silently skipped.
+    The search is exhaustive and deterministic; candidates are enumerated
+    in q, n, m, l order, and the valid structures of each exponent are
+    fitted as one batch.
 
     Raises
     ------
@@ -93,6 +96,7 @@ def grid_search(
     rows: list[Candidate] = []
     tails = space.l_candidates if space.l_candidates is not None else (None,)
     for q in space.q_grid:
+        batch = []  # the rows of this q's valid structures, fitted as one batch
         for n in range(space.n_range[0], space.n_range[1] + 1):
             for m in range(space.m_range[0], space.m_range[1] + 1):
                 for l in tails:
@@ -110,12 +114,13 @@ def grid_search(
                     except ValueError as exc:
                         rows.append(Candidate(attempt, None, None, str(exc)))
                         continue
-                    try:
-                        report = fit_linearized(data, cfg, scan_points=scan_points)
-                    except PadefitError as exc:
-                        rows.append(Candidate(attempt, cfg, None, str(exc)))
-                        continue
-                    rows.append(Candidate(attempt, cfg, report, None))
+                    batch.append(len(rows))
+                    rows.append(Candidate(attempt, cfg, None, None))
+        for i, fit in zip(batch, _fit(data, [rows[i].config for i in batch], None, scan_points)):
+            if isinstance(fit, PadefitError):
+                rows[i] = replace(rows[i], error=str(fit))
+            else:
+                rows[i] = replace(rows[i], report=fit)
     fitted = [c for c in rows if c.report is not None]
     if not fitted:
         raise NoFeasibleModel("every candidate in the search space failed")
@@ -169,13 +174,13 @@ def lambda_sweep(
     lams = [float(v) for v in grid]
     if len(lams) < 2:
         raise EmptySweep("need at least two penalty values")
-    if any(v < 0 for v in lams):
-        raise ValueError("penalty values must be nonnegative")
+    if not all(0 <= v < math.inf for v in lams):
+        raise ValueError("penalty values must be nonnegative and finite")
     if any(b <= a for a, b in zip(lams, lams[1:])):
         raise ValueError("penalty grid must be strictly ascending")
     interval = der_interval if der_interval is not None else data.interval()
     der_grid = DerivativeGridSpec(interval, der_points, placement)
-    fits = _fit_counted(data, config, [(lam, config.lam1) for lam in lams], der_grid, interval, scan_points)
+    fits = _fit_counted(data, [replace(config, lam=lam) for lam in lams], der_grid, interval, scan_points)
     rows = []
     for lam, fit in zip(lams, fits):
         if isinstance(fit, PadefitError):
@@ -187,12 +192,12 @@ def lambda_sweep(
     return replace(sweep, chosen=_choose_index(sweep, rel_tol=0.05))
 
 
-def _fit_counted(data, config, penalties, der_grid, interval, scan_points):
+def _fit_counted(data, configs, der_grid, interval, scan_points):
     """_fit of one batch, each report paired with its denominator's sign
     changes on `interval`.  The fits' own scans answer when they covered
     the same grid; otherwise one stacked scan counts them all, and its
     failure becomes their error."""
-    fits = _fit(data, config, penalties, der_grid, scan_points)
+    fits = _fit(data, configs, der_grid, scan_points)
     reports = [r for r in fits if isinstance(r, FitReport)]
     counts = [r.poles.count for r in reports]
     own = (tuple(map(float, interval)), scan_points)
@@ -262,8 +267,8 @@ def q_search(
     qs = [float(q) for q in q_grid]
     if not qs:
         raise ValueError("q_grid must be nonempty")
-    if any(not (q > 0) for q in qs):
-        raise ValueError("substitution exponents must be positive")
+    if not all(0 < q < math.inf for q in qs):
+        raise ValueError("substitution exponents must be positive and finite")
     for q in qs:
         require_nonnegative(data.x, q)
     best: tuple[float, FitReport] | None = None
@@ -317,13 +322,13 @@ def tune_lambda1(
         grid = [1.0 - 0.1 * i for i in range(10)] + [0.0]
     else:
         grid = [float(v) for v in coarse]
-    if any(v < 0 for v in grid):
-        raise ValueError("penalty values must be nonnegative")
+    if not all(0 <= v < math.inf for v in grid):
+        raise ValueError("penalty values must be nonnegative and finite")
     scan_interval = pole_interval if pole_interval is not None else der_grid.interval
 
     def best_of(lam1s, best):
-        penalties = [(config.lam, lam1) for lam1 in lam1s]
-        for lam1, fit in zip(lam1s, _fit_counted(data, config, penalties, der_grid, scan_interval, scan_points)):
+        configs = [replace(config, lam1=lam1) for lam1 in lam1s]
+        for lam1, fit in zip(lam1s, _fit_counted(data, configs, der_grid, scan_interval, scan_points)):
             if isinstance(fit, PadefitError):
                 continue
             report, count = fit

@@ -5,8 +5,8 @@ The least-squares oracle solves the normal equations
 the caller (mpmath.workdps), so squaring the condition number costs it
 nothing at 50 digits and more.  The pole-scan oracle is the plain
 per-interval loop that padefit.rational.pole_scan vectorizes, and the
-sweep and tuning oracles are the per-penalty loops of single fits that
-padefit.selection runs as batches.
+search, sweep and tuning oracles are the per-candidate and per-penalty
+loops of single fits that padefit.selection runs as batches.
 """
 
 import math
@@ -16,7 +16,7 @@ import mpmath as mp
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from padefit import DerivativeGridSpec, SweepRow, fit_regularized
+from padefit import Candidate, DerivativeGridSpec, FitConfig, SweepRow, fit_linearized, fit_regularized
 from padefit.errors import NoFeasibleModel, PadefitError
 from padefit.rational import POLE_REFINE_TOL, PoleReport
 
@@ -107,6 +107,29 @@ def pole_scan(model, interval, points=1001):
         min_abs_denominator=min_abs,
         sign_changes=tuple(changes),
     )
+
+
+def grid_search(data, space, lam=0.0, lam1=0.0, zero_powers=frozenset(), scan_points=1001):
+    """padefit.grid_search's candidate rows from one fit_linearized per
+    structure."""
+    rows = []
+    for q in space.q_grid:
+        for n in range(space.n_range[0], space.n_range[1] + 1):
+            for m in range(space.m_range[0], space.m_range[1] + 1):
+                for l in space.l_candidates if space.l_candidates is not None else (None,):
+                    attempt = (n, m, l, q)
+                    try:
+                        cfg = FitConfig(n, m, l, q, lam, lam1, zero_powers)
+                    except ValueError as exc:
+                        rows.append(Candidate(attempt, None, None, str(exc)))
+                        continue
+                    try:
+                        report = fit_linearized(data, cfg, scan_points=scan_points)
+                    except PadefitError as exc:
+                        rows.append(Candidate(attempt, cfg, None, str(exc)))
+                        continue
+                    rows.append(Candidate(attempt, cfg, report, None))
+    return rows
 
 
 def sweep_rows(data, config, grid, der_interval=None, der_points=40, scan_points=1001):

@@ -223,6 +223,25 @@ def test_sweep_reports_rows_and_choice(capsys):
     assert doc["config"]["lambda"] == doc["sweep"]["chosen_lambda"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fit", TABLE1, "--n", "2", "--m", "1", "--lambda", "nan"],
+        ["fit", TABLE1, "--n", "2", "--m", "1", "--lambda", "inf"],
+        ["fit", TABLE1, "--n", "2", "--m", "1", "--lambda1", "nan"],
+        ["fit", TABLE1, "--n", "2", "--m", "1", "--q", "inf"],
+        ["fit", TABLE1, "--n", "2", "--m", "1", "--der-interval", "0:inf"],
+        ["sweep", TABLE1, "--n", "2", "--m", "1", "--lambda-grid", "0,nan,1"],
+        ["search", TABLE1, "--n-range", "0:2", "--m-range", "0:1", "--q-grid", "1,inf"],
+    ],
+)
+def test_nonfinite_flags_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert "finite" in err
+
+
 # -- eval ----------------------------------------------------------------------
 
 

@@ -39,6 +39,9 @@ def test_grid_validation():
         DerivativeGridSpec((2.0, 2.0), 4)
     with pytest.raises(ValueError):
         DerivativeGridSpec((0.0, 2.0), 4, placement="corner")
+    for interval in ((0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0)):
+        with pytest.raises(ValueError):
+            DerivativeGridSpec(interval, 4)
 
 
 def test_grid_excludes_left_endpoint():

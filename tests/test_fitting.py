@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import mpmath
@@ -70,6 +71,15 @@ def test_config_validation():
         FitConfig(n=1, m=0, lam=-0.1)
     with pytest.raises(ValueError):
         FitConfig(n=1, m=0, x_power=0.0)
+    with pytest.raises(ValueError, match="no free coefficients"):
+        FitConfig(n=0, m=0, zero_powers=frozenset({0}))
+
+
+@pytest.mark.parametrize("field", ["lam", "lam1", "x_power"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_config_rejects_nonfinite_values(field, value):
+    with pytest.raises(ValueError, match="finite"):
+        FitConfig(n=1, m=1, **{field: value})
 
 
 def test_cdf_form_pins_origin_and_sets_tail():
@@ -236,10 +246,11 @@ def _assert_same_outcome(got, want):
 )
 def test_batch_members_equal_lone_fits(case, penalties):
     data, config, der = BATCH_CASES[case]
-    batch = fitting._fit(data, config, penalties, der, 1001)
-    assert len(batch) == len(penalties)
-    for (lam, lam1), got in zip(penalties, batch):
-        (lone,) = fitting._fit(data, config, [(lam, lam1)], der, 1001)
+    configs = [replace(config, lam=lam, lam1=lam1) for lam, lam1 in penalties]
+    batch = fitting._fit(data, configs, der, 1001)
+    assert len(batch) == len(configs)
+    for cfg, got in zip(configs, batch):
+        (lone,) = fitting._fit(data, [cfg], der, 1001)
         _assert_same_outcome(got, lone)
 
 
@@ -247,7 +258,7 @@ def test_batch_members_equal_lone_fits(case, penalties):
 def test_failing_member_leaves_its_neighbours_alone(case):
     data, config, der = BATCH_CASES[case]
     penalties = [(0.0, 0.0), (0.1, 0.1), (0.0, 0.0), (0.2, 0.3)]
-    batch = fitting._fit(data, config, penalties, der, 1001)
+    batch = fitting._fit(data, [replace(config, lam=lam, lam1=lam1) for lam, lam1 in penalties], der, 1001)
     for (lam, lam1), got in zip(penalties, batch):
         cfg = FitConfig(config.n, config.m, lam=lam, lam1=lam1)
         if lam == lam1 == 0.0:

@@ -153,6 +153,25 @@ def test_zero_weights_leave_system_identical():
     np.testing.assert_array_equal(ridged[0], _solve(g, f, np.array([0.1, 0.4]))[0])
 
 
+def test_stack_of_matrices_solves_each_alone():
+    # one G per problem: plain, ridged and rank-deficient members of one
+    # stack each get the result of their lone solve
+    g, f = _toy_problem()
+    stack = np.stack([g, g[:, ::-1], np.column_stack([g[:, 0], 2.0 * g[:, 0]])])
+    ridges = np.array([[0.0, 0.0], [0.1, 0.4], [0.0, 0.0]])
+    got = solve_least_squares(stack, f, ridges)
+    for gk, ridge, result in zip(stack[:2], ridges, got):
+        want = _solve(gk, f, ridge)
+        np.testing.assert_array_equal(result[0], want[0])
+        assert result[1] == want[1]
+    assert isinstance(got[2], SingularSystem)
+    with pytest.raises(SingularSystem, match=str(got[2])):
+        _solve(stack[2], f)
+    for bad in (ridges[:2], ridges[:, :1], ridges[0]):
+        with pytest.raises(ValueError):
+            solve_least_squares(stack, f, bad)
+
+
 def test_diagonal_increments_are_exact():
     # the ridge rows add exactly lam_c to the diagonal of G'G: the solve
     # matches (G'G + diag lam) theta = G'F from the 50-digit oracle

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import oracle
 from padefit import RationalModel, Tail, add, pole_scan
+from padefit.rational import pole_scans
 from padefit.errors import (
     DenominatorZero,
     NegativeAbscissa,
@@ -86,6 +87,11 @@ def test_nonpositive_substitution_power_rejected():
         RationalModel(numer=(1.0,), x_power=0.0)
     with pytest.raises(ValueError):
         RationalModel(numer=(1.0,), x_power=-0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                RationalModel(numer=(1.0,), denom=(0.5,), x_power=bad)
 
 
 def test_tail_power_must_clear_both_degrees():
@@ -380,6 +386,11 @@ def test_pole_scan_validates_arguments():
         pole_scan(m, (0.0, 2.0), 1)
     with pytest.raises(ValueError):
         pole_scan(m, (2.0, 2.0), 10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for interval in ((0.0, math.inf), (-math.inf, 1.0), (0.0, math.nan)):
+            with pytest.raises(ValueError):
+                pole_scan(m, interval)
 
 
 def test_pole_scan_rejects_negative_interval_for_fractional_power():
@@ -409,12 +420,15 @@ def test_pole_scan_exact_zeros():
 
 
 SCAN_POINTS = (2, 3, 101, 1001, 4097)
+#: Substitution exponents of the property tests, including the
+#: extrapolation study's 0.65 and 0.85.
+X_POWERS = (0.5, 0.65, 0.85, 1.0, 1.5, 2.0, 2.5, 3.0)
 
 
 @settings(max_examples=150, deadline=None)
 @given(
     denom=st.lists(st.floats(-8.0, 8.0), max_size=6),
-    x_power=st.sampled_from((0.5, 1.0, 1.5, 2.0, 2.5, 3.0)),
+    x_power=st.sampled_from(X_POWERS),
     lo=st.floats(0.0, 1.0),
     width=st.floats(0.01, 3.0),
     points=st.sampled_from(SCAN_POINTS),
@@ -423,6 +437,38 @@ def test_pole_scan_matches_per_interval_loop(denom, x_power, lo, width, points):
     model = RationalModel(numer=(1.0,), denom=tuple(denom), x_power=x_power)
     interval = (lo, lo + width)
     assert pole_scan(model, interval, points) == oracle.pole_scan(model, interval, points)
+
+
+# one model's denominator: its coefficients, and a tail (power above the
+# degree, coefficient) or none
+DENOMINATOR = st.tuples(
+    st.lists(st.floats(-8.0, 8.0), max_size=6),
+    st.one_of(st.none(), st.tuples(st.integers(1, 3), st.floats(-8.0, 8.0))),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    denominators=st.lists(DENOMINATOR, min_size=1, max_size=5),
+    x_power=st.sampled_from(X_POWERS),
+    lo=st.floats(0.0, 1.0),
+    width=st.floats(0.01, 3.0),
+    points=st.sampled_from(SCAN_POINTS),
+)
+def test_pole_scans_of_mixed_degrees_match_single_scans(denominators, x_power, lo, width, points):
+    models = [
+        RationalModel(
+            numer=(1.0,),
+            denom=tuple(denom),
+            tail=None if tail is None else Tail(len(denom) + tail[0], tail[1]),
+            x_power=x_power,
+        )
+        for denom, tail in denominators
+    ]
+    interval = (lo, lo + width)
+    for model, report in zip(models, pole_scans(models, interval, points)):
+        assert report == pole_scan(model, interval, points)
+        assert report == oracle.pole_scan(model, interval, points)
 
 
 @settings(max_examples=150, deadline=None)
@@ -451,6 +497,20 @@ def test_pole_scan_matches_per_interval_loop_on_zero_nodes(root, x_power, where,
     assert new == oracle.pole_scan(model, interval, points)
     if where != "run_middle":
         assert root in new.sign_changes[0] or new.min_abs_denominator == 0.0
+
+
+@pytest.mark.parametrize("x_power, root", [(0.65, 1.1875), (0.85, 1.1328125), (1.5, 1.04296875)])
+def test_pole_bisection_substitutes_with_numpy_power(x_power, root):
+    # Q(t) = 1 - t / c with c = root**x_power as numpy computes it is
+    # exactly 0 at x = root, the first bisection midpoint of [0, 2 root].
+    # At these roots Python's ** and math.pow are one ulp off numpy's power,
+    # so a bisection substituting with them misses the exact zero.
+    c = float(np.asarray(root) ** x_power)
+    assert c != root**x_power
+    model = RationalModel(numer=(1.0,), denom=(-1.0 / c,), x_power=x_power)
+    report = pole_scan(model, (0.0, 2.0 * root), 2)
+    assert report.sign_changes == ((root, root, root),)
+    assert report == oracle.pole_scan(model, (0.0, 2.0 * root), 2)
 
 
 # -- serialization ----------------------------------------------------------

@@ -1,6 +1,7 @@
 """Order search, penalty sweeps, and the plateau selection rule."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -50,6 +51,24 @@ def test_search_space_validation():
         SearchSpace(n_range=(0, 2), m_range=(0, 2), q_grid=())
     with pytest.raises(ValueError):
         SearchSpace(n_range=(0, 2), m_range=(0, 2), q_grid=(0.0,))
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_nonfinite_exponents_and_penalties_raise(bad):
+    data = _exact_data()
+    der = DerivativeGridSpec((0.4, 2.0), 40)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError):
+            SearchSpace(n_range=(0, 2), m_range=(0, 2), q_grid=(1.0, bad))
+        with pytest.raises(ValueError):
+            q_search(data, FitConfig(n=1, m=0), (1.0, bad))
+        with pytest.raises(ValueError, match="finite"):
+            lambda_sweep(data, FitConfig(n=2, m=1), (0.0, bad, 1.0))
+        with pytest.raises(ValueError, match="finite"):
+            lambda_sweep(data, FitConfig(n=2, m=1), (0.0, 1.0, bad))
+        with pytest.raises(ValueError, match="finite"):
+            tune_lambda1(data, FitConfig(n=2, m=1), 1.0, der_grid=der, coarse=(0.5, bad, 0.0))
 
 
 def test_search_finds_exact_member():
@@ -120,6 +139,51 @@ def test_search_tie_break_prefers_small_order():
     )
     assert best.model.degree_numer == 1
     assert best.model.degree_denom == 0
+
+
+SEARCH_CASES = {
+    # ridged, with tails and a pinned power, over two exponents; six points
+    # leave (4, 3) with a tail short of data
+    "ridged": (
+        Dataset(np.linspace(0.2, 2.0, 6), GEN(np.linspace(0.2, 2.0, 6)) + 0.01 * np.sin(9.0 * np.linspace(0.2, 2.0, 6))),
+        SearchSpace(n_range=(0, 4), m_range=(0, 3), l_candidates=(None, 5), q_grid=(1.0, 0.5)),
+        dict(lam=1e-6, lam1=1e-3, zero_powers=frozenset({1})),
+    ),
+    # three distinct abscissae: rank deficient from four numerator columns
+    # on; with power 0 pinned, (0, 0) has no free coefficient at all
+    "rank_deficient": (
+        Dataset(np.repeat([0.5, 1.0, 1.5], 3), np.repeat([1.0, 0.25, 2.0], 3)),
+        SearchSpace(n_range=(0, 4), m_range=(0, 2), q_grid=(1.0, 2.0)),
+        dict(zero_powers=frozenset({0})),
+    ),
+    "lam_only": (
+        _exact_data(),
+        SearchSpace(n_range=(0, 3), m_range=(0, 3), l_candidates=(None, 4)),
+        dict(lam=1e-4),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SEARCH_CASES))
+def test_search_rows_equal_per_candidate_fits(case):
+    data, space, penalties = SEARCH_CASES[case]
+    best, rows = grid_search(data, space, **penalties)
+    want = oracle.grid_search(data, space, **penalties)
+    assert rows == want
+    errors = {c.error.split(" ")[0] for c in rows if c.error is not None}
+    assert best == min((c for c in want if c.report is not None), key=selection._rank_key).report
+    if case == "ridged":
+        assert any("points for" in c.error for c in rows if c.error is not None)
+    if case == "rank_deficient":
+        assert {"numerical", "model"} <= errors
+
+
+def test_search_records_structure_without_free_coefficients():
+    data = _exact_data()
+    _, rows = grid_search(data, SearchSpace(n_range=(0, 1), m_range=(0, 1)), zero_powers=frozenset({0}))
+    assert rows[0].attempt == (0, 0, None, 1.0)
+    assert rows[0].config is None and rows[0].error == "model has no free coefficients"
+    assert all(c.report is not None for c in rows[1:])
 
 
 # -- penalty sweep ----------------------------------------------------------
