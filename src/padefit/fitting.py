@@ -107,7 +107,7 @@ class FitConfig:
     zero_powers: frozenset[int] = field(default_factory=frozenset)
 
     def __post_init__(self):
-        object.__setattr__(self, "zero_powers", frozenset(int(i) for i in self.zero_powers))
+        object.__setattr__(self, "zero_powers", frozenset(map(int, self.zero_powers)))
         linsys.free_columns(self.n, self.m, self.tail_power, self.zero_powers)  # validates the structure
         if not (0 < self.x_power < math.inf):
             raise ValueError("x_power must be positive and finite")
@@ -260,15 +260,18 @@ def _fit(
     except PadefitError as exc:
         return [exc] * len(configs)
     columns = [linsys.free_columns(c.n, c.m, c.tail_power, c.zero_powers) for c in configs]
-    union = tuple(dict.fromkeys(col for cols in columns for col in cols))
+    structures = dict.fromkeys(columns)
+    union = tuple(dict.fromkeys(col for cols in structures for col in cols))
     g = linsys.design_matrix(t, data.f, union)
     where = {col: i for i, col in enumerate(union)}
+    index = {cols: [where[col] for col in cols] for cols in structures}
     out: list = [None] * len(configs)
     by_count: dict[int, list[int]] = {}
     for k, cols in enumerate(columns):
         by_count.setdefault(len(cols), []).append(k)
     for ks in by_count.values():
-        stack = np.stack([g[:, [where[col] for col in columns[k]]] for k in ks])
+        # (rows, K, p) from one gather, viewed as the (K, rows, p) stack
+        stack = g[:, [index[columns[k]] for k in ks]].transpose(1, 0, 2)
         ridges = [linsys.ridge_weights(columns[k], configs[k].lam, configs[k].lam1) for k in ks]
         for k, result in zip(ks, linsys.solve_least_squares(stack, data.f, ridges)):
             out[k] = result

@@ -311,10 +311,9 @@ def _horner(t, arrays) -> np.ndarray:
     # Coefficient arrays evaluated at t in one polyval call, one row per
     # array.  Shorter arrays are padded with top zeros, which leave
     # Horner's values unchanged.
-    c = np.zeros((max(map(len, arrays)), len(arrays)))
-    for k, a in enumerate(arrays):
-        c[: len(a), k] = a
-    return npoly.polyval(t, c)
+    top = max(map(len, arrays))
+    c = [a if len(a) == top else np.concatenate((a, np.zeros(top - len(a)))) for a in arrays]
+    return npoly.polyval(t, np.array(c).T)
 
 
 def stacked_parts(models, x) -> tuple[np.ndarray, np.ndarray]:

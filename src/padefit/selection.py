@@ -90,13 +90,17 @@ def grid_search(
 
     Raises
     ------
+    ValueError
+        If a penalty weight is negative or not finite.
     NoFeasibleModel
         If every candidate failed to produce a report.
     """
+    if not (0 <= lam < math.inf and 0 <= lam1 < math.inf):
+        raise ValueError("penalty weights must be nonnegative and finite")
     rows: list[Candidate] = []
     tails = space.l_candidates if space.l_candidates is not None else (None,)
     for q in space.q_grid:
-        batch = []  # the rows of this q's valid structures, fitted as one batch
+        batch = []  # (row, attempt, config) of this q's valid structures: one fit batch
         for n in range(space.n_range[0], space.n_range[1] + 1):
             for m in range(space.m_range[0], space.m_range[1] + 1):
                 for l in tails:
@@ -114,13 +118,11 @@ def grid_search(
                     except ValueError as exc:
                         rows.append(Candidate(attempt, None, None, str(exc)))
                         continue
-                    batch.append(len(rows))
-                    rows.append(Candidate(attempt, cfg, None, None))
-        for i, fit in zip(batch, _fit(data, [rows[i].config for i in batch], None, scan_points)):
-            if isinstance(fit, PadefitError):
-                rows[i] = replace(rows[i], error=str(fit))
-            else:
-                rows[i] = replace(rows[i], report=fit)
+                    batch.append((len(rows), attempt, cfg))
+                    rows.append(None)
+        for (i, attempt, cfg), fit in zip(batch, _fit(data, [cfg for _i, _a, cfg in batch], None, scan_points)):
+            failed = isinstance(fit, PadefitError)
+            rows[i] = Candidate(attempt, cfg, None if failed else fit, str(fit) if failed else None)
     fitted = [c for c in rows if c.report is not None]
     if not fitted:
         raise NoFeasibleModel("every candidate in the search space failed")

@@ -233,6 +233,7 @@ def test_sweep_reports_rows_and_choice(capsys):
         ["fit", TABLE1, "--n", "2", "--m", "1", "--der-interval", "0:inf"],
         ["sweep", TABLE1, "--n", "2", "--m", "1", "--lambda-grid", "0,nan,1"],
         ["search", TABLE1, "--n-range", "0:2", "--m-range", "0:1", "--q-grid", "1,inf"],
+        ["search", TABLE1, "--n-range", "0:2", "--m-range", "0:1", "--lambda", "nan"],
     ],
 )
 def test_nonfinite_flags_are_usage_errors(capsys, argv):

@@ -63,6 +63,9 @@ def test_nonfinite_exponents_and_penalties_raise(bad):
             SearchSpace(n_range=(0, 2), m_range=(0, 2), q_grid=(1.0, bad))
         with pytest.raises(ValueError):
             q_search(data, FitConfig(n=1, m=0), (1.0, bad))
+        for penalties in (dict(lam=bad), dict(lam1=bad), dict(lam=-1.0)):
+            with pytest.raises(ValueError, match="finite"):
+                grid_search(data, SearchSpace(n_range=(0, 2), m_range=(0, 1)), **penalties)
         with pytest.raises(ValueError, match="finite"):
             lambda_sweep(data, FitConfig(n=2, m=1), (0.0, bad, 1.0))
         with pytest.raises(ValueError, match="finite"):
