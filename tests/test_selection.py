@@ -144,11 +144,12 @@ def test_search_tie_break_prefers_small_order():
     assert best.model.degree_denom == 0
 
 
+SIX_X = np.linspace(0.2, 2.0, 6)
 SEARCH_CASES = {
     # ridged, with tails and a pinned power, over two exponents; six points
     # leave (4, 3) with a tail short of data
     "ridged": (
-        Dataset(np.linspace(0.2, 2.0, 6), GEN(np.linspace(0.2, 2.0, 6)) + 0.01 * np.sin(9.0 * np.linspace(0.2, 2.0, 6))),
+        Dataset(SIX_X, GEN(SIX_X) + 0.01 * np.sin(9.0 * SIX_X)),
         SearchSpace(n_range=(0, 4), m_range=(0, 3), l_candidates=(None, 5), q_grid=(1.0, 0.5)),
         dict(lam=1e-6, lam1=1e-3, zero_powers=frozenset({1})),
     ),
@@ -173,12 +174,13 @@ def test_search_rows_equal_per_candidate_fits(case):
     best, rows = grid_search(data, space, **penalties)
     want = oracle.grid_search(data, space, **penalties)
     assert rows == want
-    errors = {c.error.split(" ")[0] for c in rows if c.error is not None}
     assert best == min((c for c in want if c.report is not None), key=selection._rank_key).report
+    errors = [c.error for c in rows if c.error is not None]
     if case == "ridged":
-        assert any("points for" in c.error for c in rows if c.error is not None)
+        assert any("points for" in e for e in errors)
     if case == "rank_deficient":
-        assert {"numerical", "model"} <= errors
+        assert any(e.startswith("numerical rank") for e in errors)
+        assert "model has no free coefficients" in errors
 
 
 def test_search_records_structure_without_free_coefficients():
