@@ -83,8 +83,8 @@ class NonconvergentTail(PadefitError):
 
 
 class NonconvergentQuadrature(PadefitError):
-    """Adaptive quadrature met a non-finite integrand value or ran out of
-    its evaluation budget before reaching the tolerance."""
+    """The MTTF quadrature met a non-finite integrand value, or missed its
+    tolerance after its last round of panel halving."""
 
 
 class PoleOnRange(PadefitError):

@@ -51,6 +51,7 @@ class SolveDiagnostics:
     condition_flag: bool
 
 
+@lru_cache(maxsize=64)  # batches ask for the same few structures again and again
 def free_columns(
     n: int,
     m: int,
@@ -58,11 +59,6 @@ def free_columns(
     zero_powers: frozenset[int] = frozenset(),
 ) -> tuple[Column, ...]:
     """Ordered free-coefficient identities for the given model structure."""
-    return _free_columns(n, m, tail_power, frozenset(zero_powers))
-
-
-@lru_cache(maxsize=64)  # batches ask for the same few structures again and again
-def _free_columns(n: int, m: int, tail_power: int | None, zero_powers: frozenset[int]) -> tuple[Column, ...]:
     if n < 0 or m < 0:
         raise ValueError("degrees must be nonnegative")
     if tail_power is not None and (tail_power <= n or tail_power <= m):

@@ -153,9 +153,8 @@ class RationalModel:
 
         Raises NegativeAbscissa for x < 0 with a non-integer x_power.
         """
-        p, q = self._dense
-        t = _substitute(x, self.x_power)
-        return npoly.polyval(t, p), npoly.polyval(t, q)
+        (num,), (den,) = stacked_parts((self,), x)
+        return num, den
 
     def __call__(self, x):
         """Evaluate the model; scalar in, scalar out; array in, array out."""
@@ -317,10 +316,7 @@ def _horner(t, arrays) -> np.ndarray:
 
 
 def stacked_parts(models, x) -> tuple[np.ndarray, np.ndarray]:
-    """RationalModel.parts of models sharing x_power, one row per model.
-    (`parts` keeps its own two polyval calls: mttf's quadrature evaluates
-    one model at one x per call, where stacking would more than double
-    the cost.)"""
+    """P(t) and Q(t) at t = x**x_power of models sharing x_power, one row per model."""
     p, q = zip(*(m._dense for m in models))
     vals = _horner(_substitute(x, models[0].x_power), p + q)
     return vals[: len(p)], vals[len(p) :]

@@ -6,7 +6,9 @@ the caller (mpmath.workdps), so squaring the condition number costs it
 nothing at 50 digits and more.  The pole-scan oracle is the plain
 per-interval loop that padefit.rational.pole_scan vectorizes, and the
 search, sweep and tuning oracles are the per-candidate and per-penalty
-loops of single fits that padefit.selection runs as batches.
+loops of single fits that padefit.selection runs as batches.  The MTTF
+oracle integrates 1 - R in mpmath to the cutoff padefit.weibull.mttf
+chooses and adds the same closed-form tail.
 """
 
 import math
@@ -19,6 +21,7 @@ from numpy.polynomial import polynomial as npoly
 from padefit import Candidate, DerivativeGridSpec, FitConfig, SweepRow, fit_linearized, fit_regularized
 from padefit.errors import NoFeasibleModel, PadefitError
 from padefit.rational import POLE_REFINE_TOL, PoleReport
+from padefit.weibull import TAIL_EPS
 
 
 def design(x, f, columns):
@@ -173,3 +176,30 @@ def tune_lambda1(data, config, baseline, der_grid, pole_interval=None, rel_windo
     lo = max(0.0, best[0] - 5 * refine_step)
     hi = min(max(grid), best[0] + 5 * refine_step)
     return best_of([lo + refine_step * i for i in range(int(round((hi - lo) / refine_step)) + 1)], best)
+
+
+def mttf(model, x_max, dps=35):
+    """padefit.weibull.mttf of a rational CDF model: tanh-sinh quadrature of
+    1 - R at `dps` digits from 0 to the same cutoff, split at the powers
+    of ten, plus the tail integral of the leading power law of 1 - R."""
+    xs = np.linspace(0.0, x_max, 4097)[1:]
+    loud = np.flatnonzero(np.abs(1.0 - model(xs)) >= TAIL_EPS)
+    x_cut = float(xs[0] if loud.size == 0 else xs[min(loud[-1] + 1, xs.size - 1)])
+    p, q = ([mp.mpf(float(c)) for c in a] for a in model._dense)
+    with mp.workdps(dps):
+        power = mp.mpf(model.x_power)
+        cut = mp.mpf(x_cut)
+
+        def shortfall(x):
+            t = x**power
+            return 1 - mp.polyval(p[::-1], t) / mp.polyval(q[::-1], t)
+
+        decades = [mp.mpf(10) ** k for k in range(-12, math.ceil(math.log10(x_cut)))]
+        body = mp.quad(shortfall, [0, *decades, cut])
+        diff = [b - a for a, b in zip(p, q)]
+        if not any(diff):
+            return float(body)
+        dn = max(i for i, d in enumerate(diff) if d)
+        dd = max(i for i, c in enumerate(q) if c)
+        k = power * (dd - dn)
+        return float(body + diff[dn] / q[dd] * cut ** (1 - k) / (k - 1))
