@@ -15,7 +15,7 @@ from typing import Callable, Literal
 import numpy as np
 
 from .errors import DenominatorZero, EmptyInput, LengthMismatch
-from .rational import DENOM_TOL, RationalModel, denominator_zero, slopes
+from .rational import DENOM_TOL, RationalModel, _slopes, _stack, denominator_zero
 
 #: Relative step for the finite-difference fallback derivative.
 FD_STEP = 1e-6
@@ -93,18 +93,19 @@ def oscillation_measure(
     else:
         h = FD_STEP * np.maximum(1.0, np.abs(xs))
         d = (np.asarray(fn(xs + h), dtype=float) - np.asarray(fn(xs - h), dtype=float)) / (2.0 * h)
-    return _rms(d)
+    return float(np.sqrt(np.mean(d * d)))
 
 
 def oscillation_measures(models, grid: DerivativeGridSpec) -> list[float | DenominatorZero]:
-    """oscillation_measure of rational models sharing x_power, from one
-    stacked quotient-rule pass; a model whose denominator vanishes on the
-    grid gets the DenominatorZero its own measure would raise."""
+    """oscillation_measure of each rational model, from one stacked
+    quotient-rule pass; a model whose denominator vanishes on the grid
+    gets the DenominatorZero its own measure would raise."""
+    return _measures(*_stack(models), grid)
+
+
+def _measures(c, exponents, grid: DerivativeGridSpec) -> list[float | DenominatorZero]:
     xs = grid.grid()
-    d, den = slopes(models, xs)
-    vanishing = (np.abs(den).min(axis=1) <= DENOM_TOL).tolist()
-    return [denominator_zero(xs, q) if v else _rms(row) for row, q, v in zip(d, den, vanishing)]
-
-
-def _rms(d: np.ndarray) -> float:
-    return float(np.sqrt(np.mean(d * d)))
+    d, den = _slopes(c, exponents, xs)
+    vanishing = np.abs(den).min(axis=1) <= DENOM_TOL
+    rms = iter(np.sqrt(np.mean(d[~vanishing] ** 2, axis=1)).tolist())
+    return [denominator_zero(xs, q) if v else next(rms) for q, v in zip(den, vanishing.tolist())]

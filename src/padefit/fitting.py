@@ -29,10 +29,10 @@ from typing import Callable
 import numpy as np
 
 from . import linsys
-from .diagnostics import DerivativeGridSpec, oscillation_measures, rmse
+from .diagnostics import DerivativeGridSpec, _measures, rmse
 from .errors import CountMismatch, DuplicateAbscissa, PadefitError
 from .linsys import SolveDiagnostics
-from .rational import DENOM_TOL, PoleReport, RationalModel, Tail, pole_scans, require_nonnegative, stacked_parts
+from .rational import DENOM_TOL, PoleReport, RationalModel, Tail, _horner, _scans, _substitutions
 
 #: Default number of nodes for the pole scan over the data interval.
 SCAN_POINTS = 1001
@@ -53,8 +53,8 @@ class Dataset:
     underlying: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
-        x = np.atleast_1d(np.asarray(self.x, dtype=float))
-        f = np.atleast_1d(np.asarray(self.f, dtype=float))
+        x = np.atleast_1d(np.array(self.x, dtype=float))  # copies: the caller's arrays stay writeable
+        f = np.atleast_1d(np.array(self.f, dtype=float))
         if x.ndim != 1 or f.ndim != 1:
             raise ValueError("coordinates must be one-dimensional")
         if len(x) != len(f):
@@ -157,88 +157,88 @@ class FitReport:
     denominator_vanishes: bool = False
 
 
-def _substituted(data: Dataset, x_power: float) -> np.ndarray:
-    require_nonnegative(data.x, x_power)
-    return data.x**x_power
+def _members(config: FitConfig, name: str, values) -> list[FitConfig]:
+    """Copies of `config` with field `name` set to each of `values`, which
+    the caller has validated; replace() would check every member again."""
+    members = [object.__new__(FitConfig) for _ in values]
+    for member, value in zip(members, values):
+        member.__dict__.update(config.__dict__, **{name: value})
+    return members
 
 
-def _model_from_solution(config: FitConfig, theta: np.ndarray, columns) -> RationalModel:
-    numer = [0.0] * (config.n + 1)
-    denom = [0.0] * config.m
-    tail = None
-    for value, (kind, power) in zip(theta.tolist(), columns):
-        if kind == "numer":
-            numer[power] = value
-        elif kind == "denom":
-            denom[power - 1] = value
-        else:
-            tail = Tail(power, value)
-    return RationalModel(
-        numer=tuple(numer),
-        denom=tuple(denom),
-        tail=tail,
-        x_power=config.x_power,
-        zero_powers=config.zero_powers,
-    )
+def _models(configs: list[FitConfig], theta: np.ndarray, where: dict) -> tuple[list[RationalModel], np.ndarray]:
+    # The models whose coefficients on the union columns (`where` maps each
+    # to its index) are the rows of theta, and their RationalModel._rows as
+    # one read-only (top, 4, K) stack; each model is handed its own slice.
+    tops = [max(c.n, c.m) + 1 if c.tail_power is None else c.tail_power + 1 for c in configs]
+    c = np.zeros((max(tops + [power + 1 for _kind, power in where]), 4, len(configs)))
+    c[0, 1] = 1.0
+    for (kind, power), u in sorted(where.items(), key=lambda item: item[0][0] == "tail"):
+        if kind != "tail":
+            c[power, 0 if kind == "numer" else 1] = theta[:, u]
+        else:  # added to P and Q once their other columns are in
+            rows = [config.tail_power == power for config in configs]
+            c[power, :2, rows] += theta[rows, u][:, None]
+    c[:-1, 2:] = c[1:, :2] * np.arange(1.0, len(c))[:, None, None]
+    c[0, 2:, np.equal(tops, 1)] = c[0, :2, np.equal(tops, 1)] * 0.0  # polyder of a constant
+    c.setflags(write=False)
+    values, numer, denom = theta.tolist(), c[:, 0].T.tolist(), c[:, 1].T.tolist()
+    models = []
+    for k, (config, top) in enumerate(zip(configs, tops)):
+        tail = None if config.tail_power is None else Tail(config.tail_power, values[k][where[("tail", config.tail_power)]])
+        fields = (tuple(numer[k][: config.n + 1]), tuple(denom[k][1 : config.m + 1]), tail, config.x_power)
+        models.append(RationalModel._trusted(*fields, config.zero_powers, c[:top, :, k].T))
+    return models, c
 
 
 def _build_reports(
     models: list[RationalModel],
+    c: np.ndarray,
     diagnostics: list[SolveDiagnostics],
     data: Dataset,
     der_grid: DerivativeGridSpec | None,
     scan_points: int,
 ) -> list[FitReport | PadefitError]:
-    # Models share x_power: their values at the data, pole-scan grid and
-    # derivative grid come from one stacked evaluation each.
+    # One stacked evaluation at the data, pole scan and derivative pass for
+    # the models, whose _rows are the (top, 4, K) stack c; then each error
+    # measure as one reduction over the rows.
+    exponents = [model.x_power for model in models]
     lo, hi = data.interval()
     try:
-        num, den = stacked_parts(models, data.x)
+        num, den = _horner(c[:, :2], _substitutions(data.x, exponents))
         truth = d0 = None
         if data.underlying is not None:
             truth = np.asarray(data.underlying(data.x), dtype=float)
             d0 = rmse(data.f, truth)
-        # Single-abscissa data has nothing to scan: a clean empty record.
-        poles = pole_scans(models, (lo, hi), scan_points) if hi > lo else None
-        d_ders = oscillation_measures(models, der_grid) if der_grid is not None else [None] * len(models)
+        poles = _scans(c, exponents, (lo, hi), scan_points) if hi > lo else None
+        d_ders = _measures(c, exponents, der_grid) if der_grid is not None else [None] * len(models)
     except PadefitError as exc:
-        return [exc] * len(models)
-    reports = []
-    for k, model in enumerate(models):
-        if isinstance(d_ders[k], PadefitError):
-            reports.append(d_ders[k])
-            continue
-        rho = num[k] - data.f * den[k]
-        s0 = float(np.dot(rho, rho))
-        lowest = float(np.min(np.abs(den[k])))
-        vanishes = lowest <= DENOM_TOL
-        d1 = None
-        if vanishes:
-            s = d = math.inf
-            if truth is not None:
-                d1 = math.inf
-        else:
-            r = num[k] / den[k]
-            res = r - data.f
-            s = float(np.dot(res, res))
-            d = math.sqrt(s / len(data))
-            if truth is not None:
-                d1 = rmse(r, truth)
-        reports.append(
-            FitReport(
-                model=model,
-                s=s,
-                s0=s0,
-                d=d,
-                d0=d0,
-                d1=d1,
-                d_der=d_ders[k],
-                poles=poles[k] if poles is not None else PoleReport((lo, hi), 0, lowest, ()),
-                diagnostics=diagnostics[k],
-                denominator_vanishes=vanishes,
-            )
-        )
-    return reports
+        if len(set(exponents)) == 1:
+            return [exc] * len(models)
+        # The error is one exponent's: build each exponent's reports apart.
+        out: dict = {}
+        for q in dict.fromkeys(exponents):
+            ks = [k for k, e in enumerate(exponents) if e == q]
+            part = [models[k] for k in ks], c[:, :, ks], [diagnostics[k] for k in ks]
+            out.update(zip(ks, _build_reports(*part, data, der_grid, scan_points)))
+        return [out[k] for k in range(len(models))]
+    lowest = np.abs(den).min(axis=1)
+    if poles is None:  # single-abscissa data has nothing to scan: a clean empty record
+        poles = [PoleReport((lo, hi), 0, low, ()) for low in lowest.tolist()]
+    vanishes = lowest <= DENOM_TOL
+    rho = num - data.f * den
+    s0 = (rho[:, None] @ rho[..., None])[:, 0, 0]  # BLAS ddot per row, the bits of np.dot
+    # s, d and d1 are +inf where Q vanishes at a data point.
+    s, d1 = np.full(len(models), math.inf), np.full(len(models), math.inf)
+    r = num[~vanishes] / den[~vanishes]
+    res = r - data.f
+    s[~vanishes] = (res[:, None] @ res[..., None])[:, 0, 0]
+    if truth is not None:
+        d1[~vanishes] = np.sqrt(np.mean((r - truth) ** 2, axis=1))  # rmse, row by row
+    d1 = d1.tolist() if truth is not None else [None] * len(models)
+    d = np.sqrt(s / len(data)).tolist()
+    fields = zip(models, s.tolist(), s0.tolist(), d, [d0] * len(models), d1, d_ders, poles, diagnostics, vanishes.tolist())
+    return [row[6] if isinstance(row[6], PadefitError) else FitReport(*row) for row in fields]
 
 
 def _fit(
@@ -248,39 +248,44 @@ def _fit(
     scan_points: int,
     evaluate_on: Dataset | None = None,
 ) -> list[FitReport | PadefitError]:
-    """Fit each of `configs`, which share `data` and x_power: one design
-    matrix for the union of their columns, one stacked solve per column
-    count, and one stacked evaluation, pole scan and derivative pass.
-    Returns each config's report, or the PadefitError that ended its fit
-    alone."""
+    """Fit each of `configs` on `data`: one design matrix per exponent for
+    the union of their columns, one stacked solve per column count, and
+    one stacked evaluation, pole scan and derivative pass.  Returns each
+    config's report, or the PadefitError that ended its fit alone."""
     if not configs:
         return []
-    try:
-        t = _substituted(data, configs[0].x_power)
-    except PadefitError as exc:
-        return [exc] * len(configs)
     columns = [linsys.free_columns(c.n, c.m, c.tail_power, c.zero_powers) for c in configs]
-    structures = dict.fromkeys(columns)
-    union = tuple(dict.fromkeys(col for cols in structures for col in cols))
-    g = linsys.design_matrix(t, data.f, union)
-    where = {col: i for i, col in enumerate(union)}
-    index = {cols: [where[col] for col in cols] for cols in structures}
-    out: list = [None] * len(configs)
+    where = {col: i for i, col in enumerate(dict.fromkeys(col for cols in columns for col in cols))}
+    index = {cols: [where[col] for col in cols] for cols in dict.fromkeys(columns)}
+    designs: dict = {}  # exponent -> slot in the design stack, or its error
+    stack = []
+    for q in dict.fromkeys(c.x_power for c in configs):
+        try:
+            stack.append(linsys.design_matrix(_substitutions(data.x, [q])[0], data.f, tuple(where)).T)
+            designs[q] = len(stack) - 1
+        except PadefitError as exc:
+            designs[q] = exc
+    out: list = [designs[c.x_power] if isinstance(designs[c.x_power], PadefitError) else None for c in configs]
     by_count: dict[int, list[int]] = {}
     for k, cols in enumerate(columns):
-        by_count.setdefault(len(cols), []).append(k)
+        if out[k] is None:
+            by_count.setdefault(len(cols), []).append(k)
+    theta = np.zeros((len(configs), len(where)))  # coefficients on the union columns
+    stack = np.array(stack)  # (exponents, union columns, rows)
     for ks in by_count.values():
-        # (rows, K, p) from one gather, viewed as the (K, rows, p) stack
-        stack = g[:, [index[columns[k]] for k in ks]].transpose(1, 0, 2)
+        # (K, p, rows) from one gather, viewed as the (K, rows, p) stack
+        g = stack[[[designs[configs[k].x_power]] for k in ks], [index[columns[k]] for k in ks]]
         ridges = [linsys.ridge_weights(columns[k], configs[k].lam, configs[k].lam1) for k in ks]
-        for k, result in zip(ks, linsys.solve_least_squares(stack, data.f, ridges)):
-            out[k] = result
-    solved = [k for k, result in enumerate(out) if not isinstance(result, PadefitError)]
+        for k, result in zip(ks, linsys.solve_least_squares(g.transpose(0, 2, 1), data.f, ridges)):
+            if isinstance(result, PadefitError):
+                out[k] = result
+            else:
+                theta[k, index[columns[k]]], out[k] = result
+    solved = [k for k, result in enumerate(out) if isinstance(result, SolveDiagnostics)]
     if solved:
-        models = [_model_from_solution(configs[k], out[k][0], columns[k]) for k in solved]
+        models, c = _models([configs[k] for k in solved], theta[solved], where)
         target = evaluate_on if evaluate_on is not None else data
-        reports = _build_reports(models, [out[k][1] for k in solved], target, der_grid, scan_points)
-        for k, report in zip(solved, reports):
+        for k, report in zip(solved, _build_reports(models, c, [out[k] for k in solved], target, der_grid, scan_points)):
             out[k] = report
     return out
 

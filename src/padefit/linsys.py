@@ -132,10 +132,8 @@ def solve_least_squares(
         raise ValueError(f"ridges must be a (K, {p}) stack of weights, one per matrix of G")
     if rows < p:
         return [InsufficientData(f"{rows} points for {p} free coefficients") for _ in ridges]
-    kinds = [
-        "negative" if any(w < 0.0 for w in row) else "ridged" if any(w > 0.0 for w in row) else "plain"
-        for row in ridges.tolist()
-    ]
+    signs = zip((ridges < 0.0).any(axis=1).tolist(), (ridges > 0.0).any(axis=1).tolist())
+    kinds = ["negative" if negative else "ridged" if positive else "plain" for negative, positive in signs]
     g = np.broadcast_to(g, (len(ridges), rows, p))
     plain = iter(_solve_stack(g[[kind == "plain" for kind in kinds]], f) if "plain" in kinds else ())
     ridged = iter(())
@@ -173,10 +171,10 @@ def _solve_stack(g: np.ndarray, f: np.ndarray) -> list[tuple[np.ndarray, SolveDi
         else:
             q, r = np.linalg.qr(a)
             rhs = np.swapaxes(q, 1, 2) @ f[:, None]
-        sv = np.linalg.svd(r, compute_uv=False).tolist()
-        rank = [sum(s > row[0] * p * EPS for s in row) for row in sv]
-        full = [rk == p for rk in rank]
-        if not all(full):  # solve only the full-rank problems
+        sv = np.linalg.svd(r, compute_uv=False)
+        rank = (sv > sv[:, :1] * p * EPS).sum(axis=1)
+        full = rank == p
+        if not full.all():  # solve only the full-rank problems
             r, rhs, scale = r[full], rhs[full], scale[full]
         y = np.linalg.solve(r, rhs)[..., 0]
     except np.linalg.LinAlgError as exc:
@@ -186,16 +184,15 @@ def _solve_stack(g: np.ndarray, f: np.ndarray) -> list[tuple[np.ndarray, SolveDi
         return [_solve_stack(g[i : i + 1], f)[0] for i in range(k)]
     with np.errstate(over="ignore"):
         theta = y / scale
-    solved = zip(theta, np.isfinite(theta).all(axis=1).tolist())
+    solved = zip(theta, (sv[full, 0] / sv[full, -1]).tolist(), np.isfinite(theta).all(axis=1).tolist())
     out = []
-    for ok, rk, row in zip(full, rank, sv):
+    for ok, rk in zip(full.tolist(), rank.tolist()):
         if not ok:
             out.append(SingularSystem(f"numerical rank {rk} of {p} columns"))
             continue
-        coefficients, finite = next(solved)
+        coefficients, condition, finite = next(solved)
         if not finite:
             out.append(SingularSystem("coefficients overflow at this abscissa scale"))
             continue
-        condition = row[0] / row[-1]
         out.append((coefficients, SolveDiagnostics(condition, p, condition > CONDITION_FLAG_LIMIT)))
     return out

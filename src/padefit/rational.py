@@ -121,32 +121,29 @@ class RationalModel:
         return len(self.denom)
 
     @cached_property
-    def _dense(self) -> tuple[np.ndarray, np.ndarray]:
-        # Dense ascending coefficient arrays including the implicit 1 and tail.
-        top = max(len(self.numer), len(self.denom) + 1)
+    def _rows(self) -> np.ndarray:
+        # Dense ascending coefficients of P and Q, including the implicit 1
+        # and the tail, then of their derivatives in t for the quotient rule
+        # (npoly.polyder's values, padded with a top zero, which leaves
+        # Horner's values unchanged): one read-only (4, top) array.
+        top = self.tail.power + 1 if self.tail is not None else max(len(self.numer), len(self.denom) + 1)
+        c = np.zeros((4, top))
+        c[0, : len(self.numer)] = self.numer
+        c[1, 0] = 1.0
+        c[1, 1 : len(self.denom) + 1] = self.denom
         if self.tail is not None:
-            top = self.tail.power + 1
-        p = np.zeros(top)
-        q = np.zeros(top)
-        p[: len(self.numer)] = self.numer
-        q[0] = 1.0
-        q[1 : len(self.denom) + 1] = self.denom
-        if self.tail is not None:
-            p[self.tail.power] += self.tail.coeff
-            q[self.tail.power] += self.tail.coeff
-        p.setflags(write=False)
-        q.setflags(write=False)
-        return p, q
+            c[:2, self.tail.power] += self.tail.coeff
+        c[2:, :-1] = c[:2, 1:] * np.arange(1.0, top)
+        c[2:, -1] = c[:2, -1] * 0.0 if top == 1 else 0.0  # polyder of a constant
+        c.setflags(write=False)
+        return c
 
-    @cached_property
-    def _slope_dense(self) -> tuple[np.ndarray, np.ndarray]:
-        # Derivatives of the _dense arrays in t, for the quotient rule: the
-        # values npoly.polyder gives, without its per-call overhead, padded
-        # with a top zero to the _dense length (Horner's values unchanged).
-        dp, dq = (c * 0.0 if len(c) == 1 else np.concatenate((c[1:] * np.arange(1.0, len(c)), [0.0])) for c in self._dense)
-        dp.setflags(write=False)
-        dq.setflags(write=False)
-        return dp, dq
+    @classmethod
+    def _trusted(cls, numer, denom, tail, x_power, zero_powers, rows) -> "RationalModel":
+        # A model from fields a fit has already checked, seeded with its read-only _rows.
+        model = object.__new__(cls)
+        model.__dict__.update(numer=numer, denom=denom, tail=tail, x_power=x_power, zero_powers=zero_powers, _rows=rows)
+        return model
 
     def parts(self, x):
         """Numerator and denominator values P(t), Q(t) at t = x**x_power.
@@ -186,7 +183,7 @@ class RationalModel:
             raise UnsupportedSubstitution("Maclaurin expansion needs x_power == 1")
         if count < 0:
             raise ValueError("count must be nonnegative")
-        p, q = self._dense
+        p, q = self._rows[:2]
         c = []
         for i in range(count):
             a_i = p[i] if i < len(p) else 0.0
@@ -261,8 +258,8 @@ def add(f: RationalModel, g: RationalModel) -> RationalModel:
     for operand in (f, g):
         if operand.x_power != 1.0 or operand.tail is not None:
             raise UnsupportedSubstitution("add needs plain-coordinate models without tails")
-    pf, qf = f._dense
-    pg, qg = g._dense
+    pf, qf = f._rows[:2]
+    pg, qg = g._rows[:2]
     num = npoly.polyadd(npoly.polymul(pf, qg), npoly.polymul(pg, qf))
     den = npoly.polymul(qf, qg)
     c0 = den[0]
@@ -300,31 +297,44 @@ def require_nonnegative(x, x_power: float) -> None:
         raise NegativeAbscissa("non-integer x_power needs x >= 0")
 
 
-def _substitute(x, x_power: float):
+def _substitutions(x, exponents) -> np.ndarray:
+    # t = x**q for each of `exponents`, one row each, or one row for all
+    # when they agree.  Each distinct exponent takes its own scalar power:
+    # numpy's fast paths for 0.5, 1 and 2 round differently from pow.
     xs = np.asarray(x, dtype=float)
-    require_nonnegative(xs, x_power)
-    return xs**x_power
+    ts = dict.fromkeys(exponents)
+    for q in ts:
+        require_nonnegative(xs, q)
+        ts[q] = xs**q
+    return ts[q][None] if len(ts) == 1 else np.stack([ts[q] for q in exponents])
 
 
-def _horner(t, arrays) -> np.ndarray:
-    # Coefficient arrays evaluated at t in one polyval call, one row per
-    # array.  Shorter arrays are padded with top zeros, which leave
-    # Horner's values unchanged.
-    top = max(map(len, arrays))
-    c = [a if len(a) == top else np.concatenate((a, np.zeros(top - len(a)))) for a in arrays]
-    return npoly.polyval(t, np.array(c).T)
+def _stack(models) -> tuple[np.ndarray, list]:
+    # The models' _rows as one (top, 4, K) stack, coefficient first for polyval
+    # and padded with top zeros (Horner's values unchanged); their exponents.
+    c = np.zeros((max(m._rows.shape[1] for m in models), 4, len(models)))
+    for k, m in enumerate(models):
+        c[: m._rows.shape[1], :, k] = m._rows.T
+    return c, [m.x_power for m in models]
+
+
+def _horner(c, t) -> np.ndarray:
+    # The polynomials of the (top, ..., K) coefficient stack c, each at its own
+    # row of t, a (K, ...) or shared (1, ...) stack of substituted abscissae.
+    if len(t) == 1:  # shared: the tensor form, with scalar fast paths for scalar x
+        return npoly.polyval(t[0], c)
+    return npoly.polyval(t, c.reshape(c.shape + (1,) * (t.ndim - 1)), tensor=False)
 
 
 def stacked_parts(models, x) -> tuple[np.ndarray, np.ndarray]:
-    """P(t) and Q(t) at t = x**x_power of models sharing x_power, one row per model."""
-    p, q = zip(*(m._dense for m in models))
-    vals = _horner(_substitute(x, models[0].x_power), p + q)
-    return vals[: len(p)], vals[len(p) :]
+    """P(t) and Q(t) at t = x**x_power of each model, one row per model."""
+    c, exponents = _stack(models)
+    return tuple(_horner(c[:, :2], _substitutions(x, exponents)))
 
 
 def slopes(models, x) -> tuple[np.ndarray, np.ndarray]:
-    """dR/dx of models sharing x_power by the quotient rule, with their
-    denominator values; one row per model.
+    """dR/dx of each model by the quotient rule, with its denominator
+    values; one row per model.
 
     The chain rule contributes x_power * x**(x_power - 1) from the
     substitution; for x_power == 1 that factor is exactly 1.  Entries
@@ -338,17 +348,18 @@ def slopes(models, x) -> tuple[np.ndarray, np.ndarray]:
     SingularDerivative
         For x = 0 with x_power < 1, where the chain-rule factor is infinite.
     """
-    x_power = models[0].x_power
+    return _slopes(*_stack(models), x)
+
+
+def _slopes(c, exponents, x):
     xs = np.asarray(x, dtype=float)
-    t = _substitute(xs, x_power)
-    if x_power < 1.0 and np.any(xs == 0.0):
-        raise SingularDerivative(f"dR/dx at x = 0 needs x_power >= 1, not {x_power:g}")
-    p, q = zip(*(m._dense for m in models))
-    dp, dq = zip(*(m._slope_dense for m in models))
-    num, den, dnum, dden = _horner(t, p + q + dp + dq).reshape(4, len(models), *np.shape(t))
+    t = _substitutions(xs, exponents)
+    if np.any(xs == 0.0) and (low := min(exponents)) < 1.0:
+        raise SingularDerivative(f"dR/dx at x = 0 needs x_power >= 1, not {low:g}")
+    num, den, dnum, dden = _horner(c, t)
     out = (dnum * den - num * dden) / np.where(np.abs(den) <= DENOM_TOL, 1.0, den * den)
-    if x_power != 1.0:
-        out = out * x_power * xs ** (x_power - 1.0)
+    if any(q != 1.0 for q in exponents):
+        out = out * np.reshape(exponents, (-1,) + (1,) * xs.ndim) * _substitutions(xs, [q - 1.0 for q in exponents])
     return out, den
 
 
@@ -364,9 +375,12 @@ def pole_scan(model: RationalModel, interval: tuple[float, float], points: int =
 
 
 def pole_scans(models, interval: tuple[float, float], points: int = 1001) -> list[PoleReport]:
-    """pole_scan of models sharing x_power: one stacked evaluation of the
-    denominators on the grid, then each model's own brackets, bisected in
-    grid order."""
+    """pole_scan of each model: one stacked evaluation of the denominators
+    on the grid, then each model's own brackets, bisected in grid order."""
+    return _scans(*_stack(models), interval, points)
+
+
+def _scans(c, exponents, interval, points) -> list[PoleReport]:
     a, b = float(interval[0]), float(interval[1])
     if not (b > a):
         raise ValueError("scan interval must have positive length")
@@ -374,29 +388,24 @@ def pole_scans(models, interval: tuple[float, float], points: int = 1001) -> lis
         raise ValueError("scan interval must be finite")
     if points < 2:
         raise ValueError("need at least two scan points")
-    x_power = models[0].x_power
-    require_nonnegative(a, x_power)
     xs = _scan_grid(a, b, points)
-    vals = _horner(xs**x_power, [m._dense[1] for m in models])
+    vals = _horner(c[:, 1], _substitutions(xs, exponents))
     zero = vals == 0.0
     # Sign changes (never at a zero node) and the first nodes of zero runs
-    # among nodes 0..points-2.
+    # among nodes 0..points-2, then a zero last node.
     brackets = vals[:, :-1] * vals[:, 1:] < 0.0
     brackets[:, 0] |= zero[:, 0]
     brackets[:, 1:] |= zero[:, 1:-1] & ~zero[:, :-2]
-    reports = []
-    for model, row, zrow, hits, low in zip(models, vals, zero, brackets, np.abs(vals).min(axis=1).tolist()):
-        changes = []
-        for i in np.flatnonzero(hits):
-            if zrow[i]:
-                changes.append((float(xs[i]),) * 3)
-                continue
-            lo, hi = _bisect(model._dense[1], x_power, float(xs[i]), float(xs[i + 1]), float(row[i]))
-            changes.append((lo, hi, 0.5 * (lo + hi)))
-        if zrow[-1]:
-            changes.append((float(xs[-1]),) * 3)
-        reports.append(PoleReport((a, b), points, low, tuple(changes)))
-    return reports
+    changes: list = [[] for _ in exponents]
+    for k, i in zip(*(index.tolist() for index in np.nonzero(brackets))):
+        if zero[k, i]:
+            changes[k].append((float(xs[i]),) * 3)
+            continue
+        lo, hi = _bisect(c[:, 1, k], exponents[k], float(xs[i]), float(xs[i + 1]), float(vals[k, i]))
+        changes[k].append((lo, hi, 0.5 * (lo + hi)))
+    for k in np.flatnonzero(zero[:, -1]).tolist():
+        changes[k].append((float(xs[-1]),) * 3)
+    return [PoleReport((a, b), points, low, tuple(found)) for low, found in zip(np.abs(vals).min(axis=1).tolist(), changes)]
 
 
 @lru_cache(maxsize=8)

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import product
 
 from .diagnostics import DerivativeGridSpec
 from .errors import EmptySweep, NoFeasibleModel, PadefitError
-from .fitting import Dataset, FitConfig, FitReport, _fit, fit_linearized
+from .fitting import Dataset, FitConfig, FitReport, _fit, _members
 from .rational import pole_scans, require_nonnegative
 
 
@@ -85,8 +86,7 @@ def grid_search(
     tail power does not clear both degrees, or that leave no coefficient
     free, are recorded as failed candidates rather than silently skipped.
     The search is exhaustive and deterministic; candidates are enumerated
-    in q, n, m, l order, and the valid structures of each exponent are
-    fitted as one batch.
+    in q, n, m, l order, and all valid structures are fitted as one batch.
 
     Raises
     ------
@@ -98,31 +98,21 @@ def grid_search(
     if not (0 <= lam < math.inf and 0 <= lam1 < math.inf):
         raise ValueError("penalty weights must be nonnegative and finite")
     rows: list[Candidate] = []
+    batch = []  # (row, attempt, config) of the valid structures: one fit batch
     tails = space.l_candidates if space.l_candidates is not None else (None,)
-    for q in space.q_grid:
-        batch = []  # (row, attempt, config) of this q's valid structures: one fit batch
-        for n in range(space.n_range[0], space.n_range[1] + 1):
-            for m in range(space.m_range[0], space.m_range[1] + 1):
-                for l in tails:
-                    attempt = (n, m, l, q)
-                    try:
-                        cfg = FitConfig(
-                            n=n,
-                            m=m,
-                            tail_power=l,
-                            x_power=q,
-                            lam=lam,
-                            lam1=lam1,
-                            zero_powers=zero_powers,
-                        )
-                    except ValueError as exc:
-                        rows.append(Candidate(attempt, None, None, str(exc)))
-                        continue
-                    batch.append((len(rows), attempt, cfg))
-                    rows.append(None)
-        for (i, attempt, cfg), fit in zip(batch, _fit(data, [cfg for _i, _a, cfg in batch], None, scan_points)):
-            failed = isinstance(fit, PadefitError)
-            rows[i] = Candidate(attempt, cfg, None if failed else fit, str(fit) if failed else None)
+    degrees = product(range(space.n_range[0], space.n_range[1] + 1), range(space.m_range[0], space.m_range[1] + 1))
+    for q, (n, m), l in product(space.q_grid, list(degrees), tails):
+        attempt = (n, m, l, q)
+        try:
+            cfg = FitConfig(n=n, m=m, tail_power=l, x_power=q, lam=lam, lam1=lam1, zero_powers=zero_powers)
+        except ValueError as exc:
+            rows.append(Candidate(attempt, None, None, str(exc)))
+            continue
+        batch.append((len(rows), attempt, cfg))
+        rows.append(None)
+    for (i, attempt, cfg), fit in zip(batch, _fit(data, [cfg for _i, _a, cfg in batch], None, scan_points)):
+        failed = isinstance(fit, PadefitError)
+        rows[i] = Candidate(attempt, cfg, None if failed else fit, str(fit) if failed else None)
     fitted = [c for c in rows if c.report is not None]
     if not fitted:
         raise NoFeasibleModel("every candidate in the search space failed")
@@ -182,7 +172,7 @@ def lambda_sweep(
         raise ValueError("penalty grid must be strictly ascending")
     interval = der_interval if der_interval is not None else data.interval()
     der_grid = DerivativeGridSpec(interval, der_points, placement)
-    fits = _fit_counted(data, [replace(config, lam=lam) for lam in lams], der_grid, interval, scan_points)
+    fits = _fit_counted(data, _members(config, "lam", lams), der_grid, interval, scan_points)
     rows = []
     for lam, fit in zip(lams, fits):
         if isinstance(fit, PadefitError):
@@ -256,7 +246,8 @@ def q_search(
     *,
     scan_points: int = 1001,
 ) -> tuple[float, FitReport]:
-    """One fit per substitution exponent; best by s, first grid value wins ties.
+    """Fit the config at every substitution exponent, as one batch; best by
+    s, first grid value wins ties.
 
     Raises
     ------
@@ -274,12 +265,8 @@ def q_search(
     for q in qs:
         require_nonnegative(data.x, q)
     best: tuple[float, FitReport] | None = None
-    for q in qs:
-        try:
-            report = fit_linearized(data, replace(config, x_power=q), scan_points=scan_points)
-        except PadefitError:
-            continue
-        if best is None or report.s < best[1].s:
+    for q, report in zip(qs, _fit(data, _members(config, "x_power", qs), None, scan_points)):
+        if isinstance(report, FitReport) and (best is None or report.s < best[1].s):
             best = (q, report)
     if best is None:
         raise NoFeasibleModel("every substitution exponent failed")
@@ -318,8 +305,8 @@ def tune_lambda1(
     NoFeasibleModel
         If no penalty in the scanned grids is admissible.
     """
-    if baseline_d_der <= 0:
-        raise ValueError("baseline_d_der must be positive")
+    if not (0 < baseline_d_der < math.inf and 0 < refine_step < math.inf and rel_window >= 0):
+        raise ValueError("baseline_d_der and refine_step must be positive and finite, rel_window nonnegative")
     if coarse is None:
         grid = [1.0 - 0.1 * i for i in range(10)] + [0.0]
     else:
@@ -329,8 +316,8 @@ def tune_lambda1(
     scan_interval = pole_interval if pole_interval is not None else der_grid.interval
 
     def best_of(lam1s, best):
-        configs = [replace(config, lam1=lam1) for lam1 in lam1s]
-        for lam1, fit in zip(lam1s, _fit_counted(data, configs, der_grid, scan_interval, scan_points)):
+        fits = _fit_counted(data, _members(config, "lam1", lam1s), der_grid, scan_interval, scan_points)
+        for lam1, fit in zip(lam1s, fits):
             if isinstance(fit, PadefitError):
                 continue
             report, count = fit

@@ -217,7 +217,7 @@ def _tail_power_law(model: RationalModel) -> tuple[float, float] | None:
     power exactly, so 1 - R decays like (c_n / c_d) * x**(dn - dd) in the
     substituted coordinate.
     """
-    p, q = model._dense
+    p, q = model._rows[:2]
     diff = q - p
     if not np.any(diff):
         return None

@@ -4,9 +4,12 @@ The least-squares oracle solves the normal equations
 (G'G + diag ridge) theta = G'F by LU in mpmath at the working precision of
 the caller (mpmath.workdps), so squaring the condition number costs it
 nothing at 50 digits and more.  The pole-scan oracle is the plain
-per-interval loop that padefit.rational.pole_scan vectorizes, and the
-search, sweep and tuning oracles are the per-candidate and per-penalty
-loops of single fits that padefit.selection runs as batches.  The MTTF
+per-interval loop that padefit.rational.pole_scan vectorizes; the report
+oracle recomputes a fit report's fields for one model through the public
+single-model API, as padefit.fitting._fit does for a whole batch at once;
+and the search, sweep, tuning and substitution oracles are the
+per-candidate, per-penalty and per-exponent loops of single fits that
+padefit.selection runs as batches.  The MTTF
 oracle integrates 1 - R in mpmath to the cutoff padefit.weibull.mttf
 chooses and adds the same closed-form tail.
 """
@@ -18,9 +21,19 @@ import mpmath as mp
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from padefit import Candidate, DerivativeGridSpec, FitConfig, SweepRow, fit_linearized, fit_regularized
+from padefit import (
+    Candidate,
+    DerivativeGridSpec,
+    FitConfig,
+    RationalModel,
+    SweepRow,
+    fit_linearized,
+    fit_regularized,
+    oscillation_measure,
+    rmse,
+)
 from padefit.errors import NoFeasibleModel, PadefitError
-from padefit.rational import POLE_REFINE_TOL, PoleReport
+from padefit.rational import DENOM_TOL, POLE_REFINE_TOL, PoleReport
 from padefit.weibull import TAIL_EPS
 
 
@@ -74,7 +87,7 @@ def pole_scan(model, interval, points=1001):
         raise ValueError("scan interval must have positive length")
     if points < 2:
         raise ValueError("need at least two scan points")
-    _, q = model._dense
+    q = model._rows[1]
 
     def den(x):
         return npoly.polyval(np.asarray(x, dtype=float) ** model.x_power, q)
@@ -110,6 +123,51 @@ def pole_scan(model, interval, points=1001):
         min_abs_denominator=min_abs,
         sign_changes=tuple(changes),
     )
+
+
+def report(model, data, der_grid=None, scan_points=1001):
+    """Every field of the FitReport that padefit.fitting._fit gives `model`
+    on `data`, except the solve's diagnostics, as a dict: one model at a
+    time, from the public single-model API on a model rebuilt from its
+    fields.  Raises the PadefitError that ends such a fit."""
+    model = RationalModel(model.numer, model.denom, model.tail, model.x_power, model.zero_powers)
+    num, den = model.parts(data.x)
+    rho = num - data.f * den
+    lowest = float(np.min(np.abs(den)))
+    truth = None if data.underlying is None else np.asarray(data.underlying(data.x), dtype=float)
+    d1 = None if truth is None else math.inf
+    s = d = math.inf
+    if lowest > DENOM_TOL:
+        r = num / den
+        s = float(np.dot(r - data.f, r - data.f))
+        d = math.sqrt(s / len(data))
+        d1 = None if truth is None else rmse(r, truth)
+    lo, hi = data.interval()
+    return {
+        "s": s,
+        "s0": float(np.dot(rho, rho)),
+        "d": d,
+        "d0": None if truth is None else rmse(data.f, truth),
+        "d1": d1,
+        "d_der": None if der_grid is None else oscillation_measure(model, der_grid),
+        "poles": pole_scan(model, (lo, hi), scan_points) if hi > lo else PoleReport((lo, hi), 0, lowest, ()),
+        "denominator_vanishes": lowest <= DENOM_TOL,
+    }
+
+
+def q_search(data, config, q_grid, scan_points=1001):
+    """padefit.q_search from one fit_linearized per exponent."""
+    best = None
+    for q in q_grid:
+        try:
+            fit = fit_linearized(data, replace(config, x_power=float(q)), scan_points=scan_points)
+        except PadefitError:
+            continue
+        if best is None or fit.s < best[1].s:
+            best = (float(q), fit)
+    if best is None:
+        raise NoFeasibleModel("every substitution exponent failed")
+    return best
 
 
 def grid_search(data, space, lam=0.0, lam1=0.0, zero_powers=frozenset(), scan_points=1001):
@@ -185,7 +243,7 @@ def mttf(model, x_max, dps=35):
     xs = np.linspace(0.0, x_max, 4097)[1:]
     loud = np.flatnonzero(np.abs(1.0 - model(xs)) >= TAIL_EPS)
     x_cut = float(xs[0] if loud.size == 0 else xs[min(loud[-1] + 1, xs.size - 1)])
-    p, q = ([mp.mpf(float(c)) for c in a] for a in model._dense)
+    p, q = ([mp.mpf(float(c)) for c in a] for a in model._rows[:2])
     with mp.workdps(dps):
         power = mp.mpf(model.x_power)
         cut = mp.mpf(x_cut)

@@ -8,7 +8,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle
@@ -51,6 +51,18 @@ def test_dataset_validation():
         Dataset(np.array([1.0, math.nan]), np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
         Dataset(np.array([]), np.array([]))
+
+
+def test_dataset_copies_the_callers_arrays():
+    x = np.linspace(0.0, 1.0, 5)
+    f = x**2
+    data = Dataset(x, f)
+    assert x.flags.writeable and f.flags.writeable
+    x[0] = 1.0
+    f[:] = -1.0
+    np.testing.assert_array_equal(data.x, np.linspace(0.0, 1.0, 5))
+    np.testing.assert_array_equal(data.f, np.linspace(0.0, 1.0, 5) ** 2)
+    assert not (data.x.flags.writeable or data.f.flags.writeable)
 
 
 def test_dataset_interval_and_sort():
@@ -267,6 +279,116 @@ def test_failing_member_leaves_its_neighbours_alone(case):
                 fit_regularized(data, cfg, der)
         else:
             assert got == fit_regularized(data, cfg, der)
+
+
+#: Exponents of the mixed batches: numpy's scalar power has fast paths
+#: for 0.5, 1 and 2, which round differently from its general power.
+EXPONENTS = (0.5, 0.65, 1.0, 2.0, 1.5, 3.0)
+
+
+def _configs(draws):
+    configs = []
+    for n, m, tail, q, lam, lam1, pinned in draws:
+        try:
+            configs.append(FitConfig(n, m, tail, q, lam, lam1, frozenset({0}) if pinned else frozenset()))
+        except ValueError:  # a structure with no free coefficient
+            pass
+    return configs
+
+
+def _assert_batch_matches_oracle(data, configs, der, points, evaluate_on=None):
+    # Each member of a mixed batch: the outcome of its lone fit; for a
+    # report, every field of the report oracle, and a model equal to its
+    # public reconstruction down to the bits of its dense rows.
+    target = evaluate_on if evaluate_on is not None else data
+    batch = fitting._fit(data, configs, der, points, evaluate_on)
+    assert len(batch) == len(configs)
+    for cfg, got in zip(configs, batch):
+        (lone,) = fitting._fit(data, [cfg], der, points, evaluate_on)
+        if isinstance(lone, PadefitError):
+            _assert_same_outcome(got, lone)
+            continue
+        assert repr(got) == repr(lone)
+        want = oracle.report(got.model, target, der, points)
+        assert repr({name: getattr(got, name) for name in want}) == repr(want)
+        model = got.model
+        public = RationalModel(model.numer, model.denom, model.tail, model.x_power, model.zero_powers)
+        assert model == public and model.x_power == cfg.x_power
+        assert np.array_equal(model._rows, public._rows)
+        assert model._rows.shape == public._rows.shape and model._rows.tobytes() == public._rows.tobytes()
+
+
+CONFIG_DRAW = st.tuples(
+    st.integers(0, 3),
+    st.integers(0, 3),
+    st.sampled_from([None, 4, 6]),
+    st.sampled_from(EXPONENTS),
+    st.sampled_from([0.0, 1e-3]),
+    st.sampled_from([0.0, 1e-3, 0.5]),
+    st.booleans(),
+)
+DER_GRIDS = st.one_of(
+    st.none(),
+    st.builds(
+        DerivativeGridSpec,
+        st.sampled_from([(0.0, 2.0), (-0.5, 1.5), (-1.0, 1.0), (0.5, 1.0)]),
+        st.integers(1, 12),
+        st.sampled_from(["right", "inside", "midpoint"]),
+    ),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    lo=st.sampled_from([0.0, 0.5, -1.0]),
+    count=st.integers(2, 25),
+    seed=st.integers(0, 2**16),
+    truth=st.booleans(),
+    draws=st.lists(CONFIG_DRAW, min_size=1, max_size=10),
+    der=DER_GRIDS,
+    points=st.sampled_from([2, 11, 101]),
+)
+# a vanishing-free (3, 6) structure at all four fast-path and general exponents
+@example(0.0, 10, 5, True, [(3, 6, None, q, 0.0, lam1, True) for q in (0.5, 0.65, 1.0, 2.0) for lam1 in (0.0, 0.5)], None, 101)
+# q < 1 with a derivative grid node at x = 0: SingularDerivative for those members only
+@example(0.0, 12, 1, False, [(2, 1, None, q, 0.0, 0.0, False) for q in EXPONENTS], DerivativeGridSpec((-0.5, 1.5), 4), 11)
+# non-integer exponents on negative abscissae: NegativeAbscissa for those members only
+@example(-1.0, 9, 2, True, [(2, 1, 4, q, 1e-3, 0.0, False) for q in EXPONENTS], DerivativeGridSpec((-1.0, 1.0), 7), 11)
+def test_mixed_batches_match_report_oracle(lo, count, seed, truth, draws, der, points):
+    configs = _configs(draws)
+    rng = np.random.default_rng(seed)
+    x = np.linspace(lo, lo + 2.0, count)
+    data = Dataset(x, np.cos(3.0 * x) + 0.1 * rng.normal(size=count), np.cos if truth else None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        _assert_batch_matches_oracle(data, configs, der, points)
+
+
+def test_constant_members_keep_the_signed_zero_slope_row():
+    # polyder of a negative constant is -0.0, in a batch as on its own
+    x = np.linspace(-1.0, 1.0, 7)
+    data = Dataset(x, -2.0 - 0.1 * x)
+    configs = [FitConfig(0, 0, x_power=q) for q in (1.0, 2.0)] + [FitConfig(1, 1), FitConfig(0, 0, 5)]
+    _assert_batch_matches_oracle(data, configs, DerivativeGridSpec((-1.0, 1.0), 5), 11)
+    assert np.signbit(fitting._fit(data, configs, None, 11)[0].model._rows[2, 0])
+
+
+def test_mixed_batch_with_vanishing_denominator_matches_report_oracle():
+    # (0, 1) at q = 1 through these references is 1/(1 - x/2), whose
+    # denominator vanishes at the evaluation abscissa x = 2; the other
+    # members pass through the same references at other exponents.
+    refs = Dataset(np.array([1.0, 3.0]), np.array([2.0, -2.0]))
+    full = Dataset(np.array([1.0, 2.0, 3.0]), np.array([2.0, 0.0, -2.0]), np.cos)
+    configs = [FitConfig(0, 1, x_power=q) for q in (0.5, 1.0, 0.65, 2.0)] + [FitConfig(1, 0, x_power=0.5)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for der in (None, DerivativeGridSpec((1.0, 3.0), 7), DerivativeGridSpec((1.0, 3.0), 4)):
+            _assert_batch_matches_oracle(refs, configs, der, 101, evaluate_on=full)
+    (vanishing,) = [r for r in fitting._fit(refs, configs, None, 101, full) if r.denominator_vanishes]
+    assert vanishing.model.x_power == 1.0 and vanishing.s == vanishing.d == vanishing.d1 == math.inf
+    # at x = 2 on the derivative grid it is that member's own DenominatorZero
+    batch = fitting._fit(refs, configs, DerivativeGridSpec((1.0, 3.0), 4), 101, full)
+    assert [type(r).__name__ for r in batch].count("DenominatorZero") == 1
 
 
 # -- exact interpolation ----------------------------------------------------

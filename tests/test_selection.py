@@ -338,6 +338,49 @@ def test_q_search_first_grid_value_wins_ties():
     assert q == 0.7
 
 
+Q_GRID = tuple(round(0.5 + 0.05 * i, 2) for i in range(11)) + (1.0, 2.0, 3.0)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize(
+    "config",
+    [FitConfig(n=3, m=0), FitConfig(n=3, m=6, zero_powers=frozenset({0}), lam1=0.3), FitConfig(n=2, m=2, lam=1e-3)],
+)
+def test_q_search_equals_per_exponent_loop(seed, config):
+    data = sample_noisy(sqrt_exp, uniform_grid(0.0, 2.0, 10), NoiseSpec(0.1, seed))
+    assert q_search(data, config, Q_GRID) == oracle.q_search(data, config, Q_GRID)
+
+
+def _counted_fits(monkeypatch):
+    calls = []
+
+    def counting(data, configs, *args, **kwargs):
+        calls.append(len(configs))
+        return fit(data, configs, *args, **kwargs)
+
+    fit = selection._fit
+    monkeypatch.setattr(selection, "_fit", counting)
+    return calls
+
+
+def test_q_search_is_one_batch(monkeypatch):
+    data = sample_noisy(sqrt_exp, uniform_grid(0.0, 2.0, 10), NoiseSpec(0.1, 5))
+    calls = _counted_fits(monkeypatch)
+    q_search(data, FitConfig(n=3, m=0), Q_GRID)
+    assert calls == [len(Q_GRID)]
+
+
+@pytest.mark.parametrize("q_grid", [(1.0,), (1.0, 0.5), (0.5, 0.65, 1.0, 2.0)])
+def test_grid_search_is_one_batch(monkeypatch, q_grid):
+    data = _exact_data()
+    space = SearchSpace(n_range=(0, 3), m_range=(0, 2), l_candidates=(None, 4), q_grid=q_grid)
+    want = oracle.grid_search(data, space)
+    calls = _counted_fits(monkeypatch)
+    _best, rows = grid_search(data, space)
+    assert len(calls) == 1 and calls[0] == sum(c.config is not None for c in rows)
+    assert rows == want
+
+
 def test_q_search_rejects_negative_abscissae():
     data = Dataset(np.array([-1.0, 0.0, 1.0]), np.array([1.0, 0.0, 1.0]))
     with pytest.raises(NegativeAbscissa):
@@ -449,6 +492,34 @@ def test_tune_lambda1_validates_baseline():
     der = DerivativeGridSpec((0.4, 2.0), 40)
     with pytest.raises(ValueError):
         tune_lambda1(data, FitConfig(n=2, m=1), 0.0, der_grid=der)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        dict(baseline_d_der=0.0),
+        dict(baseline_d_der=-1.0),
+        dict(baseline_d_der=math.nan),
+        dict(baseline_d_der=math.inf),
+        dict(refine_step=0.0),
+        dict(refine_step=-0.01),
+        dict(refine_step=math.nan),
+        dict(refine_step=math.inf),
+        dict(rel_window=math.nan),
+        dict(rel_window=-0.1),
+    ],
+)
+def test_tune_lambda1_validates_arguments(bad):
+    # checked before any fit: a zero step divided by zero, a negative one
+    # silently walked the fine grid backwards, and NaNs failed late or
+    # ended in a misleading NoFeasibleModel
+    data = sample_noisy(sqrt_exp, uniform_grid(0.0, 2.0, 10), NoiseSpec(0.1, 5))
+    args = dict(baseline_d_der=0.3, refine_step=0.01, rel_window=0.10) | bad
+    baseline = args.pop("baseline_d_der")
+    config = FitConfig(n=3, m=6, x_power=0.65, zero_powers=frozenset({0}))
+    with pytest.raises(ValueError):
+        tune_lambda1(data, config, baseline, der_grid=DerivativeGridSpec((0.0, 2.0), 100), **args)
+
 
 
 def test_tune_lambda1_rejects_negative_penalties():
