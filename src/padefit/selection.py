@@ -101,7 +101,7 @@ def grid_search(
     batch = []  # (row, attempt, config) of the valid structures: one fit batch
     tails = space.l_candidates if space.l_candidates is not None else (None,)
     degrees = product(range(space.n_range[0], space.n_range[1] + 1), range(space.m_range[0], space.m_range[1] + 1))
-    for q, (n, m), l in product(space.q_grid, list(degrees), tails):
+    for q, (n, m), l in product(space.q_grid, degrees, tails):
         attempt = (n, m, l, q)
         try:
             cfg = FitConfig(n=n, m=m, tail_power=l, x_power=q, lam=lam, lam1=lam1, zero_powers=zero_powers)
