@@ -318,8 +318,10 @@ def _assert_batch_matches_oracle(data, configs, der, points, evaluate_on=None):
         assert model._rows.shape == public._rows.shape and model._rows.tobytes() == public._rows.tobytes()
 
 
+# Numerator degrees up to 5 put a numerator power of one member where
+# another member's tail power 4 goes.
 CONFIG_DRAW = st.tuples(
-    st.integers(0, 3),
+    st.integers(0, 5),
     st.integers(0, 3),
     st.sampled_from([None, 4, 6]),
     st.sampled_from(EXPONENTS),
