@@ -228,7 +228,6 @@ def _build_reports(
     vanishes = lowest <= DENOM_TOL
     rho = num - data.f * den
     s0 = (rho[:, None] @ rho[..., None])[:, 0, 0]  # BLAS ddot per row, the bits of np.dot
-    # s, d and d1 are +inf where Q vanishes at a data point.
     s, d1 = np.full(len(models), math.inf), np.full(len(models), math.inf)
     r = num[~vanishes] / den[~vanishes]
     res = r - data.f
@@ -238,6 +237,7 @@ def _build_reports(
     d1 = d1.tolist() if truth is not None else [None] * len(models)
     d = np.sqrt(s / len(data)).tolist()
     fields = zip(models, s.tolist(), s0.tolist(), d, [d0] * len(models), d1, d_ders, poles, diagnostics, vanishes.tolist())
+    # row[6] is d_der: a DenominatorZero on the derivative grid is that member's outcome
     return [row[6] if isinstance(row[6], PadefitError) else FitReport(*row) for row in fields]
 
 
