@@ -184,24 +184,16 @@ def _build_config(args) -> FitConfig:
         lam1=args.lam1,
         zero_powers=mask,
     )
-    try:
-        if args.form == "cdf":
-            if args.l is None:
-                raise UsageError("--form cdf requires --l (the shared tail power)")
-            return FitConfig.cdf_form(args.n, args.m, args.l, **kwargs)
-        return FitConfig(n=args.n, m=args.m, tail_power=args.l, **kwargs)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    if args.form == "cdf":
+        if args.l is None:
+            raise UsageError("--form cdf requires --l (the shared tail power)")
+        return FitConfig.cdf_form(args.n, args.m, args.l, **kwargs)
+    return FitConfig(n=args.n, m=args.m, tail_power=args.l, **kwargs)
 
 
-def _der_grid(args, data: Dataset) -> DerivativeGridSpec | None:
-    if args.der_interval is None:
-        return None
-    interval = _parse_interval(args.der_interval, "--der-interval")
-    try:
-        return DerivativeGridSpec(interval, args.der_points)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+def _der_grid(args, data: Dataset) -> DerivativeGridSpec:
+    interval = data.interval() if args.der_interval is None else _parse_interval(args.der_interval, "--der-interval")
+    return DerivativeGridSpec(interval, args.der_points)
 
 
 # ---------------------------------------------------------------------------
@@ -293,10 +285,7 @@ def cmd_interpolate(args) -> int:
         rx, ry = read_points(args.refs)
         refs = Dataset(rx, ry, underlying=data.underlying)
     else:
-        try:
-            refs = build_reference_points(data, args.group_size, _parse_anchors(args.anchors))
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        refs = build_reference_points(data, args.group_size, _parse_anchors(args.anchors))
     report = interpolate_reference(refs, args.n, args.m, mask, evaluate_on=data)
     doc = {
         "command": "interpolate",
@@ -315,15 +304,12 @@ def cmd_search(args) -> int:
         if args.l_list is None:
             raise UsageError("--form cdf requires --l-list (tail powers to try)")
         mask = mask | {0}
-    try:
-        space = SearchSpace(
-            n_range=_parse_int_range(args.n_range, "--n-range"),
-            m_range=_parse_int_range(args.m_range, "--m-range"),
-            l_candidates=_parse_ints(args.l_list, "--l-list") if args.l_list else None,
-            q_grid=_parse_floats(args.q_grid, "--q-grid") if args.q_grid else (1.0,),
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    space = SearchSpace(
+        n_range=_parse_int_range(args.n_range, "--n-range"),
+        m_range=_parse_int_range(args.m_range, "--m-range"),
+        l_candidates=_parse_ints(args.l_list, "--l-list") if args.l_list else None,
+        q_grid=_parse_floats(args.q_grid, "--q-grid") if args.q_grid else (1.0,),
+    )
     best, rows = grid_search(data, space, lam=args.lam, lam1=args.lam1, zero_powers=mask)
     table = []
     for cand in rows:
@@ -365,10 +351,7 @@ def cmd_sweep(args) -> int:
     der_interval = (
         _parse_interval(args.der_interval, "--der-interval") if args.der_interval else None
     )
-    try:
-        sweep = lambda_sweep(data, config, grid, der_interval, args.der_points)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    sweep = lambda_sweep(data, config, grid, der_interval, args.der_points)
     chosen = sweep.chosen_lam()
     row = sweep.rows[sweep.chosen]
     if row.report is None:
@@ -435,12 +418,9 @@ def cmd_generate(args) -> int:
     if args.fn == "weibull":
         if args.count is None:
             raise UsageError("generate --fn weibull requires --count")
-        try:
-            params = WeibullParams(args.theta, args.beta)
-            times = simulate_weibull_failures(params, args.count, args.seed)
-            ranks = median_ranks(args.count, args.rank_a)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        params = WeibullParams(args.theta, args.beta)
+        times = simulate_weibull_failures(params, args.count, args.seed)
+        ranks = median_ranks(args.count, args.rank_a)
         return_text = format_points(times, ranks)
     else:
         if args.grid is None:
@@ -452,11 +432,8 @@ def cmd_generate(args) -> int:
             a, b, sub = float(parts[0]), float(parts[1]), int(parts[2])
         except ValueError as exc:
             raise UsageError(f"--grid: expected A:B:SUBINTERVALS, got {args.grid!r}") from exc
-        try:
-            xs = uniform_grid(a, b, sub)
-            data = sample_noisy(FUNCTIONS[args.fn], xs, NoiseSpec(args.sigma, args.seed))
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        xs = uniform_grid(a, b, sub)
+        data = sample_noisy(FUNCTIONS[args.fn], xs, NoiseSpec(args.sigma, args.seed))
         return_text = format_points(data.x, data.f)
     _write_output(args.out, return_text)
     return 0
@@ -581,14 +558,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (CountMismatch, DuplicateAbscissa) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 1
     except PadefitError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)

@@ -15,7 +15,7 @@ from typing import Callable, Literal
 import numpy as np
 
 from .errors import DenominatorZero, EmptyInput, LengthMismatch
-from .rational import DENOM_TOL, RationalModel, _slopes, _stack, denominator_zero
+from .rational import DENOM_TOL, RationalModel, _slopes, denominator_zero
 
 #: Relative step for the finite-difference fallback derivative.
 FD_STEP = 1e-6
@@ -96,14 +96,10 @@ def oscillation_measure(
     return float(np.sqrt(np.mean(d * d)))
 
 
-def oscillation_measures(models, grid: DerivativeGridSpec) -> list[float | DenominatorZero]:
-    """oscillation_measure of each rational model, from one stacked
-    quotient-rule pass; a model whose denominator vanishes on the grid
-    gets the DenominatorZero its own measure would raise."""
-    return _measures(*_stack(models), grid)
-
-
 def _measures(c, exponents, grid: DerivativeGridSpec) -> list[float | DenominatorZero]:
+    # oscillation_measure of each model of the (top, 4, K) stack c, from
+    # one stacked quotient-rule pass; a model whose denominator vanishes on
+    # the grid gets the DenominatorZero its own measure would raise.
     xs = grid.grid()
     d, den = _slopes(c, exponents, xs)
     vanishing = np.abs(den).min(axis=1) <= DENOM_TOL

@@ -32,10 +32,7 @@ from . import linsys
 from .diagnostics import DerivativeGridSpec, _measures, rmse
 from .errors import CountMismatch, DuplicateAbscissa, PadefitError
 from .linsys import SolveDiagnostics
-from .rational import DENOM_TOL, PoleReport, RationalModel, Tail, _horner, _scans, _substitutions
-
-#: Default number of nodes for the pole scan over the data interval.
-SCAN_POINTS = 1001
+from .rational import DENOM_TOL, SCAN_POINTS, PoleReport, RationalModel, Tail, _horner, _scans, _substitutions
 
 
 @dataclass(frozen=True)
@@ -197,7 +194,6 @@ def _build_reports(
     diagnostics: list[SolveDiagnostics],
     data: Dataset,
     der_grid: DerivativeGridSpec | None,
-    scan_points: int,
 ) -> list[FitReport | PadefitError]:
     # One stacked evaluation at the data, pole scan and derivative pass for
     # the models, whose _rows are the (top, 4, K) stack c; then each error
@@ -210,7 +206,7 @@ def _build_reports(
         if data.underlying is not None:
             truth = np.asarray(data.underlying(data.x), dtype=float)
             d0 = rmse(data.f, truth)
-        poles = _scans(c, exponents, (lo, hi), scan_points) if hi > lo else None
+        poles = _scans(c, exponents, (lo, hi), SCAN_POINTS) if hi > lo else None
         d_ders = _measures(c, exponents, der_grid) if der_grid is not None else [None] * len(models)
     except PadefitError as exc:
         if len(set(exponents)) == 1:
@@ -220,7 +216,7 @@ def _build_reports(
         for q in dict.fromkeys(exponents):
             ks = [k for k, e in enumerate(exponents) if e == q]
             part = [models[k] for k in ks], c[:, :, ks], [diagnostics[k] for k in ks]
-            out.update(zip(ks, _build_reports(*part, data, der_grid, scan_points)))
+            out.update(zip(ks, _build_reports(*part, data, der_grid)))
         return [out[k] for k in range(len(models))]
     lowest = np.abs(den).min(axis=1)
     if poles is None:  # single-abscissa data has nothing to scan: a clean empty record
@@ -245,7 +241,6 @@ def _fit(
     data: Dataset,
     configs: list[FitConfig],
     der_grid: DerivativeGridSpec | None,
-    scan_points: int,
     evaluate_on: Dataset | None = None,
 ) -> list[FitReport | PadefitError]:
     """Fit each of `configs` on `data`: one design matrix per exponent for
@@ -285,7 +280,7 @@ def _fit(
     if solved:
         models, c = _models([configs[k] for k in solved], theta[solved], where)
         target = evaluate_on if evaluate_on is not None else data
-        for k, report in zip(solved, _build_reports(models, c, [out[k] for k in solved], target, der_grid, scan_points)):
+        for k, report in zip(solved, _build_reports(models, c, [out[k] for k in solved], target, der_grid)):
             out[k] = report
     return out
 
@@ -297,12 +292,7 @@ def _one(results: list[FitReport | PadefitError]) -> FitReport:
     return result
 
 
-def fit_linearized(
-    data: Dataset,
-    config: FitConfig,
-    *,
-    scan_points: int = SCAN_POINTS,
-) -> FitReport:
+def fit_linearized(data: Dataset, config: FitConfig) -> FitReport:
     """Least squares on the cross-multiplied residuals.
 
     Solves on t = x**x_power with the ridge penalties of the config, and
@@ -312,15 +302,13 @@ def fit_linearized(
     Identical inputs produce bit-identical reports; there is no random
     element anywhere in the pipeline.
     """
-    return _one(_fit(data, [config], None, scan_points))
+    return _one(_fit(data, [config], None))
 
 
 def fit_regularized(
     data: Dataset,
     config: FitConfig,
     der_grid: DerivativeGridSpec | None = None,
-    *,
-    scan_points: int = SCAN_POINTS,
 ) -> FitReport:
     """fit_linearized plus the oscillation measure d_der.
 
@@ -331,7 +319,7 @@ def fit_regularized(
     """
     if der_grid is None:
         der_grid = DerivativeGridSpec(data.interval(), 40)
-    return _one(_fit(data, [config], der_grid, scan_points))
+    return _one(_fit(data, [config], der_grid))
 
 
 def interpolate_reference(
@@ -341,7 +329,6 @@ def interpolate_reference(
     zero_powers: frozenset[int] = frozenset(),
     *,
     evaluate_on: Dataset | None = None,
-    scan_points: int = SCAN_POINTS,
 ) -> FitReport:
     """Fit by passing exactly through a set of reference points.
 
@@ -370,7 +357,7 @@ def interpolate_reference(
     free = config.free_count()
     if len(x) < free:
         raise CountMismatch(f"{len(x)} reference points for {free} free coefficients")
-    return _one(_fit(refpoints, [config], None, scan_points, evaluate_on))
+    return _one(_fit(refpoints, [config], None, evaluate_on))
 
 
 def build_reference_points(

@@ -125,7 +125,7 @@ def solve_least_squares(
         deficient, or a coefficient overflows.
     """
     g = np.asarray(g, dtype=float)
-    f = np.asarray(f, dtype=float)
+    f = np.ascontiguousarray(f, dtype=float)  # a strided F takes another BLAS path in Q'F
     ridges = np.asarray(ridges, dtype=float)
     rows, p = g.shape[-2:]
     if ridges.shape[1:] != (p,) or g.shape[:-2] not in ((), ridges.shape[:1]):

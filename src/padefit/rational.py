@@ -35,6 +35,9 @@ DENOM_TOL = 1e-300
 #: Absolute bracket width at which pole bisection stops.
 POLE_REFINE_TOL = 1e-12
 
+#: Number of nodes of a pole scan; every fit scans its data interval with it.
+SCAN_POINTS = 1001
+
 
 def denominator_zero(x, den) -> DenominatorZero | None:
     """The DenominatorZero at the first x where |Q| <= DENOM_TOL, or None
@@ -363,7 +366,7 @@ def _slopes(c, exponents, x):
     return out, den
 
 
-def pole_scan(model: RationalModel, interval: tuple[float, float], points: int = 1001) -> PoleReport:
+def pole_scan(model: RationalModel, interval: tuple[float, float], points: int = SCAN_POINTS) -> PoleReport:
     """Scan the denominator for sign changes on a uniform abscissa grid.
 
     The denominator is evaluated in the substituted coordinate t = x**x_power;
@@ -374,7 +377,7 @@ def pole_scan(model: RationalModel, interval: tuple[float, float], points: int =
     return pole_scans((model,), interval, points)[0]
 
 
-def pole_scans(models, interval: tuple[float, float], points: int = 1001) -> list[PoleReport]:
+def pole_scans(models, interval: tuple[float, float], points: int = SCAN_POINTS) -> list[PoleReport]:
     """pole_scan of each model: one stacked evaluation of the denominators
     on the grid, then each model's own brackets, bisected in grid order."""
     return _scans(*_stack(models), interval, points)

@@ -10,13 +10,25 @@ coefficients, then a smaller denominator degree.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import product
 
 from .diagnostics import DerivativeGridSpec
 from .errors import EmptySweep, NoFeasibleModel, PadefitError
-from .fitting import Dataset, FitConfig, FitReport, _fit, _members
+from .fitting import SCAN_POINTS, Dataset, FitConfig, FitReport, _fit, _members
 from .rational import pole_scans, require_nonnegative
+
+#: Relative d_der change between neighbouring sweep rows that marks the
+#: onset of the plateau (choose_lambda).
+PLATEAU_TOL = 0.05
+
+#: tune_lambda1's coarse grid of denominator penalties, 1.0 down to 0.1 in
+#: steps of 0.1, then 0; the refinement pass steps REFINE_STEP on either
+#: side of the coarse winner; admissible fits keep d_der within
+#: D_DER_WINDOW of the baseline, relative.
+COARSE_LAM1 = tuple(1.0 - 0.1 * i for i in range(10)) + (0.0,)
+REFINE_STEP = 0.01
+D_DER_WINDOW = 0.10
 
 
 @dataclass(frozen=True)
@@ -76,8 +88,6 @@ def grid_search(
     lam: float = 0.0,
     lam1: float = 0.0,
     zero_powers: frozenset[int] = frozenset(),
-    *,
-    scan_points: int = 1001,
 ) -> tuple[FitReport, list[Candidate]]:
     """Fit every structure in the space and return the best report plus
     every attempted candidate.
@@ -110,7 +120,7 @@ def grid_search(
             continue
         batch.append((len(rows), attempt, cfg))
         rows.append(None)
-    for (i, attempt, cfg), fit in zip(batch, _fit(data, [cfg for _i, _a, cfg in batch], None, scan_points)):
+    for (i, attempt, cfg), fit in zip(batch, _fit(data, [cfg for _i, _a, cfg in batch], None)):
         failed = isinstance(fit, PadefitError)
         rows[i] = Candidate(attempt, cfg, None if failed else fit, str(fit) if failed else None)
     fitted = [c for c in rows if c.report is not None]
@@ -136,7 +146,7 @@ class SweepRow:
 @dataclass(frozen=True)
 class LambdaSweep:
     """Rows of a numerator-penalty sweep, ascending in lam, plus the index
-    chosen by the default plateau rule."""
+    chosen by the plateau rule of choose_lambda."""
 
     rows: tuple[SweepRow, ...]
     chosen: int
@@ -151,9 +161,6 @@ def lambda_sweep(
     grid,
     der_interval: tuple[float, float] | None = None,
     der_points: int = 40,
-    *,
-    placement: str = "right",
-    scan_points: int = 1001,
 ) -> LambdaSweep:
     """Fit every penalty value, as one batch, and tabulate d, d_der and
     pole count.
@@ -171,8 +178,8 @@ def lambda_sweep(
     if any(b <= a for a, b in zip(lams, lams[1:])):
         raise ValueError("penalty grid must be strictly ascending")
     interval = der_interval if der_interval is not None else data.interval()
-    der_grid = DerivativeGridSpec(interval, der_points, placement)
-    fits = _fit_counted(data, _members(config, "lam", lams), der_grid, interval, scan_points)
+    der_grid = DerivativeGridSpec(interval, der_points)
+    fits = _fit_counted(data, _members(config, "lam", lams), der_grid, interval)
     rows = []
     for lam, fit in zip(lams, fits):
         if isinstance(fit, PadefitError):
@@ -180,52 +187,48 @@ def lambda_sweep(
         else:
             report, count = fit
             rows.append(SweepRow(lam, report.d, report.d_der, count, report=report))
-    sweep = LambdaSweep(rows=tuple(rows), chosen=0)
-    return replace(sweep, chosen=_choose_index(sweep, rel_tol=0.05))
+    return LambdaSweep(rows=tuple(rows), chosen=_choose_index(rows))
 
 
-def _fit_counted(data, configs, der_grid, interval, scan_points):
+def _fit_counted(data, configs, der_grid, interval):
     """_fit of one batch, each report paired with its denominator's sign
     changes on `interval`.  The fits' own scans answer when they covered
-    the same grid; otherwise one stacked scan counts them all, and its
+    the same interval; otherwise one stacked scan counts them all, and its
     failure becomes their error."""
-    fits = _fit(data, configs, der_grid, scan_points)
+    fits = _fit(data, configs, der_grid)
     reports = [r for r in fits if isinstance(r, FitReport)]
     counts = [r.poles.count for r in reports]
-    own = (tuple(map(float, interval)), scan_points)
-    if reports and (reports[0].poles.scan_interval, reports[0].poles.scan_points) != own:
+    if reports and reports[0].poles.scan_interval != tuple(map(float, interval)):
         try:
-            counts = [poles.count for poles in pole_scans([r.model for r in reports], interval, scan_points)]
+            counts = [poles.count for poles in pole_scans([r.model for r in reports], interval, SCAN_POINTS)]
         except PadefitError as exc:
             return [r if isinstance(r, PadefitError) else exc for r in fits]
     counts = iter(counts)
     return [r if isinstance(r, PadefitError) else (r, next(counts)) for r in fits]
 
 
-def _choose_index(sweep: LambdaSweep, rel_tol: float) -> int:
-    rows = sweep.rows
+def _choose_index(rows) -> int:
     for i in range(len(rows) - 1):
         row, nxt = rows[i], rows[i + 1]
         if row.error is not None or nxt.error is not None:
             continue
         if row.pole_count != 0:
             continue
-        if abs(nxt.d_der - row.d_der) <= rel_tol * abs(row.d_der):
+        if abs(nxt.d_der - row.d_der) <= PLATEAU_TOL * abs(row.d_der):
             return i
     clean = [i for i, r in enumerate(rows) if r.error is None and r.pole_count == 0]
     return clean[-1] if clean else len(rows) - 1
 
 
-def choose_lambda(sweep: LambdaSweep, rel_tol: float = 0.05) -> float:
+def choose_lambda(sweep: LambdaSweep) -> float:
     """Smallest pole-free penalty at the onset of the d_der plateau.
 
     A row qualifies when its oscillation measure differs from the next
-    larger penalty's by at most rel_tol relative: past that point extra
-    smoothing no longer changes the derivative picture, so the smallest
-    such penalty distorts the data least.  Falls back to the largest
-    pole-free penalty when no plateau exists (and to the last row if
-    every row has poles).  Loosening rel_tol never moves the choice to
-    a larger penalty.
+    larger penalty's by at most PLATEAU_TOL relative: past that point
+    extra smoothing no longer changes the derivative picture, so the
+    smallest such penalty distorts the data least.  Falls back to the
+    largest pole-free penalty when no plateau exists (and to the last row
+    if every row has poles).
 
     Raises
     ------
@@ -234,17 +237,13 @@ def choose_lambda(sweep: LambdaSweep, rel_tol: float = 0.05) -> float:
     """
     if len(sweep.rows) < 2:
         raise EmptySweep("need at least two rows")
-    if not (rel_tol >= 0):
-        raise ValueError("rel_tol must be nonnegative")
-    return sweep.rows[_choose_index(sweep, rel_tol)].lam
+    return sweep.rows[_choose_index(sweep.rows)].lam
 
 
 def q_search(
     data: Dataset,
     config: FitConfig,
     q_grid,
-    *,
-    scan_points: int = 1001,
 ) -> tuple[float, FitReport]:
     """Fit the config at every substitution exponent, as one batch; best by
     s, first grid value wins ties.
@@ -265,7 +264,7 @@ def q_search(
     for q in qs:
         require_nonnegative(data.x, q)
     best: tuple[float, FitReport] | None = None
-    for q, report in zip(qs, _fit(data, _members(config, "x_power", qs), None, scan_points)):
+    for q, report in zip(qs, _fit(data, _members(config, "x_power", qs), None)):
         if isinstance(report, FitReport) and (best is None or report.s < best[1].s):
             best = (q, report)
     if best is None:
@@ -280,19 +279,16 @@ def tune_lambda1(
     *,
     der_grid: DerivativeGridSpec,
     pole_interval: tuple[float, float] | None = None,
-    rel_window: float = 0.10,
-    coarse=None,
-    refine_step: float = 0.01,
-    scan_points: int = 1001,
 ) -> tuple[float, FitReport]:
     """Coarse-to-fine denominator-penalty pick against a smoothness anchor.
 
     Admissible penalties give a pole-free fit whose d_der stays within
-    rel_window of baseline_d_der (typically the best polynomial's value,
-    polynomials being immune to pole artifacts); among those the smallest
-    s wins.  A coarse pass over `coarse` (default 1.0 down to 0.1 in
+    D_DER_WINDOW (10%) of baseline_d_der (typically the best polynomial's
+    value, polynomials being immune to pole artifacts); among those the
+    smallest s wins.  A coarse pass over COARSE_LAM1 (1.0 down to 0.1 in
     steps of 0.1, then 0) brackets the winner, and one refinement pass at
-    refine_step granularity finishes the job; each pass is one batch fit.
+    REFINE_STEP (0.01) granularity finishes the job; each pass is one
+    batch fit.
 
     pole_interval widens the pole-free requirement past the smoothness
     grid (default: the grid's own interval).  A model meant for
@@ -305,33 +301,25 @@ def tune_lambda1(
     NoFeasibleModel
         If no penalty in the scanned grids is admissible.
     """
-    if not (0 < baseline_d_der < math.inf and 0 < refine_step < math.inf and rel_window >= 0):
-        raise ValueError("baseline_d_der and refine_step must be positive and finite, rel_window nonnegative")
-    if coarse is None:
-        grid = [1.0 - 0.1 * i for i in range(10)] + [0.0]
-    else:
-        grid = [float(v) for v in coarse]
-    if not all(0 <= v < math.inf for v in grid):
-        raise ValueError("penalty values must be nonnegative and finite")
+    if not (0 < baseline_d_der < math.inf):
+        raise ValueError("baseline_d_der must be positive and finite")
     scan_interval = pole_interval if pole_interval is not None else der_grid.interval
 
     def best_of(lam1s, best):
-        fits = _fit_counted(data, _members(config, "lam1", lam1s), der_grid, scan_interval, scan_points)
+        fits = _fit_counted(data, _members(config, "lam1", lam1s), der_grid, scan_interval)
         for lam1, fit in zip(lam1s, fits):
             if isinstance(fit, PadefitError):
                 continue
             report, count = fit
-            ok = count == 0 and abs(report.d_der - baseline_d_der) <= rel_window * baseline_d_der
+            ok = count == 0 and abs(report.d_der - baseline_d_der) <= D_DER_WINDOW * baseline_d_der
             if ok and (best is None or report.s < best[1].s):
                 best = (lam1, report)
         return best
 
-    best = best_of(grid, None)
+    best = best_of(COARSE_LAM1, None)
     if best is None:
         raise NoFeasibleModel("no admissible denominator penalty in the coarse grid")
-    center = best[0]
-    half = 5 * refine_step
-    lo = max(0.0, center - half)
-    hi = min(max(grid), center + half)
-    fine = [lo + refine_step * i for i in range(int(round((hi - lo) / refine_step)) + 1)]
+    lo = max(0.0, best[0] - 5 * REFINE_STEP)
+    hi = min(max(COARSE_LAM1), best[0] + 5 * REFINE_STEP)
+    fine = [lo + REFINE_STEP * i for i in range(int(round((hi - lo) / REFINE_STEP)) + 1)]
     return best_of(fine, best)

@@ -125,7 +125,7 @@ def pole_scan(model, interval, points=1001):
     )
 
 
-def report(model, data, der_grid=None, scan_points=1001):
+def report(model, data, der_grid=None):
     """Every field of the FitReport that padefit.fitting._fit gives `model`
     on `data`, except the solve's diagnostics, as a dict: one model at a
     time, from the public single-model API on a model rebuilt from its
@@ -150,17 +150,17 @@ def report(model, data, der_grid=None, scan_points=1001):
         "d0": None if truth is None else rmse(data.f, truth),
         "d1": d1,
         "d_der": None if der_grid is None else oscillation_measure(model, der_grid),
-        "poles": pole_scan(model, (lo, hi), scan_points) if hi > lo else PoleReport((lo, hi), 0, lowest, ()),
+        "poles": pole_scan(model, (lo, hi)) if hi > lo else PoleReport((lo, hi), 0, lowest, ()),
         "denominator_vanishes": lowest <= DENOM_TOL,
     }
 
 
-def q_search(data, config, q_grid, scan_points=1001):
+def q_search(data, config, q_grid):
     """padefit.q_search from one fit_linearized per exponent."""
     best = None
     for q in q_grid:
         try:
-            fit = fit_linearized(data, replace(config, x_power=float(q)), scan_points=scan_points)
+            fit = fit_linearized(data, replace(config, x_power=float(q)))
         except PadefitError:
             continue
         if best is None or fit.s < best[1].s:
@@ -170,7 +170,7 @@ def q_search(data, config, q_grid, scan_points=1001):
     return best
 
 
-def grid_search(data, space, lam=0.0, lam1=0.0, zero_powers=frozenset(), scan_points=1001):
+def grid_search(data, space, lam=0.0, lam1=0.0, zero_powers=frozenset()):
     """padefit.grid_search's candidate rows from one fit_linearized per
     structure."""
     rows = []
@@ -185,7 +185,7 @@ def grid_search(data, space, lam=0.0, lam1=0.0, zero_powers=frozenset(), scan_po
                         rows.append(Candidate(attempt, None, None, str(exc)))
                         continue
                     try:
-                        report = fit_linearized(data, cfg, scan_points=scan_points)
+                        report = fit_linearized(data, cfg)
                     except PadefitError as exc:
                         rows.append(Candidate(attempt, cfg, None, str(exc)))
                         continue
@@ -193,7 +193,7 @@ def grid_search(data, space, lam=0.0, lam1=0.0, zero_powers=frozenset(), scan_po
     return rows
 
 
-def sweep_rows(data, config, grid, der_interval=None, der_points=40, scan_points=1001):
+def sweep_rows(data, config, grid, der_interval=None, der_points=40):
     """padefit.lambda_sweep's rows from one fit_regularized per penalty,
     each counted by a fresh pole scan over the derivative interval."""
     interval = der_interval if der_interval is not None else data.interval()
@@ -201,8 +201,8 @@ def sweep_rows(data, config, grid, der_interval=None, der_points=40, scan_points
     rows = []
     for lam in grid:
         try:
-            report = fit_regularized(data, replace(config, lam=lam), der_grid, scan_points=scan_points)
-            count = pole_scan(report.model, interval, scan_points).count
+            report = fit_regularized(data, replace(config, lam=lam), der_grid)
+            count = pole_scan(report.model, interval).count
         except PadefitError as exc:
             rows.append(SweepRow(lam, math.nan, math.nan, 0, str(exc)))
             continue
@@ -210,9 +210,9 @@ def sweep_rows(data, config, grid, der_interval=None, der_points=40, scan_points
     return tuple(rows)
 
 
-def tune_lambda1(data, config, baseline, der_grid, pole_interval=None, rel_window=0.10, refine_step=0.01):
-    """padefit.tune_lambda1 (default coarse grid) from one fit_regularized
-    per penalty, each counted by a fresh pole scan."""
+def tune_lambda1(data, config, baseline, der_grid, pole_interval=None):
+    """padefit.tune_lambda1 from one fit_regularized per penalty, each
+    counted by a fresh pole scan."""
     scan_interval = pole_interval if pole_interval is not None else der_grid.interval
     grid = [1.0 - 0.1 * i for i in range(10)] + [0.0]
 
@@ -223,7 +223,7 @@ def tune_lambda1(data, config, baseline, der_grid, pole_interval=None, rel_windo
                 count = pole_scan(report.model, scan_interval).count
             except PadefitError:
                 continue
-            ok = count == 0 and abs(report.d_der - baseline) <= rel_window * baseline
+            ok = count == 0 and abs(report.d_der - baseline) <= 0.10 * baseline
             if ok and (best is None or report.s < best[1].s):
                 best = (lam1, report)
         return best
@@ -231,9 +231,9 @@ def tune_lambda1(data, config, baseline, der_grid, pole_interval=None, rel_windo
     best = best_of(grid, None)
     if best is None:
         raise NoFeasibleModel("no admissible denominator penalty in the coarse grid")
-    lo = max(0.0, best[0] - 5 * refine_step)
-    hi = min(max(grid), best[0] + 5 * refine_step)
-    return best_of([lo + refine_step * i for i in range(int(round((hi - lo) / refine_step)) + 1)], best)
+    lo = max(0.0, best[0] - 0.05)
+    hi = min(max(grid), best[0] + 0.05)
+    return best_of([lo + 0.01 * i for i in range(int(round((hi - lo) / 0.01)) + 1)], best)
 
 
 def mttf(model, x_max, dps=35):

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from padefit import Dataset, DerivativeGridSpec, FitConfig, fit_regularized
 from padefit.cli import format_points, main, read_points
 from padefit.datagen import sin2pi, uniform_grid
 from padefit.rational import RationalModel
@@ -59,6 +60,18 @@ def test_fit_table1_cdf_unregularized(capsys):
     assert doc["metrics"]["d"] == pytest.approx(0.0236606728852017748, rel=1e-9)
     assert doc["poles"]["count"] >= 1
     assert doc["config"]["form"] == "cdf"
+
+
+def test_fit_der_points_apply_over_the_data_interval(capsys):
+    # --der-points sizes the smoothness grid without --der-interval too
+    argv = ["fit", TABLE1, "--form", "cdf", "--n", "6", "--m", "0", "--l", "12", "--lambda", "0.0025"]
+    code, out, _ = run(capsys, argv + ["--der-points", "100"])
+    assert code == 0
+    data = Dataset(*read_points(TABLE1))
+    config = FitConfig.cdf_form(6, 0, 12, lam=0.0025)
+    want = fit_regularized(data, config, DerivativeGridSpec(data.interval(), 100)).d_der
+    assert json.loads(out)["metrics"]["d_der"] == want
+    assert want != fit_regularized(data, config).d_der
 
 
 def test_fit_missing_file(capsys, tmp_path):
@@ -241,6 +254,23 @@ def test_nonfinite_flags_are_usage_errors(capsys, argv):
     assert code == 1
     assert out == ""
     assert "finite" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["fit", TABLE1, "--n", "-1", "--m", "0"], "degrees must be nonnegative"),
+        (["fit", TABLE1, "--n", "2", "--m", "1", "--der-interval", "2:1"], "interval must have positive length"),
+        (["interpolate", TABLE1, "--n", "2", "--m", "1", "--group-size", "0"], "group_size must be positive"),
+        (["search", TABLE1, "--n-range", "3:1", "--m-range", "0:1"], "degree ranges must be nondecreasing"),
+        (["sweep", TABLE1, "--n", "2", "--m", "1", "--lambda-grid", "0.01,0.001"], "penalty grid must be strictly ascending"),
+        (["generate", "--fn", "weibull", "--theta", "-1", "--count", "5"], "theta and shape must be positive"),
+        (["generate", "--fn", "sin", "--grid", "0:1:0"], "need at least one subinterval"),
+    ],
+)
+def test_library_value_errors_are_usage_errors(capsys, argv, message):
+    # a ValueError from the library reaches stderr with its own text, exit 1
+    assert run(capsys, argv) == (1, "", f"error: {message}\n")
 
 
 # -- eval ----------------------------------------------------------------------

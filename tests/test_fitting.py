@@ -259,10 +259,10 @@ def _assert_same_outcome(got, want):
 def test_batch_members_equal_lone_fits(case, penalties):
     data, config, der = BATCH_CASES[case]
     configs = [replace(config, lam=lam, lam1=lam1) for lam, lam1 in penalties]
-    batch = fitting._fit(data, configs, der, 1001)
+    batch = fitting._fit(data, configs, der)
     assert len(batch) == len(configs)
     for cfg, got in zip(configs, batch):
-        (lone,) = fitting._fit(data, [cfg], der, 1001)
+        (lone,) = fitting._fit(data, [cfg], der)
         _assert_same_outcome(got, lone)
 
 
@@ -270,7 +270,7 @@ def test_batch_members_equal_lone_fits(case, penalties):
 def test_failing_member_leaves_its_neighbours_alone(case):
     data, config, der = BATCH_CASES[case]
     penalties = [(0.0, 0.0), (0.1, 0.1), (0.0, 0.0), (0.2, 0.3)]
-    batch = fitting._fit(data, [replace(config, lam=lam, lam1=lam1) for lam, lam1 in penalties], der, 1001)
+    batch = fitting._fit(data, [replace(config, lam=lam, lam1=lam1) for lam, lam1 in penalties], der)
     for (lam, lam1), got in zip(penalties, batch):
         cfg = FitConfig(config.n, config.m, lam=lam, lam1=lam1)
         if lam == lam1 == 0.0:
@@ -296,20 +296,20 @@ def _configs(draws):
     return configs
 
 
-def _assert_batch_matches_oracle(data, configs, der, points, evaluate_on=None):
+def _assert_batch_matches_oracle(data, configs, der, evaluate_on=None):
     # Each member of a mixed batch: the outcome of its lone fit; for a
     # report, every field of the report oracle, and a model equal to its
     # public reconstruction down to the bits of its dense rows.
     target = evaluate_on if evaluate_on is not None else data
-    batch = fitting._fit(data, configs, der, points, evaluate_on)
+    batch = fitting._fit(data, configs, der, evaluate_on)
     assert len(batch) == len(configs)
     for cfg, got in zip(configs, batch):
-        (lone,) = fitting._fit(data, [cfg], der, points, evaluate_on)
+        (lone,) = fitting._fit(data, [cfg], der, evaluate_on)
         if isinstance(lone, PadefitError):
             _assert_same_outcome(got, lone)
             continue
         assert repr(got) == repr(lone)
-        want = oracle.report(got.model, target, der, points)
+        want = oracle.report(got.model, target, der)
         assert repr({name: getattr(got, name) for name in want}) == repr(want)
         model = got.model
         public = RationalModel(model.numer, model.denom, model.tail, model.x_power, model.zero_powers)
@@ -348,22 +348,21 @@ DER_GRIDS = st.one_of(
     truth=st.booleans(),
     draws=st.lists(CONFIG_DRAW, min_size=1, max_size=10),
     der=DER_GRIDS,
-    points=st.sampled_from([2, 11, 101]),
 )
 # a vanishing-free (3, 6) structure at all four fast-path and general exponents
-@example(0.0, 10, 5, True, [(3, 6, None, q, 0.0, lam1, True) for q in (0.5, 0.65, 1.0, 2.0) for lam1 in (0.0, 0.5)], None, 101)
+@example(0.0, 10, 5, True, [(3, 6, None, q, 0.0, lam1, True) for q in (0.5, 0.65, 1.0, 2.0) for lam1 in (0.0, 0.5)], None)
 # q < 1 with a derivative grid node at x = 0: SingularDerivative for those members only
-@example(0.0, 12, 1, False, [(2, 1, None, q, 0.0, 0.0, False) for q in EXPONENTS], DerivativeGridSpec((-0.5, 1.5), 4), 11)
+@example(0.0, 12, 1, False, [(2, 1, None, q, 0.0, 0.0, False) for q in EXPONENTS], DerivativeGridSpec((-0.5, 1.5), 4))
 # non-integer exponents on negative abscissae: NegativeAbscissa for those members only
-@example(-1.0, 9, 2, True, [(2, 1, 4, q, 1e-3, 0.0, False) for q in EXPONENTS], DerivativeGridSpec((-1.0, 1.0), 7), 11)
-def test_mixed_batches_match_report_oracle(lo, count, seed, truth, draws, der, points):
+@example(-1.0, 9, 2, True, [(2, 1, 4, q, 1e-3, 0.0, False) for q in EXPONENTS], DerivativeGridSpec((-1.0, 1.0), 7))
+def test_mixed_batches_match_report_oracle(lo, count, seed, truth, draws, der):
     configs = _configs(draws)
     rng = np.random.default_rng(seed)
     x = np.linspace(lo, lo + 2.0, count)
     data = Dataset(x, np.cos(3.0 * x) + 0.1 * rng.normal(size=count), np.cos if truth else None)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        _assert_batch_matches_oracle(data, configs, der, points)
+        _assert_batch_matches_oracle(data, configs, der)
 
 
 def test_constant_members_keep_the_signed_zero_slope_row():
@@ -371,8 +370,8 @@ def test_constant_members_keep_the_signed_zero_slope_row():
     x = np.linspace(-1.0, 1.0, 7)
     data = Dataset(x, -2.0 - 0.1 * x)
     configs = [FitConfig(0, 0, x_power=q) for q in (1.0, 2.0)] + [FitConfig(1, 1), FitConfig(0, 0, 5)]
-    _assert_batch_matches_oracle(data, configs, DerivativeGridSpec((-1.0, 1.0), 5), 11)
-    assert np.signbit(fitting._fit(data, configs, None, 11)[0].model._rows[2, 0])
+    _assert_batch_matches_oracle(data, configs, DerivativeGridSpec((-1.0, 1.0), 5))
+    assert np.signbit(fitting._fit(data, configs, None)[0].model._rows[2, 0])
 
 
 def test_mixed_batch_with_vanishing_denominator_matches_report_oracle():
@@ -385,11 +384,11 @@ def test_mixed_batch_with_vanishing_denominator_matches_report_oracle():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         for der in (None, DerivativeGridSpec((1.0, 3.0), 7), DerivativeGridSpec((1.0, 3.0), 4)):
-            _assert_batch_matches_oracle(refs, configs, der, 101, evaluate_on=full)
-    (vanishing,) = [r for r in fitting._fit(refs, configs, None, 101, full) if r.denominator_vanishes]
+            _assert_batch_matches_oracle(refs, configs, der, evaluate_on=full)
+    (vanishing,) = [r for r in fitting._fit(refs, configs, None, full) if r.denominator_vanishes]
     assert vanishing.model.x_power == 1.0 and vanishing.s == vanishing.d == vanishing.d1 == math.inf
     # at x = 2 on the derivative grid it is that member's own DenominatorZero
-    batch = fitting._fit(refs, configs, DerivativeGridSpec((1.0, 3.0), 4), 101, full)
+    batch = fitting._fit(refs, configs, DerivativeGridSpec((1.0, 3.0), 4), full)
     assert [type(r).__name__ for r in batch].count("DenominatorZero") == 1
 
 

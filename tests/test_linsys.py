@@ -9,6 +9,7 @@ import pytest
 
 import oracle
 from padefit import free_columns, solve_least_squares
+from padefit.datagen import sin2pi, uniform_grid
 from padefit.errors import InsufficientData, NegativeWeight, SingularSystem
 from padefit.linsys import design_matrix, ridge_weights
 
@@ -170,6 +171,17 @@ def test_stack_of_matrices_solves_each_alone():
     for bad in (ridges[:2], ridges[:, :1], ridges[0]):
         with pytest.raises(ValueError):
             solve_least_squares(stack, f, bad)
+
+
+def test_strided_rhs_solves_like_a_contiguous_copy():
+    # a strided F must not take another BLAS path in Q'F
+    x = uniform_grid(0.0, 1.0, 20)[::2]
+    f = sin2pi(uniform_grid(0.0, 1.0, 20))[::2]
+    assert not f.flags.c_contiguous
+    g = design_matrix(x, f, free_columns(8, 2, None, frozenset({0, 8})))
+    ridges = np.zeros((1, g.shape[1]))
+    (strided,), (copied,) = solve_least_squares(g, f, ridges), solve_least_squares(g, f.copy(), ridges)
+    assert strided[0].tobytes() == copied[0].tobytes()
 
 
 def test_diagonal_increments_are_exact():
