@@ -313,7 +313,7 @@ def _substitutions(x, exponents) -> np.ndarray:
 
 
 def _stack(models) -> tuple[np.ndarray, list]:
-    # The models' _rows as one (top, 4, K) stack, coefficient first for polyval
+    # The models' _rows as one (top, 4, K) stack, coefficient first for _horner
     # and padded with top zeros (Horner's values unchanged); their exponents.
     c = np.zeros((max(m._rows.shape[1] for m in models), 4, len(models)))
     for k, m in enumerate(models):
@@ -324,9 +324,14 @@ def _stack(models) -> tuple[np.ndarray, list]:
 def _horner(c, t) -> np.ndarray:
     # The polynomials of the (top, ..., K) coefficient stack c, each at its own
     # row of t, a (K, ...) or shared (1, ...) stack of substituted abscissae.
-    if len(t) == 1:  # shared: the tensor form, with scalar fast paths for scalar x
-        return npoly.polyval(t[0], c)
-    return npoly.polyval(t, c.reshape(c.shape + (1,) * (t.ndim - 1)), tensor=False)
+    # numpy's polyval in place, where it makes two stack-sized temporaries per
+    # coefficient: IEEE products and sums commute, so every value keeps its bits.
+    c = c.reshape(c.shape + (1,) * (t.ndim - 1))
+    v = c[-1] + t * 0.0
+    for ci in c[-2::-1]:
+        v *= t
+        v += ci
+    return v
 
 
 def stacked_parts(models, x) -> tuple[np.ndarray, np.ndarray]:
@@ -383,7 +388,10 @@ def pole_scans(models, interval: tuple[float, float], points: int = SCAN_POINTS)
     return _scans(*_stack(models), interval, points)
 
 
-def _scans(c, exponents, interval, points) -> list[PoleReport]:
+def _brackets(c, exponents, interval, points):
+    # The scan grid, the denominators on it (a row per model), their zero mask
+    # and the bracket mask: sign changes (never at a zero node) and the first
+    # nodes of zero runs among nodes 0..points-2.  A zero last node is one more.
     a, b = float(interval[0]), float(interval[1])
     if not (b > a):
         raise ValueError("scan interval must have positive length")
@@ -394,11 +402,20 @@ def _scans(c, exponents, interval, points) -> list[PoleReport]:
     xs = _scan_grid(a, b, points)
     vals = _horner(c[:, 1], _substitutions(xs, exponents))
     zero = vals == 0.0
-    # Sign changes (never at a zero node) and the first nodes of zero runs
-    # among nodes 0..points-2, then a zero last node.
     brackets = vals[:, :-1] * vals[:, 1:] < 0.0
     brackets[:, 0] |= zero[:, 0]
     brackets[:, 1:] |= zero[:, 1:-1] & ~zero[:, :-2]
+    return xs, vals, zero, brackets
+
+
+def _pole_counts(models, interval, points) -> list[int]:
+    # The count of each of pole_scans' reports, without bisecting.
+    _xs, _vals, zero, brackets = _brackets(*_stack(models), interval, points)
+    return (brackets.sum(axis=1) + zero[:, -1]).tolist()
+
+
+def _scans(c, exponents, interval, points) -> list[PoleReport]:
+    xs, vals, zero, brackets = _brackets(c, exponents, interval, points)
     changes: list = [[] for _ in exponents]
     for k, i in zip(*(index.tolist() for index in np.nonzero(brackets))):
         if zero[k, i]:
@@ -408,7 +425,8 @@ def _scans(c, exponents, interval, points) -> list[PoleReport]:
         changes[k].append((lo, hi, 0.5 * (lo + hi)))
     for k in np.flatnonzero(zero[:, -1]).tolist():
         changes[k].append((float(xs[-1]),) * 3)
-    return [PoleReport((a, b), points, low, tuple(found)) for low, found in zip(np.abs(vals).min(axis=1).tolist(), changes)]
+    span = (float(interval[0]), float(interval[1]))
+    return [PoleReport(span, points, low, tuple(found)) for low, found in zip(np.abs(vals).min(axis=1).tolist(), changes)]
 
 
 @lru_cache(maxsize=8)
@@ -423,7 +441,7 @@ def _scan_grid(a: float, b: float, points: int) -> np.ndarray:
 def _bisect(q: np.ndarray, x_power: float, lo: float, hi: float, vlo: float):
     # Narrow a sign change of the denominator Q(x**x_power) on [lo, hi],
     # where Q(lo) = vlo, to POLE_REFINE_TOL (or to an exact zero).  Horner
-    # runs in Python floats with npoly.polyval's operation order, so the
+    # runs in Python floats with _horner's operation order, so the
     # values are its bits.  The power stays numpy's: Python's ** and
     # math.pow differ from it in the last bit for some arguments, and
     # x**1.0 is x exactly.

@@ -60,6 +60,8 @@ class WeibullParams:
     def __post_init__(self):
         if not (self.theta > 0 and self.shape > 0):
             raise ValueError("theta and shape must be positive")
+        if not (math.isfinite(self.theta) and math.isfinite(self.shape)):
+            raise ValueError("theta and shape must be finite")
 
 
 def weibull_cdf(params: WeibullParams, x):
@@ -110,9 +112,9 @@ def transform_fit(times: np.ndarray, ranks: np.ndarray) -> WeibullParams:
         raise LengthMismatch(f"shape {t.shape} vs {f.shape}")
     if t.size < 2:
         raise EmptyInput("need at least two points")
-    if np.any(t <= 0.0):
-        raise ValueError("times must be positive")
-    if np.any((f <= 0.0) | (f >= 1.0)):
+    if not np.all((t > 0.0) & (t < math.inf)):
+        raise ValueError("times must be positive and finite")
+    if not np.all((f > 0.0) & (f < 1.0)):
         raise ValueError("ranks must lie strictly inside (0, 1)")
     if np.all(t == t[0]):
         raise DegenerateAbscissae("all times equal")
@@ -140,8 +142,8 @@ def mle_fit(times: np.ndarray) -> WeibullParams:
     t = np.asarray(times, dtype=float)
     if t.size < 2:
         raise EmptyInput("need at least two times")
-    if np.any(t <= 0.0):
-        raise ValueError("times must be positive")
+    if not np.all((t > 0.0) & (t < math.inf)):
+        raise ValueError("times must be positive and finite")
     scale = float(np.max(t))
     u = t / scale
     log_u = np.log(u)
@@ -267,14 +269,20 @@ def mttf(obj: WeibullParams | RationalModel, *, x_max: float | None = None) -> f
     NonconvergentTail
         If 1 - R decays too slowly for a finite integral, or is still at
         least TAIL_EPS at x_max without following its leading power law
-        there (to within TAIL_MATCH).
+        there (to within TAIL_MATCH); or if the Weibull mean overflows.
     NonconvergentQuadrature
         If R is not finite below the cutoff (it overflows for a huge
         x_max), or the quadrature's error estimate stays above QUAD_TOL
         through QUAD_ROUNDS panel halvings (see _graded_gauss).
     """
     if isinstance(obj, WeibullParams):
-        return obj.theta * math.gamma(1.0 + 1.0 / obj.shape)
+        try:
+            mean = obj.theta * math.gamma(1.0 + 1.0 / obj.shape)
+        except OverflowError:
+            mean = math.inf
+        if mean < math.inf:
+            return mean
+        raise NonconvergentTail(f"the Weibull mean does not fit in a float (theta {obj.theta:g}, shape {obj.shape:g})")
     model = obj
     if x_max is None or not (x_max > 0):
         raise ValueError("rational MTTF needs a positive x_max search cap")

@@ -9,7 +9,8 @@ oracle recomputes a fit report's fields for one model through the public
 single-model API, as padefit.fitting._fit does for a whole batch at once;
 and the search, sweep, tuning and substitution oracles are the
 per-candidate, per-penalty and per-exponent loops of single fits that
-padefit.selection runs as batches.  The MTTF
+padefit.selection runs as batches; the stacked Horner oracle is numpy's
+polyval model by model.  The MTTF
 oracle integrates 1 - R in mpmath to the cutoff padefit.weibull.mttf
 chooses and adds the same closed-form tail.
 """
@@ -78,6 +79,14 @@ def model_values(theta, columns, x):
                 q += term
         out.append(p / q)
     return out
+
+
+def horner(c, t):
+    """padefit.rational._horner as one npoly.polyval per model: column k of
+    the (top, ..., K) coefficient stack c at row k of t, or at its only row
+    when t is shared."""
+    rows = [npoly.polyval(t[k if len(t) > 1 else 0], c[..., k]) for k in range(c.shape[-1])]
+    return np.stack(rows, axis=c.ndim - 2)
 
 
 def pole_scan(model, interval, points=1001):

@@ -1,6 +1,7 @@
 """Noise pipeline: fixed PRNG contract, grids, and bundled functions."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -53,6 +54,14 @@ def test_uniform_grid_single_subinterval():
 def test_uniform_grid_validation(a, b, n):
     with pytest.raises(ValueError):
         uniform_grid(a, b, n)
+
+
+@pytest.mark.parametrize("a,b", [(0.0, math.inf), (-math.inf, 0.0)])
+def test_uniform_grid_rejects_infinite_endpoints(a, b):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="interval must be finite"):
+            uniform_grid(a, b, 5)
 
 
 # -- normal_deviates --------------------------------------------------------

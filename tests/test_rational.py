@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import oracle
 from padefit import RationalModel, Tail, add, pole_scan
-from padefit.rational import pole_scans
+from padefit.rational import _horner, _pole_counts, pole_scans
 from padefit.errors import (
     DenominatorZero,
     NegativeAbscissa,
@@ -466,9 +467,11 @@ def test_pole_scans_of_mixed_degrees_match_single_scans(denominators, x_power, l
         for denom, tail in denominators
     ]
     interval = (lo, lo + width)
-    for model, report in zip(models, pole_scans(models, interval, points)):
+    reports = pole_scans(models, interval, points)
+    for model, report in zip(models, reports):
         assert report == pole_scan(model, interval, points)
         assert report == oracle.pole_scan(model, interval, points)
+    assert _pole_counts(models, interval, points) == [report.count for report in reports]
 
 
 @settings(max_examples=150, deadline=None)
@@ -495,8 +498,34 @@ def test_pole_scan_matches_per_interval_loop_on_zero_nodes(root, x_power, where,
     }[where]
     new = pole_scan(model, interval, points)
     assert new == oracle.pole_scan(model, interval, points)
+    assert _pole_counts([model, model], interval, points) == [new.count] * 2
     if where != "run_middle":
         assert root in new.sign_changes[0] or new.min_abs_denominator == 0.0
+
+
+# finite coefficients, exact zeros among them; abscissae of any kind
+COEFFICIENT = st.one_of(st.just(0.0), st.floats(-1e3, 1e3), st.floats(allow_nan=False, allow_infinity=False))
+ABSCISSA = st.one_of(st.floats(-4.0, 4.0), st.floats(allow_nan=True, allow_infinity=True))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    top=st.integers(1, 14),
+    parts=st.sampled_from(((), (2,), (4,))),
+    k=st.integers(1, 5),
+    shared=st.booleans(),
+    x_shape=st.sampled_from(((), (7,), (3, 5))),
+    data=st.data(),
+)
+def test_horner_is_polyval_to_the_bit(top, parts, k, shared, x_shape, data):
+    # (top, K), (top, 2, K) and (top, 4, K) stacks, at a shared or a
+    # per-model row of scalar, 1-D or 2-D substituted abscissae
+    c = data.draw(arrays(np.float64, (top,) + parts + (k,), elements=COEFFICIENT))
+    t = data.draw(arrays(np.float64, (1 if shared else k,) + x_shape, elements=ABSCISSA))
+    with np.errstate(all="ignore"):
+        got, want = _horner(c, t), oracle.horner(c, t)
+    assert got.shape == want.shape == parts + (k,) + x_shape
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("x_power, root", [(0.65, 1.1875), (0.85, 1.1328125), (1.5, 1.04296875)])

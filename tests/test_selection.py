@@ -29,7 +29,7 @@ from padefit import (
     uniform_grid,
 )
 from padefit.errors import EmptySweep, NegativeAbscissa, NoFeasibleModel
-from padefit.rational import pole_scans
+from padefit.rational import _pole_counts
 
 GEN = RationalModel(numer=(1.0, -0.4, 0.2), denom=(0.25,))
 
@@ -398,11 +398,11 @@ def test_tune_lambda1_rejects_impossible_window():
 def _counted_scans(monkeypatch):
     calls = []
 
-    def counting(models, interval, points=1001):
+    def counting(models, interval, points):
         calls.append((tuple(interval), len(models)))
-        return pole_scans(models, interval, points)
+        return _pole_counts(models, interval, points)
 
-    monkeypatch.setattr(selection, "pole_scans", counting)
+    monkeypatch.setattr(selection, "_pole_counts", counting)
     return calls
 
 

@@ -141,6 +141,31 @@ def test_transform_fit_validation():
         transform_fit(np.array([1.0, 2.0]), np.array([0.3, 1.0]))
 
 
+NONFINITE_INPUTS = {
+    "theta inf": (lambda: WeibullParams(math.inf, 2.0), "theta and shape must be finite"),
+    "shape inf": (lambda: WeibullParams(1.0, math.inf), "theta and shape must be finite"),
+    "mle time inf": (lambda: mle_fit(np.array([1.0, 2.0, np.inf])), "times must be positive and finite"),
+    "mle time nan": (lambda: mle_fit(np.array([1.0, np.nan, 2.0])), "times must be positive and finite"),
+    "transform time inf": (
+        lambda: transform_fit(np.array([1.0, 2.0, np.inf]), np.array([0.2, 0.5, 0.8])),
+        "times must be positive and finite",
+    ),
+    "transform rank nan": (
+        lambda: transform_fit(np.array([1.0, 2.0, 3.0]), np.array([0.2, np.nan, 0.8])),
+        r"ranks must lie strictly inside \(0, 1\)",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", NONFINITE_INPUTS)
+def test_nonfinite_inputs_raise_value_error_quietly(case):
+    call, message = NONFINITE_INPUTS[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
 # -- maximum likelihood -----------------------------------------------------
 
 
@@ -204,6 +229,20 @@ def test_gamma_accuracy_against_mpmath():
     for arg in (0.5, 1.0, 1.44, 2.25, 7.3, 26.0, 50.0):
         want = float(mpmath.gamma(arg))
         assert math.gamma(arg) == pytest.approx(want, rel=1e-10)
+
+
+@pytest.mark.parametrize(
+    "theta, shape",
+    [(1.0, 0.005), (1.0, 0.0058), (1e308, 0.5)],
+    ids=["gamma overflows", "gamma overflows at the edge", "product overflows"],
+)
+def test_mttf_weibull_overflow_is_typed(theta, shape):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonconvergentTail, match="does not fit in a float"):
+            mttf(WeibullParams(theta, shape))
+    # just inside the float range the closed form still answers
+    assert mttf(WeibullParams(1.0, 0.0059)) == math.gamma(1.0 + 1.0 / 0.0059)
 
 
 @given(theta=st.floats(0.01, 100.0), shape=st.floats(0.3, 10.0))
