@@ -66,8 +66,8 @@ def uniform_grid(a: float, b: float, subintervals: int) -> np.ndarray:
     subintervals + 1."""
     if not (b > a):
         raise ValueError("interval must have positive length")
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError("interval must be finite")
+    if not math.isfinite(float(b) - float(a)):  # inf or NaN for an infinite endpoint too
+        raise ValueError("interval must be finite, and so must its length")
     if subintervals < 1:
         raise ValueError("need at least one subinterval")
     return np.linspace(a, b, subintervals + 1)

@@ -46,8 +46,8 @@ class DerivativeGridSpec:
         a, b = self.interval
         if not (b > a):
             raise ValueError("interval must have positive length")
-        if not (math.isfinite(a) and math.isfinite(b)):
-            raise ValueError("interval must be finite")
+        if not math.isfinite(float(b) - float(a)):  # inf or NaN for an infinite endpoint too
+            raise ValueError("interval must be finite, and so must its length")
         if self.count < 1:
             raise ValueError("count must be positive")
         if self.placement not in ("inside", "midpoint", "right"):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -280,8 +280,9 @@ class PoleReport:
     """Result of a denominator sign-change scan.
 
     sign_changes holds one (lo, hi, root) triple per bracketed real zero of
-    the denominator, refined by bisection to POLE_REFINE_TOL in x.
-    min_abs_denominator is the smallest |Q| seen on the scan grid.
+    the denominator, refined by bisection to POLE_REFINE_TOL in x.  A scan
+    bisects its brackets on the first read of sign_changes; count needs no
+    bisection.  min_abs_denominator is the smallest |Q| seen on the scan grid.
     """
 
     scan_interval: tuple[float, float]
@@ -289,9 +290,38 @@ class PoleReport:
     min_abs_denominator: float
     sign_changes: tuple[tuple[float, float, float], ...]
 
+    @classmethod
+    def _deferred(cls, scan_interval, scan_points, low, q, x_power, brackets) -> "PoleReport":
+        # A scan's report, seeded with its Q row, exponent and brackets in place of sign_changes.
+        report = object.__new__(cls)
+        report.__dict__.update(scan_interval=scan_interval, scan_points=scan_points, min_abs_denominator=low, _pending=(q, x_power, brackets))
+        return report
+
+    def __getattr__(self, name):
+        # Only a name missing from __dict__ lands here: the sign_changes of a
+        # deferred report, bisected once and stored.  Q(lo) == 0.0 marks an
+        # exact-zero node, a degenerate bracket.
+        pending = self.__dict__.get("_pending")
+        if name != "sign_changes" or pending is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        q, x_power, brackets = pending
+        found = []
+        for lo, hi, vlo in brackets:
+            if vlo == 0.0:
+                found.append((lo,) * 3)
+                continue
+            lo, hi = _bisect(q, x_power, lo, hi, vlo)
+            found.append((lo, hi, 0.5 * (lo + hi)))
+        self.__dict__["sign_changes"] = found = tuple(found)
+        return found
+
+    def __getstate__(self):
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
     @property
     def count(self) -> int:
-        return len(self.sign_changes)
+        pending = self.__dict__.get("_pending")
+        return len(self.sign_changes if pending is None else pending[2])
 
 
 def require_nonnegative(x, x_power: float) -> None:
@@ -384,49 +414,36 @@ def pole_scan(model: RationalModel, interval: tuple[float, float], points: int =
 
 def pole_scans(models, interval: tuple[float, float], points: int = SCAN_POINTS) -> list[PoleReport]:
     """pole_scan of each model: one stacked evaluation of the denominators
-    on the grid, then each model's own brackets, bisected in grid order."""
+    on the grid; each report bisects its own brackets, in grid order, when
+    its sign_changes are first read."""
     return _scans(*_stack(models), interval, points)
 
 
-def _brackets(c, exponents, interval, points):
-    # The scan grid, the denominators on it (a row per model), their zero mask
-    # and the bracket mask: sign changes (never at a zero node) and the first
-    # nodes of zero runs among nodes 0..points-2.  A zero last node is one more.
+def _scans(c, exponents, interval, points) -> list[PoleReport]:
+    # One stacked evaluation of the denominators on the grid.  A model's
+    # brackets, in grid order, are its sign changes (never at a zero node)
+    # and the first nodes of zero runs among nodes 0..points-2, as
+    # (lo, hi, Q(lo)), then a zero last node as (x, x, 0.0).
     a, b = float(interval[0]), float(interval[1])
     if not (b > a):
         raise ValueError("scan interval must have positive length")
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError("scan interval must be finite")
+    if not math.isfinite(b - a):  # inf or NaN for an infinite endpoint too
+        raise ValueError("scan interval must be finite, and so must its length")
     if points < 2:
         raise ValueError("need at least two scan points")
     xs = _scan_grid(a, b, points)
     vals = _horner(c[:, 1], _substitutions(xs, exponents))
     zero = vals == 0.0
-    brackets = vals[:, :-1] * vals[:, 1:] < 0.0
-    brackets[:, 0] |= zero[:, 0]
-    brackets[:, 1:] |= zero[:, 1:-1] & ~zero[:, :-2]
-    return xs, vals, zero, brackets
-
-
-def _pole_counts(models, interval, points) -> list[int]:
-    # The count of each of pole_scans' reports, without bisecting.
-    _xs, _vals, zero, brackets = _brackets(*_stack(models), interval, points)
-    return (brackets.sum(axis=1) + zero[:, -1]).tolist()
-
-
-def _scans(c, exponents, interval, points) -> list[PoleReport]:
-    xs, vals, zero, brackets = _brackets(c, exponents, interval, points)
-    changes: list = [[] for _ in exponents]
-    for k, i in zip(*(index.tolist() for index in np.nonzero(brackets))):
-        if zero[k, i]:
-            changes[k].append((float(xs[i]),) * 3)
-            continue
-        lo, hi = _bisect(c[:, 1, k], exponents[k], float(xs[i]), float(xs[i + 1]), float(vals[k, i]))
-        changes[k].append((lo, hi, 0.5 * (lo + hi)))
-    for k in np.flatnonzero(zero[:, -1]).tolist():
-        changes[k].append((float(xs[-1]),) * 3)
-    span = (float(interval[0]), float(interval[1]))
-    return [PoleReport(span, points, low, tuple(found)) for low, found in zip(np.abs(vals).min(axis=1).tolist(), changes)]
+    opens = zero.copy()
+    opens[:, 1:-1] &= ~zero[:, :-2]
+    opens[:, :-1] |= vals[:, :-1] * vals[:, 1:] < 0.0
+    ks, nodes = np.nonzero(opens)
+    ends = zip(xs[nodes].tolist(), xs[np.minimum(nodes + 1, points - 1)].tolist(), vals[ks, nodes].tolist())
+    brackets: list = [[] for _ in exponents]
+    for k, bracket in zip(ks.tolist(), ends):
+        brackets[k].append(bracket)
+    lows = np.abs(vals).min(axis=1).tolist()
+    return [PoleReport._deferred((a, b), points, lows[k], c[:, 1, k], q, tuple(brackets[k])) for k, q in enumerate(exponents)]
 
 
 @lru_cache(maxsize=8)

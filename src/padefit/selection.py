@@ -16,7 +16,7 @@ from itertools import product
 from .diagnostics import DerivativeGridSpec
 from .errors import EmptySweep, NoFeasibleModel, PadefitError
 from .fitting import SCAN_POINTS, Dataset, FitConfig, FitReport, _fit, _members
-from .rational import _pole_counts, require_nonnegative
+from .rational import pole_scans, require_nonnegative
 
 #: Relative d_der change between neighbouring sweep rows that marks the
 #: onset of the plateau (choose_lambda).
@@ -194,13 +194,13 @@ def _fit_counted(data, configs, der_grid, interval):
     """_fit of one batch, each report paired with its denominator's sign
     changes on `interval`.  The fits' own scans answer when they covered
     the same interval; otherwise one stacked scan counts their brackets,
-    without bisecting them, and its failure becomes their error."""
+    and its failure becomes their error."""
     fits = _fit(data, configs, der_grid)
     reports = [r for r in fits if isinstance(r, FitReport)]
     counts = [r.poles.count for r in reports]
     if reports and reports[0].poles.scan_interval != tuple(map(float, interval)):
         try:
-            counts = _pole_counts([r.model for r in reports], interval, SCAN_POINTS)
+            counts = [p.count for p in pole_scans([r.model for r in reports], interval, SCAN_POINTS)]
         except PadefitError as exc:
             return [r if isinstance(r, PadefitError) else exc for r in fits]
     counts = iter(counts)

@@ -27,6 +27,7 @@ from .errors import (
     NonconvergentQuadrature,
     NonconvergentTail,
     PoleOnRange,
+    SingularSystem,
 )
 from .rational import RationalModel, pole_scan
 
@@ -124,7 +125,11 @@ def transform_fit(times: np.ndarray, ranks: np.ndarray) -> WeibullParams:
     ybar = float(np.mean(y))
     slope = float(np.dot(z - zbar, y - ybar) / np.dot(z - zbar, z - zbar))
     intercept = ybar - slope * zbar
-    return WeibullParams(theta=math.exp(-intercept / slope), shape=slope)
+    try:
+        theta = math.exp(-intercept / slope)
+    except (OverflowError, ZeroDivisionError):
+        raise SingularSystem(f"the fitted Weibull scale leaves the float range (shape {slope:g})") from None
+    return WeibullParams(theta=theta, shape=slope)
 
 
 def mle_fit(times: np.ndarray) -> WeibullParams:
@@ -146,6 +151,8 @@ def mle_fit(times: np.ndarray) -> WeibullParams:
         raise ValueError("times must be positive and finite")
     scale = float(np.max(t))
     u = t / scale
+    if not np.min(u) > 0.0:
+        raise NoBracket(f"times span more than the float range ({np.min(t):g} to {scale:g})")
     log_u = np.log(u)
     mean_log = float(np.mean(log_u))
 
@@ -291,7 +298,7 @@ def mttf(obj: WeibullParams | RationalModel, *, x_max: float | None = None) -> f
     if model.tail is None:
         raise ValueError("model CDF must carry a tail term so R -> 1 at infinity")
     scan = pole_scan(model, (0.0, x_max), 4097)
-    if scan.sign_changes:
+    if scan.count:
         raise PoleOnRange(f"denominator changes sign at x ~ {scan.sign_changes[0][2]:.6g}")
     xs = np.linspace(0.0, x_max, 4097)[1:]
     shortfall = 1.0 - np.asarray(model(xs))

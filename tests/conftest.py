@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from padefit import Dataset
+from padefit import Dataset, rational
 from padefit.cli import read_points
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
@@ -13,3 +13,12 @@ def table1() -> Dataset:
     """Shipped failure-time fixture: 10 sorted times with Benard ranks."""
     x, f = read_points(str(DATA_DIR / "table1.csv"))
     return Dataset(x, f)
+
+
+@pytest.fixture
+def bisections(monkeypatch) -> list:
+    """The arguments of every padefit.rational._bisect call in the test."""
+    calls = []
+    bisect = rational._bisect
+    monkeypatch.setattr(rational, "_bisect", lambda *args: calls.append(args) or bisect(*args))
+    return calls

@@ -56,8 +56,9 @@ def test_uniform_grid_validation(a, b, n):
         uniform_grid(a, b, n)
 
 
-@pytest.mark.parametrize("a,b", [(0.0, math.inf), (-math.inf, 0.0)])
+@pytest.mark.parametrize("a,b", [(0.0, math.inf), (-math.inf, 0.0), (-1e308, 1e308)])
 def test_uniform_grid_rejects_infinite_endpoints(a, b):
+    # finite endpoints whose difference overflows count as infinite
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="interval must be finite"):

@@ -39,7 +39,8 @@ def test_grid_validation():
         DerivativeGridSpec((2.0, 2.0), 4)
     with pytest.raises(ValueError):
         DerivativeGridSpec((0.0, 2.0), 4, placement="corner")
-    for interval in ((0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0)):
+    # (-1e308, 1e308) has finite endpoints, but its length overflows
+    for interval in ((0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0), (-1e308, 1e308)):
         with pytest.raises(ValueError):
             DerivativeGridSpec(interval, 4)
 

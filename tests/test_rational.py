@@ -1,8 +1,11 @@
 """Model evaluation, calculus, algebra, and pole scanning."""
 
+import copy
 import json
 import math
+import pickle
 import warnings
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -12,8 +15,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import oracle
-from padefit import RationalModel, Tail, add, pole_scan
-from padefit.rational import _horner, _pole_counts, pole_scans
+from padefit import PoleReport, RationalModel, Tail, add, pole_scan
+from padefit.rational import _horner, pole_scans
 from padefit.errors import (
     DenominatorZero,
     NegativeAbscissa,
@@ -389,7 +392,7 @@ def test_pole_scan_validates_arguments():
         pole_scan(m, (2.0, 2.0), 10)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for interval in ((0.0, math.inf), (-math.inf, 1.0), (0.0, math.nan)):
+        for interval in ((0.0, math.inf), (-math.inf, 1.0), (0.0, math.nan), (-1e308, 1e308)):
             with pytest.raises(ValueError):
                 pole_scan(m, interval)
 
@@ -468,10 +471,12 @@ def test_pole_scans_of_mixed_degrees_match_single_scans(denominators, x_power, l
     ]
     interval = (lo, lo + width)
     reports = pole_scans(models, interval, points)
-    for model, report in zip(models, reports):
+    wants = [oracle.pole_scan(model, interval, points) for model in models]
+    # count first: it comes from the brackets, before any bisection
+    assert [report.count for report in reports] == [want.count for want in wants]
+    for model, report, want in zip(models, reports, wants):
         assert report == pole_scan(model, interval, points)
-        assert report == oracle.pole_scan(model, interval, points)
-    assert _pole_counts(models, interval, points) == [report.count for report in reports]
+        assert report == want
 
 
 @settings(max_examples=150, deadline=None)
@@ -496,9 +501,11 @@ def test_pole_scan_matches_per_interval_loop_on_zero_nodes(root, x_power, where,
         "run_middle": (root - ulps * ulp, root + ulps * ulp),
         "midpoint": (0.0, 2.0 * root),
     }[where]
-    new = pole_scan(model, interval, points)
-    assert new == oracle.pole_scan(model, interval, points)
-    assert _pole_counts([model, model], interval, points) == [new.count] * 2
+    want = oracle.pole_scan(model, interval, points)
+    pair = pole_scans([model, model], interval, points)
+    assert [report.count for report in pair] == [want.count] * 2
+    assert pair == [want, want]
+    new = pair[0]
     if where != "run_middle":
         assert root in new.sign_changes[0] or new.min_abs_denominator == 0.0
 
@@ -540,6 +547,49 @@ def test_pole_bisection_substitutes_with_numpy_power(x_power, root):
     report = pole_scan(model, (0.0, 2.0 * root), 2)
     assert report.sign_changes == ((root, root, root),)
     assert report == oracle.pole_scan(model, (0.0, 2.0 * root), 2)
+
+
+# -- deferred bisection -----------------------------------------------------
+
+# 1 - 2.3x + x^2 changes sign twice on a 3-point scan of [0, 2], 1 - x is
+# exactly 0 on its middle node
+DEFERRED = (
+    RationalModel(numer=(0.0,), denom=(-2.3,), tail=Tail(2, 1.0)),
+    RationalModel(numer=(1.0,), denom=(-1.0,)),
+)
+
+
+def test_scans_bisect_on_the_first_read_of_sign_changes(bisections):
+    two, node = pole_scans(DEFERRED, (0.0, 2.0), 3)
+    assert (two.count, node.count) == (2, 1)
+    assert bisections == []
+    assert len(two.sign_changes) == 2 and len(bisections) == 2  # one per sign change
+    assert node.sign_changes == ((1.0, 1.0, 1.0),) and len(bisections) == 2  # an exact zero needs none
+    assert two.sign_changes is two.sign_changes and len(bisections) == 2
+    assert [two, node] == [oracle.pole_scan(m, (0.0, 2.0), 3) for m in DEFERRED]
+    with pytest.raises(AttributeError, match="'PoleReport' object has no attribute 'roots'"):
+        two.roots
+
+
+REPORT_VIEWS = {
+    "eq": lambda r: r,
+    "hash": hash,
+    "repr": repr,
+    "replace": lambda r: replace(r, scan_points=7),
+    "pickle": pickle.dumps,
+    "unpickled": lambda r: vars(pickle.loads(pickle.dumps(r))),
+    "deepcopy": lambda r: vars(copy.deepcopy(r)),
+}
+
+
+@pytest.mark.parametrize("view", REPORT_VIEWS)
+def test_deferred_report_behaves_as_an_eager_one(view):
+    # each view of a report whose roots no one has read yet
+    show = REPORT_VIEWS[view]
+    for model in DEFERRED:
+        first = pole_scan(model, (0.0, 2.0), 3)
+        eager = PoleReport(*(getattr(first, f.name) for f in fields(PoleReport)))
+        assert show(pole_scan(model, (0.0, 2.0), 3)) == show(eager)
 
 
 # -- serialization ----------------------------------------------------------

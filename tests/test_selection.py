@@ -22,6 +22,7 @@ from padefit import (
     grid_search,
     lambda_sweep,
     q_search,
+    rational,
     sample_noisy,
     selection,
     sqrt_exp,
@@ -29,7 +30,7 @@ from padefit import (
     uniform_grid,
 )
 from padefit.errors import EmptySweep, NegativeAbscissa, NoFeasibleModel
-from padefit.rational import _pole_counts
+from padefit.rational import pole_scans
 
 GEN = RationalModel(numer=(1.0, -0.4, 0.2), denom=(0.25,))
 
@@ -400,10 +401,29 @@ def _counted_scans(monkeypatch):
 
     def counting(models, interval, points):
         calls.append((tuple(interval), len(models)))
-        return _pole_counts(models, interval, points)
+        return pole_scans(models, interval, points)
 
-    monkeypatch.setattr(selection, "_pole_counts", counting)
+    monkeypatch.setattr(selection, "pole_scans", counting)
     return calls
+
+
+def test_selection_counts_poles_without_bisecting(monkeypatch, bisections, table1):
+    # Each run below fits members with pole brackets, and rescans over a
+    # wider interval in the sweep and the tuning pass; only counts are read.
+    reports = []
+    deferred = rational.PoleReport._deferred
+    monkeypatch.setattr(rational.PoleReport, "_deferred", lambda *args: reports.append(deferred(*args)) or reports[-1])
+    data, der, baseline = _tune_case()
+    runs = {
+        "grid_search": lambda: grid_search(data, SearchSpace(n_range=(0, 4), m_range=(0, 4))),
+        "lambda_sweep": lambda: lambda_sweep(table1, FitConfig.cdf_form(6, 0, 12), (0.0, 0.0025, 0.01), (0.0, 2.0), 40),
+        "tune_lambda1": lambda: tune_lambda1(data, FitConfig(n=2, m=2), baseline, der_grid=der, pole_interval=(0.0, 3.0)),
+    }
+    for name, run in runs.items():
+        reports.clear()
+        run()
+        assert sum(report.count for report in reports) > 0, name
+    assert bisections == []
 
 
 def _tune_case():

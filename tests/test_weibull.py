@@ -34,6 +34,7 @@ from padefit.errors import (
     NonconvergentQuadrature,
     NonconvergentTail,
     PoleOnRange,
+    SingularSystem,
 )
 from padefit.weibull import QUAD_ROUNDS, _graded_gauss
 
@@ -166,6 +167,36 @@ def test_nonfinite_inputs_raise_value_error_quietly(case):
             call()
 
 
+# times 1e-300 and 1e300: the log-log scale exp(-intercept / slope) overflows,
+# and the MLE's max-scaled smallest time underflows to 0 before its log
+SPANS_THE_FLOAT_RANGE = {
+    "transform scale overflows": (
+        lambda: transform_fit(np.array([1e-300, 1e300]), np.array([0.3, 0.6])),
+        SingularSystem,
+        "scale leaves the float range",
+    ),
+    "transform slope is zero": (
+        lambda: transform_fit(np.array([1.0, 2.0]), np.array([0.5, 0.5])),
+        SingularSystem,
+        "scale leaves the float range",
+    ),
+    "mle scaled time underflows": (
+        lambda: mle_fit(np.array([1e-300, 1e300])),
+        NoBracket,
+        "span more than the float range",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", SPANS_THE_FLOAT_RANGE)
+def test_times_spanning_the_float_range_raise_typed_errors_quietly(case):
+    call, error, message = SPANS_THE_FLOAT_RANGE[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=message):
+            call()
+
+
 # -- maximum likelihood -----------------------------------------------------
 
 
@@ -272,10 +303,13 @@ def test_mttf_rational_validation():
 
 
 def test_mttf_pole_on_range():
-    # denominator 1 - 2.5x + x^2 changes sign at x = 0.5 and x = 2
-    model = RationalModel(numer=(0.0,), denom=(-2.5,), tail=Tail(2, 1.0))
-    with pytest.raises(PoleOnRange):
-        mttf(model, x_max=10.0)
+    # denominator 1 + b1 x + x^2 changes sign twice on [0, 10]; the message
+    # names the first bisected root: 0.5 for b1 = -2.5, and off the scan
+    # grid (2.3 - sqrt(1.29)) / 2 for b1 = -2.3
+    for b1, root in ((-2.5, "0.5"), (-2.3, "0.582109")):
+        model = RationalModel(numer=(0.0,), denom=(b1,), tail=Tail(2, 1.0))
+        with pytest.raises(PoleOnRange, match=f"^denominator changes sign at x ~ {root}$"):
+            mttf(model, x_max=10.0)
 
 
 def test_mttf_divergent_tail():
