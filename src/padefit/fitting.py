@@ -58,8 +58,10 @@ class Dataset:
             raise ValueError("x and f must have equal length")
         if len(x) < 1:
             raise ValueError("need at least one point")
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(f))):
+        if not (np.isfinite(x).all() and np.isfinite(f).all()):
             raise ValueError("coordinates must be finite")
+        if not math.isfinite(float(x.max()) - float(x.min())):
+            raise ValueError("x must span a finite interval")
         x.setflags(write=False)
         f.setflags(write=False)
         object.__setattr__(self, "x", x)
@@ -139,7 +141,9 @@ class FitReport:
       was requested.
 
     denominator_vanishes is set when Q is numerically zero at some data
-    point; s, d (and d1) are then reported as +inf.
+    point; s, d (and d1) are then reported as +inf.  poles scans the data
+    interval, once for the fit's whole batch, on the first read of its
+    count or values.
     """
 
     model: RationalModel
@@ -195,9 +199,9 @@ def _build_reports(
     data: Dataset,
     der_grid: DerivativeGridSpec | None,
 ) -> list[FitReport | PadefitError]:
-    # One stacked evaluation at the data, pole scan and derivative pass for
-    # the models, whose _rows are the (top, 4, K) stack c; then each error
-    # measure as one reduction over the rows.
+    # One stacked evaluation at the data and derivative pass for the models,
+    # whose _rows are the (top, 4, K) stack c, and one pole scan run on its
+    # first read; then each error measure as one reduction over the rows.
     exponents = [model.x_power for model in models]
     lo, hi = data.interval()
     try:
@@ -245,8 +249,8 @@ def _fit(
 ) -> list[FitReport | PadefitError]:
     """Fit each of `configs` on `data`: one design matrix per exponent for
     the union of their columns, one stacked solve per column count, and
-    one stacked evaluation, pole scan and derivative pass.  Returns each
-    config's report, or the PadefitError that ended its fit alone."""
+    one stacked evaluation, deferred pole scan and derivative pass.  Returns
+    each config's report, or the PadefitError that ended its fit alone."""
     if not configs:
         return []
     columns = [linsys.free_columns(c.n, c.m, c.tail_power, c.zero_powers) for c in configs]

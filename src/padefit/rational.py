@@ -280,9 +280,10 @@ class PoleReport:
     """Result of a denominator sign-change scan.
 
     sign_changes holds one (lo, hi, root) triple per bracketed real zero of
-    the denominator, refined by bisection to POLE_REFINE_TOL in x.  A scan
-    bisects its brackets on the first read of sign_changes; count needs no
-    bisection.  min_abs_denominator is the smallest |Q| seen on the scan grid.
+    the denominator, refined by bisection to POLE_REFINE_TOL in x, and
+    min_abs_denominator is the smallest |Q| seen on the scan grid.  A scan
+    evaluates its grid once for its whole batch, on the first read of any
+    member's count or of these two fields; only sign_changes bisects.
     """
 
     scan_interval: tuple[float, float]
@@ -291,28 +292,31 @@ class PoleReport:
     sign_changes: tuple[tuple[float, float, float], ...]
 
     @classmethod
-    def _deferred(cls, scan_interval, scan_points, low, q, x_power, brackets) -> "PoleReport":
-        # A scan's report, seeded with its Q row, exponent and brackets in place of sign_changes.
+    def _deferred(cls, scan_interval, scan_points, scan, k, q, x_power) -> "PoleReport":
+        # Member k of a scan batch: the batch's evaluation, its Q row and exponent stand in for the last two fields.
         report = object.__new__(cls)
-        report.__dict__.update(scan_interval=scan_interval, scan_points=scan_points, min_abs_denominator=low, _pending=(q, x_power, brackets))
+        report.__dict__.update(scan_interval=scan_interval, scan_points=scan_points, _pending=(scan, k, q, x_power))
         return report
 
     def __getattr__(self, name):
-        # Only a name missing from __dict__ lands here: the sign_changes of a
-        # deferred report, bisected once and stored.  Q(lo) == 0.0 marks an
-        # exact-zero node, a degenerate bracket.
+        # Only a name missing from __dict__ lands here: a deferred field, read
+        # from the batch's evaluation (sign_changes bisected) once and stored.
+        # Q(lo) == 0.0 marks an exact-zero node, a degenerate bracket.
         pending = self.__dict__.get("_pending")
-        if name != "sign_changes" or pending is None:
+        if name not in ("min_abs_denominator", "sign_changes") or pending is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        q, x_power, brackets = pending
+        scan, k, q, x_power = pending
+        if name == "min_abs_denominator":
+            self.__dict__[name] = low = scan()[1][k]
+            return low
         found = []
-        for lo, hi, vlo in brackets:
+        for lo, hi, vlo in scan()[0][k]:
             if vlo == 0.0:
                 found.append((lo,) * 3)
                 continue
             lo, hi = _bisect(q, x_power, lo, hi, vlo)
             found.append((lo, hi, 0.5 * (lo + hi)))
-        self.__dict__["sign_changes"] = found = tuple(found)
+        self.__dict__[name] = found = tuple(found)
         return found
 
     def __getstate__(self):
@@ -321,7 +325,7 @@ class PoleReport:
     @property
     def count(self) -> int:
         pending = self.__dict__.get("_pending")
-        return len(self.sign_changes if pending is None else pending[2])
+        return len(self.sign_changes if pending is None else pending[0]()[0][pending[1]])
 
 
 def require_nonnegative(x, x_power: float) -> None:
@@ -414,16 +418,15 @@ def pole_scan(model: RationalModel, interval: tuple[float, float], points: int =
 
 def pole_scans(models, interval: tuple[float, float], points: int = SCAN_POINTS) -> list[PoleReport]:
     """pole_scan of each model: one stacked evaluation of the denominators
-    on the grid; each report bisects its own brackets, in grid order, when
-    its sign_changes are first read."""
+    on the grid, run on the first read of any report's values; each report
+    bisects its own brackets, in grid order, when its sign_changes are first
+    read."""
     return _scans(*_stack(models), interval, points)
 
 
 def _scans(c, exponents, interval, points) -> list[PoleReport]:
-    # One stacked evaluation of the denominators on the grid.  A model's
-    # brackets, in grid order, are its sign changes (never at a zero node)
-    # and the first nodes of zero runs among nodes 0..points-2, as
-    # (lo, hi, Q(lo)), then a zero last node as (x, x, 0.0).
+    # The reports of one batch, sharing one _scan run on the first read; the
+    # interval and the domain (the grid's lowest node is a) are checked now.
     a, b = float(interval[0]), float(interval[1])
     if not (b > a):
         raise ValueError("scan interval must have positive length")
@@ -431,6 +434,18 @@ def _scans(c, exponents, interval, points) -> list[PoleReport]:
         raise ValueError("scan interval must be finite, and so must its length")
     if points < 2:
         raise ValueError("need at least two scan points")
+    for q in dict.fromkeys(exponents):
+        require_nonnegative(a, q)
+    memo: dict = {}  # the batch's one _scan, run on the first read of any member
+    scan = lambda: memo.get(0) or memo.setdefault(0, _scan(c, exponents, a, b, points))
+    return [PoleReport._deferred((a, b), points, scan, k, c[:, 1, k], q) for k, q in enumerate(exponents)]
+
+
+def _scan(c, exponents, a, b, points) -> tuple[list, list]:
+    # One stacked evaluation of the denominators on the grid: each model's
+    # brackets and smallest |Q|.  The brackets, in grid order, are the sign
+    # changes (never at a zero node) and the first nodes of zero runs among
+    # nodes 0..points-2, as (lo, hi, Q(lo)), then a zero last node as (x, x, 0.0).
     xs = _scan_grid(a, b, points)
     vals = _horner(c[:, 1], _substitutions(xs, exponents))
     zero = vals == 0.0
@@ -442,8 +457,7 @@ def _scans(c, exponents, interval, points) -> list[PoleReport]:
     brackets: list = [[] for _ in exponents]
     for k, bracket in zip(ks.tolist(), ends):
         brackets[k].append(bracket)
-    lows = np.abs(vals).min(axis=1).tolist()
-    return [PoleReport._deferred((a, b), points, lows[k], c[:, 1, k], q, tuple(brackets[k])) for k, q in enumerate(exponents)]
+    return brackets, np.abs(vals).min(axis=1).tolist()
 
 
 @lru_cache(maxsize=8)

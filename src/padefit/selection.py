@@ -194,16 +194,16 @@ def _fit_counted(data, configs, der_grid, interval):
     """_fit of one batch, each report paired with its denominator's sign
     changes on `interval`.  The fits' own scans answer when they covered
     the same interval; otherwise one stacked scan counts their brackets,
-    and its failure becomes their error."""
+    its failure becomes their error, and their own scans are never run."""
     fits = _fit(data, configs, der_grid)
     reports = [r for r in fits if isinstance(r, FitReport)]
-    counts = [r.poles.count for r in reports]
-    if reports and reports[0].poles.scan_interval != tuple(map(float, interval)):
+    scans = [r.poles for r in reports]
+    if reports and scans[0].scan_interval != tuple(map(float, interval)):
         try:
-            counts = [p.count for p in pole_scans([r.model for r in reports], interval, SCAN_POINTS)]
+            scans = pole_scans([r.model for r in reports], interval, SCAN_POINTS)
         except PadefitError as exc:
             return [r if isinstance(r, PadefitError) else exc for r in fits]
-    counts = iter(counts)
+    counts = iter(p.count for p in scans)
     return [r if isinstance(r, PadefitError) else (r, next(counts)) for r in fits]
 
 

@@ -22,3 +22,18 @@ def bisections(monkeypatch) -> list:
     bisect = rational._bisect
     monkeypatch.setattr(rational, "_bisect", lambda *args: calls.append(args) or bisect(*args))
     return calls
+
+
+@pytest.fixture
+def scan_evaluations(monkeypatch) -> list:
+    """The interval and model count of every pole-scan batch evaluation
+    (padefit.rational._scan) in the test."""
+    calls = []
+    scan = rational._scan
+
+    def counting(c, exponents, a, b, points):
+        calls.append(((a, b), len(exponents)))
+        return scan(c, exponents, a, b, points)
+
+    monkeypatch.setattr(rational, "_scan", counting)
+    return calls

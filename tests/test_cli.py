@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -87,6 +88,17 @@ def test_fit_bad_header(capsys, tmp_path):
     code, out, _ = run(capsys, ["fit", str(path), "--n", "1", "--m", "0"])
     assert code == 1
     assert out == ""
+
+
+def test_fit_rejects_an_x_span_beyond_the_float_range(capsys, tmp_path):
+    path = tmp_path / "wide.csv"
+    path.write_text(format_points([-1e308, 0.0, 1e308], [1.0, 2.0, 3.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, ["fit", str(path), "--n", "0", "--m", "0"])
+    assert code == 1
+    assert out == ""
+    assert err == "error: x must span a finite interval\n"
 
 
 def test_fit_too_few_points_is_fit_failure(capsys, collinear):

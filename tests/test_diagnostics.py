@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from padefit import (
@@ -77,6 +77,7 @@ def test_rmse_errors():
     ),
     c=st.floats(-100, 100),
 )
+@example(values=[(999891.0, 999999.0)], c=17.501081837222173)  # cancellation in c*p - c*t
 def test_rmse_symmetry_and_scaling(values, c):
     p = [v[0] for v in values]
     t = [v[1] for v in values]
@@ -84,7 +85,13 @@ def test_rmse_symmetry_and_scaling(values, c):
     assert base >= 0.0
     assert rmse(t, p) == base
     scaled = rmse([c * v for v in p], [c * v for v in t])
-    assert scaled == pytest.approx(abs(c) * base, rel=1e-12, abs=1e-9)
+    # Each product c*v is rounded, so c*p - c*t may sit 2 eps |c| max|v| from
+    # c*(p - t); the two means round by a few ulps per term, and squares that
+    # underflow lose at most sqrt(ulp(0)) of either root.
+    eps = np.finfo(float).eps
+    rounding = 2 * eps * abs(c) * max(abs(v) for pair in values for v in pair)
+    underflow = math.sqrt(math.ulp(0.0)) * (1 + abs(c))
+    assert scaled == pytest.approx(abs(c) * base, rel=(len(values) + 6) * eps, abs=rounding + underflow)
 
 
 # -- oscillation measure ----------------------------------------------------

@@ -53,6 +53,16 @@ def test_dataset_validation():
         Dataset(np.array([]), np.array([]))
 
 
+def test_dataset_rejects_an_x_span_beyond_the_float_range():
+    # every abscissa is finite but max(x) - min(x) is not: rejected here,
+    # before a fit meets it as a scan or grid interval, and without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="x must span a finite interval"):
+            Dataset(np.array([-1e308, 0.0, 1e308]), np.array([1.0, 2.0, 3.0]))
+        assert Dataset(np.array([-1e308, 0.0]), np.array([1.0, 2.0])).interval() == (-1e308, 0.0)
+
+
 def test_dataset_copies_the_callers_arrays():
     x = np.linspace(0.0, 1.0, 5)
     f = x**2
@@ -390,6 +400,25 @@ def test_mixed_batch_with_vanishing_denominator_matches_report_oracle():
     # at x = 2 on the derivative grid it is that member's own DenominatorZero
     batch = fitting._fit(refs, configs, DerivativeGridSpec((1.0, 3.0), 4), full)
     assert [type(r).__name__ for r in batch].count("DenominatorZero") == 1
+
+
+def test_fit_evaluates_its_pole_scan_on_the_first_read(scan_evaluations):
+    data = _exact_dataset()
+    reports = [fit_linearized(data, FitConfig(n=2, m=1)), fit_regularized(data, FitConfig(n=2, m=1))]
+    assert all(r.model.denom and r.s < 1e-20 and r.d < 1e-10 for r in reports)
+    assert reports[1].d_der > 0.0
+    assert scan_evaluations == []
+    assert [r.poles.count for r in reports] == [0, 0]
+    assert scan_evaluations == [(data.interval(), 1)] * 2
+    assert [r.poles.sign_changes for r in reports] == [(), ()]
+    assert all(r.poles.min_abs_denominator >= 1.0 for r in reports)
+    assert len(scan_evaluations) == 2
+    # a mixed-exponent batch shares one scan, evaluated on its first read
+    batch = fitting._fit(data, [FitConfig(n=2, m=1), FitConfig(n=1, m=1, x_power=0.5), FitConfig(n=3, m=0)], None)
+    assert len(scan_evaluations) == 2
+    assert [r.poles.count for r in batch] == [0, 1, 0]
+    assert all(r.poles.min_abs_denominator > 0.0 for r in batch)
+    assert scan_evaluations[2:] == [(data.interval(), 3)]
 
 
 # -- exact interpolation ----------------------------------------------------

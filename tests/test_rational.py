@@ -571,6 +571,30 @@ def test_scans_bisect_on_the_first_read_of_sign_changes(bisections):
         two.roots
 
 
+def test_scans_evaluate_once_per_batch_on_the_first_read(scan_evaluations, bisections):
+    two, node = pole_scans(DEFERRED, (0.0, 2.0), 3)
+    assert scan_evaluations == []
+    assert two.count == 2 and scan_evaluations == [((0.0, 2.0), 2)]
+    # the batch's other member and the other fields read the same evaluation
+    assert node.min_abs_denominator == 0.0 and node.count == 1
+    assert two.min_abs_denominator == oracle.pole_scan(DEFERRED[0], (0.0, 2.0), 3).min_abs_denominator
+    assert len(two.sign_changes) == 2 and node.sign_changes == ((1.0, 1.0, 1.0),)
+    assert scan_evaluations == [((0.0, 2.0), 2)] and len(bisections) == 2
+    # a second batch of the same models evaluates anew, on its own first read
+    assert pole_scans(DEFERRED, (0.0, 2.0), 3)[1].min_abs_denominator == 0.0
+    assert len(scan_evaluations) == 2
+
+
+def test_scans_check_their_arguments_at_call_time(scan_evaluations):
+    fractional = RationalModel(numer=(1.0,), denom=(0.5,), x_power=0.5)
+    for interval, points in (((2.0, 2.0), 10), ((0.0, math.inf), 10), ((0.0, 2.0), 1)):
+        with pytest.raises(ValueError):
+            pole_scan(fractional, interval, points)
+    with pytest.raises(NegativeAbscissa):  # the integer power alone would scan
+        pole_scans([PEAK_LEFT, fractional], (-1.0, 1.0))
+    assert scan_evaluations == []
+
+
 REPORT_VIEWS = {
     "eq": lambda r: r,
     "hash": hash,
@@ -590,6 +614,18 @@ def test_deferred_report_behaves_as_an_eager_one(view):
         first = pole_scan(model, (0.0, 2.0), 3)
         eager = PoleReport(*(getattr(first, f.name) for f in fields(PoleReport)))
         assert show(pole_scan(model, (0.0, 2.0), 3)) == show(eager)
+
+
+@pytest.mark.parametrize("view", REPORT_VIEWS)
+def test_deferred_report_read_for_its_smallest_denominator_behaves_as_an_eager_one(view):
+    # each view of a report whose first read was min_abs_denominator
+    show = REPORT_VIEWS[view]
+    for model in DEFERRED:
+        first = pole_scan(model, (0.0, 2.0), 3)
+        eager = PoleReport(*(getattr(first, f.name) for f in fields(PoleReport)))
+        report = pole_scan(model, (0.0, 2.0), 3)
+        assert report.min_abs_denominator == eager.min_abs_denominator
+        assert show(report) == show(eager)
 
 
 # -- serialization ----------------------------------------------------------

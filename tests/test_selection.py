@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from padefit import (
     fit_regularized,
     grid_search,
     lambda_sweep,
+    mttf,
     q_search,
     rational,
     sample_noisy,
@@ -29,7 +31,7 @@ from padefit import (
     tune_lambda1,
     uniform_grid,
 )
-from padefit.errors import EmptySweep, NegativeAbscissa, NoFeasibleModel
+from padefit.errors import EmptySweep, NegativeAbscissa, NoFeasibleModel, PoleOnRange
 from padefit.rational import pole_scans
 
 GEN = RationalModel(numer=(1.0, -0.4, 0.2), denom=(0.25,))
@@ -450,6 +452,34 @@ def test_tune_lambda1_scans_each_fit_once(monkeypatch, pole_interval):
         assert calls[0][1] == 11
     else:
         assert calls == []
+
+
+def test_reliability_route_evaluates_only_the_scans_it_reads(scan_evaluations, table1):
+    # A sweep counting poles over (0, 2), wider than the data, a refit read
+    # for d and d_der, then the MTTF scan: the fits' own scans of the data
+    # interval are never evaluated.
+    config = FitConfig.cdf_form(6, 0, 12)
+    sweep = lambda_sweep(table1, config, (0.0, 0.0005, 0.001, 0.002, 0.0025, 0.005, 0.01), (0.0, 2.0), 40)
+    refit = fit_regularized(table1, replace(config, lam=sweep.chosen_lam()), DerivativeGridSpec((0.0, 2.0), 40))
+    assert math.isfinite(refit.d) and math.isfinite(refit.d_der)
+    assert scan_evaluations == [((0.0, 2.0), 7)]
+    x_max = 50.0 * float(table1.x.max())
+    try:
+        mttf(refit.model, x_max=x_max)
+    except PoleOnRange:
+        pass
+    assert scan_evaluations == [((0.0, 2.0), 7), ((0.0, x_max), 1)]
+
+
+@pytest.mark.parametrize("pole_interval", [None, (0.0, 3.0)])
+def test_tuning_evaluates_one_scan_per_batch(scan_evaluations, pole_interval):
+    # each pass reads the counts of its fits' own scans, or of the rescan
+    # over a wider pole_interval alone; q_search reads no scan at all
+    data, der, baseline = _tune_case()
+    q_search(data, FitConfig(n=3, m=0), (0.5, 0.75, 1.0))
+    assert scan_evaluations == []
+    tune_lambda1(data, FitConfig(n=2, m=2), baseline, der_grid=der, pole_interval=pole_interval)
+    assert [interval for interval, _count in scan_evaluations] == [pole_interval or der.interval] * 2
 
 
 @pytest.mark.parametrize("der_interval", [None, (0.0, 2.0)])
