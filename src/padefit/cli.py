@@ -16,6 +16,7 @@ import json
 import math
 import re
 import sys
+from contextlib import suppress
 from dataclasses import replace
 from typing import Callable, Sequence
 
@@ -93,107 +94,64 @@ def _write_output(out_path: str | None, text: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# flag parsing helpers
+# flag values
 
-def _parse_floats(text: str, flag: str) -> tuple[float, ...]:
+def _split(form: str, sep: str, *kinds: Callable) -> Callable:
+    """An argparse type for FORM values (``LO:HI``, ``I,J,...``): the text
+    split on `sep`, part i converted by kinds[i], or each part of a list of
+    any length by a lone kind.  A malformed value fails in the parser, which
+    names the flag."""
+
+    def convert(text: str) -> tuple:
+        parts = text.split(sep)
+        each = kinds if len(kinds) > 1 else kinds * len(parts)
+        if len(parts) == len(each):
+            with suppress(ValueError):
+                return tuple(kind(part) for kind, part in zip(each, parts))
+        raise argparse.ArgumentTypeError(f"expected {form}, got {text!r}")
+
+    return convert
+
+
+def _split_flag(form: str, sep: str, *kinds: Callable, required: bool = False, **kw) -> dict:
+    """add_argument keywords for a flag with a FORM value.  An empty value of
+    an optional flag is None, as if the flag were left out."""
+    convert = _split(form, sep, *kinds)
+    return dict(kw, required=required, metavar=form,
+                type=lambda text: convert(text) if text or required else None)
+
+
+def _exact_fn(spec: str) -> Callable | None:
+    """--exact-fn: a FUNCTIONS name or weibull:THETA:SHAPE; empty is None."""
+    if not spec or spec in FUNCTIONS:
+        return FUNCTIONS.get(spec)
+    if not spec.startswith("weibull:"):
+        known = ", ".join(sorted(FUNCTIONS))
+        raise argparse.ArgumentTypeError(f"unknown function {spec!r} (choose from {known}, weibull:THETA:SHAPE)")
+    _, theta, shape = _split("weibull:THETA:SHAPE", ":", str, float, float)(spec)
     try:
-        values = tuple(float(v) for v in text.split(","))
+        params = WeibullParams(theta, shape)
     except ValueError as exc:
-        raise UsageError(f"{flag}: expected comma-separated numbers, got {text!r}") from exc
-    if not values:
-        raise UsageError(f"{flag}: empty list")
-    return values
-
-
-def _parse_ints(text: str, flag: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(v) for v in text.split(","))
-    except ValueError as exc:
-        raise UsageError(f"{flag}: expected comma-separated integers, got {text!r}") from exc
-
-
-def _parse_int_range(text: str, flag: str) -> tuple[int, int]:
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise UsageError(f"{flag}: expected LO:HI, got {text!r}")
-    try:
-        lo, hi = int(parts[0]), int(parts[1])
-    except ValueError as exc:
-        raise UsageError(f"{flag}: expected LO:HI integers, got {text!r}") from exc
-    return lo, hi
-
-
-def _parse_interval(text: str, flag: str) -> tuple[float, float]:
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise UsageError(f"{flag}: expected A:B, got {text!r}")
-    try:
-        return float(parts[0]), float(parts[1])
-    except ValueError as exc:
-        raise UsageError(f"{flag}: expected A:B numbers, got {text!r}") from exc
-
-
-def _parse_zero_mask(text: str | None) -> frozenset[int]:
-    if not text:
-        return frozenset()
-    return frozenset(_parse_ints(text, "--zero-mask"))
-
-
-def _parse_anchors(text: str | None) -> tuple[tuple[float, float], ...]:
-    if not text:
-        return ()
-    anchors = []
-    for part in text.split(";"):
-        pair = part.split(",")
-        if len(pair) != 2:
-            raise UsageError(f"--anchors: expected 'x,y;x,y;...', got {text!r}")
-        try:
-            anchors.append((float(pair[0]), float(pair[1])))
-        except ValueError as exc:
-            raise UsageError(f"--anchors: bad pair {part!r}") from exc
-    return tuple(anchors)
-
-
-def _parse_exact_fn(spec: str) -> Callable:
-    if spec in FUNCTIONS:
-        return FUNCTIONS[spec]
-    if spec.startswith("weibull:"):
-        parts = spec.split(":")
-        if len(parts) != 3:
-            raise UsageError(f"--exact-fn: expected weibull:THETA:SHAPE, got {spec!r}")
-        try:
-            params = WeibullParams(float(parts[1]), float(parts[2]))
-        except ValueError as exc:
-            raise UsageError(f"--exact-fn: {exc}") from exc
-        return lambda x: weibull_cdf(params, x)
-    known = ", ".join(sorted(FUNCTIONS))
-    raise UsageError(f"--exact-fn: unknown function {spec!r} (choose from {known}, weibull:THETA:SHAPE)")
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+    return lambda x: weibull_cdf(params, x)
 
 
 def _load_dataset(args) -> Dataset:
-    x, y = read_points(args.data)
-    underlying = _parse_exact_fn(args.exact_fn) if getattr(args, "exact_fn", None) else None
-    return Dataset(x, y, underlying=underlying)
+    return Dataset(*read_points(args.data), underlying=args.exact_fn)
 
 
 def _build_config(args) -> FitConfig:
-    mask = _parse_zero_mask(args.zero_mask)
     kwargs = dict(
         x_power=args.q,
         lam=args.lam,
         lam1=args.lam1,
-        zero_powers=mask,
+        zero_powers=args.zero_mask or (),
     )
     if args.form == "cdf":
         if args.l is None:
             raise UsageError("--form cdf requires --l (the shared tail power)")
         return FitConfig.cdf_form(args.n, args.m, args.l, **kwargs)
     return FitConfig(n=args.n, m=args.m, tail_power=args.l, **kwargs)
-
-
-def _der_grid(args, data: Dataset) -> DerivativeGridSpec:
-    interval = data.interval() if args.der_interval is None else _parse_interval(args.der_interval, "--der-interval")
-    return DerivativeGridSpec(interval, args.der_points)
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +221,7 @@ def _emit_report(args, doc: dict) -> int:
 def cmd_fit(args) -> int:
     data = _load_dataset(args)
     config = _build_config(args)
-    report = fit_regularized(data, config, _der_grid(args, data))
+    report = fit_regularized(data, config, DerivativeGridSpec(args.der_interval or data.interval(), args.der_points))
     doc = {
         "command": "fit",
         "data": {"file": args.data, "count": len(data)},
@@ -275,7 +233,7 @@ def cmd_fit(args) -> int:
 
 def cmd_interpolate(args) -> int:
     data = _load_dataset(args)
-    mask = _parse_zero_mask(args.zero_mask)
+    mask = frozenset(args.zero_mask or ())
     if (args.refs is None) == (args.group_size is None):
         raise UsageError("interpolate needs exactly one of --refs and --group-size")
     if args.refs == "every-second-point":
@@ -285,7 +243,7 @@ def cmd_interpolate(args) -> int:
         rx, ry = read_points(args.refs)
         refs = Dataset(rx, ry, underlying=data.underlying)
     else:
-        refs = build_reference_points(data, args.group_size, _parse_anchors(args.anchors))
+        refs = build_reference_points(data, args.group_size, args.anchors or ())
     report = interpolate_reference(refs, args.n, args.m, mask, evaluate_on=data)
     doc = {
         "command": "interpolate",
@@ -299,17 +257,12 @@ def cmd_interpolate(args) -> int:
 
 def cmd_search(args) -> int:
     data = _load_dataset(args)
-    mask = _parse_zero_mask(args.zero_mask)
+    mask = frozenset(args.zero_mask or ())
     if args.form == "cdf":
         if args.l_list is None:
             raise UsageError("--form cdf requires --l-list (tail powers to try)")
         mask = mask | {0}
-    space = SearchSpace(
-        n_range=_parse_int_range(args.n_range, "--n-range"),
-        m_range=_parse_int_range(args.m_range, "--m-range"),
-        l_candidates=_parse_ints(args.l_list, "--l-list") if args.l_list else None,
-        q_grid=_parse_floats(args.q_grid, "--q-grid") if args.q_grid else (1.0,),
-    )
+    space = SearchSpace(args.n_range, args.m_range, args.l_list, args.q_grid or (1.0,))
     best, rows = grid_search(data, space, lam=args.lam, lam1=args.lam1, zero_powers=mask)
     table = []
     for cand in rows:
@@ -347,11 +300,7 @@ def cmd_search(args) -> int:
 def cmd_sweep(args) -> int:
     data = _load_dataset(args)
     config = _build_config(args)
-    grid = _parse_floats(args.lambda_grid, "--lambda-grid")
-    der_interval = (
-        _parse_interval(args.der_interval, "--der-interval") if args.der_interval else None
-    )
-    sweep = lambda_sweep(data, config, grid, der_interval, args.der_points)
+    sweep = lambda_sweep(data, config, args.lambda_grid, args.der_interval, args.der_points)
     chosen = sweep.chosen_lam()
     row = sweep.rows[sweep.chosen]
     if row.report is None:
@@ -395,15 +344,11 @@ def cmd_eval(args) -> int:
     if (args.points is None) == (args.points_file is None):
         raise UsageError("eval needs exactly one of --points and --points-file")
     if args.points is not None:
-        parts = args.points.split(":")
-        if len(parts) != 3:
-            raise UsageError(f"--points: expected A:B:COUNT, got {args.points!r}")
-        try:
-            a, b, count = float(parts[0]), float(parts[1]), int(parts[2])
-        except ValueError as exc:
-            raise UsageError(f"--points: expected A:B:COUNT, got {args.points!r}") from exc
+        a, b, count = args.points
         if count < 1:
             raise UsageError("--points: COUNT must be positive")
+        if not math.isfinite(b - a):  # inf or NaN for a non-finite end too
+            raise UsageError("--points: B - A must be finite")
         xs = np.linspace(a, b, count)
     else:
         xs, _ = read_points(args.points_file)
@@ -425,14 +370,7 @@ def cmd_generate(args) -> int:
     else:
         if args.grid is None:
             raise UsageError("generate with a function needs --grid A:B:SUBINTERVALS")
-        parts = args.grid.split(":")
-        if len(parts) != 3:
-            raise UsageError(f"--grid: expected A:B:SUBINTERVALS, got {args.grid!r}")
-        try:
-            a, b, sub = float(parts[0]), float(parts[1]), int(parts[2])
-        except ValueError as exc:
-            raise UsageError(f"--grid: expected A:B:SUBINTERVALS, got {args.grid!r}") from exc
-        xs = uniform_grid(a, b, sub)
+        xs = uniform_grid(*args.grid)
         data = sample_noisy(FUNCTIONS[args.fn], xs, NoiseSpec(args.sigma, args.seed))
         return_text = format_points(data.x, data.f)
     _write_output(args.out, return_text)
@@ -442,34 +380,34 @@ def cmd_generate(args) -> int:
 # ---------------------------------------------------------------------------
 # parser assembly
 
-def _add_data_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("data", help="input point file (CSV with header 'x,y')")
-    p.add_argument("--exact-fn", default=None, metavar="NAME",
-                   help="underlying exact function for d0/d1 metrics: "
-                        "sin, resonance, sqrtexp, or weibull:THETA:SHAPE")
-    p.add_argument("--out", default=None, metavar="PATH", help="write output here instead of stdout")
+# The flags that several commands take, each declared once; a command lists
+# the ones it takes, in the order its help shows them.
+_SHARED_FLAGS = {
+    "data": dict(help="input point file (CSV with header 'x,y')"),
+    "--exact-fn": dict(type=_exact_fn, metavar="NAME",
+                       help="underlying exact function for d0/d1 metrics: "
+                            "sin, resonance, sqrtexp, or weibull:THETA:SHAPE"),
+    "--out": dict(metavar="PATH", help="write output here instead of stdout"),
+    "--form": dict(choices=("free", "cdf"), default="free",
+                   help="free: plain ratio; cdf: R(0)=0 and R(inf)=1 via a shared tail term"),
+    "--n": dict(type=int, required=True, help="numerator degree"),
+    "--m": dict(type=int, required=True, help="denominator degree"),
+    "--l": dict(type=int, help="shared tail power (required for --form cdf)"),
+    "--q": dict(type=float, default=1.0, help="abscissa substitution exponent (fit on x**q)"),
+    "--lambda": dict(dest="lam", type=float, default=0.0, help="ridge weight on numerator and tail coefficients"),
+    "--lambda1": dict(dest="lam1", type=float, default=0.0, help="ridge weight on denominator coefficients"),
+    "--zero-mask": _split_flag("I,J,...", ",", int, help="numerator powers pinned to zero"),
+    "--der-interval": _split_flag("A:B", ":", float, float,
+                                  help="interval for the derivative-smoothness metric (default: data interval)"),
+    "--der-points": dict(type=int, default=40, metavar="N", help="grid size for the derivative-smoothness metric"),
+}
+_FIT_FLAGS = ("data", "--exact-fn", "--out", "--form", "--n", "--m", "--l", "--q",
+              "--lambda", "--lambda1", "--zero-mask", "--der-interval", "--der-points")
 
 
-def _add_structure_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--form", choices=("free", "cdf"), default="free",
-                   help="free: plain ratio; cdf: R(0)=0 and R(inf)=1 via a shared tail term")
-    p.add_argument("--n", type=int, required=True, help="numerator degree")
-    p.add_argument("--m", type=int, required=True, help="denominator degree")
-    p.add_argument("--l", type=int, default=None, help="shared tail power (required for --form cdf)")
-    p.add_argument("--q", type=float, default=1.0, help="abscissa substitution exponent (fit on x**q)")
-    p.add_argument("--lambda", dest="lam", type=float, default=0.0,
-                   help="ridge weight on numerator and tail coefficients")
-    p.add_argument("--lambda1", dest="lam1", type=float, default=0.0,
-                   help="ridge weight on denominator coefficients")
-    p.add_argument("--zero-mask", default=None, metavar="I,J,...",
-                   help="numerator powers pinned to zero")
-
-
-def _add_der_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--der-interval", default=None, metavar="A:B",
-                   help="interval for the derivative-smoothness metric (default: data interval)")
-    p.add_argument("--der-points", type=int, default=40, metavar="N",
-                   help="grid size for the derivative-smoothness metric")
+def _add_flags(p: argparse.ArgumentParser, *names: str) -> None:
+    for name in names:
+        p.add_argument(name, **_SHARED_FLAGS[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -479,49 +417,36 @@ def build_parser() -> argparse.ArgumentParser:
 
     fit = sub.add_parser("fit", help="least-squares rational fit",
                          description="Fit a rational function to a point file.")
-    _add_data_flags(fit)
-    _add_structure_flags(fit)
-    _add_der_flags(fit)
+    _add_flags(fit, *_FIT_FLAGS)
     fit.set_defaults(func=cmd_fit)
 
     interp = sub.add_parser("interpolate", help="fit passing exactly through reference points",
                             description="Interpolate through reference points, either given "
                                         "or condensed from the data by subset averaging.")
-    _add_data_flags(interp)
-    interp.add_argument("--n", type=int, required=True, help="numerator degree")
-    interp.add_argument("--m", type=int, required=True, help="denominator degree")
-    interp.add_argument("--zero-mask", default=None, metavar="I,J,...",
-                        help="numerator powers pinned to zero")
-    interp.add_argument("--refs", default=None, metavar="PATH",
-                        help="reference point file, or 'every-second-point'")
-    interp.add_argument("--group-size", type=int, default=None, metavar="K",
+    _add_flags(interp, "data", "--exact-fn", "--out", "--n", "--m", "--zero-mask")
+    interp.add_argument("--refs", metavar="PATH", help="reference point file, or 'every-second-point'")
+    interp.add_argument("--group-size", type=int, metavar="K",
                         help="average consecutive groups of K data points into reference points")
-    interp.add_argument("--anchors", default=None, metavar="X,Y;X,Y",
-                        help="exact extra reference points appended to the averaged ones")
+    interp.add_argument("--anchors", **_split_flag("X,Y;X,Y", ";", _split("X,Y", ",", float, float),
+                                                   help="exact extra reference points appended to the averaged ones"))
     interp.set_defaults(func=cmd_interpolate)
 
     search = sub.add_parser("search", help="exhaustive structure search",
                             description="Fit every structure in the given ranges and rank them.")
-    _add_data_flags(search)
-    search.add_argument("--form", choices=("free", "cdf"), default="free")
-    search.add_argument("--n-range", required=True, metavar="LO:HI", help="numerator degree range")
-    search.add_argument("--m-range", required=True, metavar="LO:HI", help="denominator degree range")
-    search.add_argument("--l-list", default=None, metavar="L1,L2,...", help="tail powers to try")
-    search.add_argument("--q-grid", default=None, metavar="Q1,Q2,...",
-                        help="substitution exponents to try (default: 1)")
-    search.add_argument("--lambda", dest="lam", type=float, default=0.0)
-    search.add_argument("--lambda1", dest="lam1", type=float, default=0.0)
-    search.add_argument("--zero-mask", default=None, metavar="I,J,...")
+    _add_flags(search, "data", "--exact-fn", "--out", "--form")
+    search.add_argument("--n-range", **_split_flag("LO:HI", ":", int, int, required=True, help="numerator degree range"))
+    search.add_argument("--m-range", **_split_flag("LO:HI", ":", int, int, required=True, help="denominator degree range"))
+    search.add_argument("--l-list", **_split_flag("L1,L2,...", ",", int, help="tail powers to try"))
+    search.add_argument("--q-grid", **_split_flag("Q1,Q2,...", ",", float, help="substitution exponents to try (default: 1)"))
+    _add_flags(search, "--lambda", "--lambda1", "--zero-mask")
     search.set_defaults(func=cmd_search)
 
     sweep = sub.add_parser("sweep", help="ridge-weight sweep with automatic choice",
                            description="Refit over a grid of numerator ridge weights, tabulate "
                                        "error and smoothness, and report the chosen weight.")
-    _add_data_flags(sweep)
-    _add_structure_flags(sweep)
-    _add_der_flags(sweep)
-    sweep.add_argument("--lambda-grid", required=True, metavar="L1,L2,...",
-                       help="ascending ridge weights to sweep")
+    _add_flags(sweep, *_FIT_FLAGS)
+    sweep.add_argument("--lambda-grid", **_split_flag("L1,L2,...", ",", float, required=True,
+                                                      help="ascending ridge weights to sweep"))
     sweep.set_defaults(func=cmd_sweep)
 
     ev = sub.add_parser("eval", help="tabulate a fitted model",
@@ -529,10 +454,9 @@ def build_parser() -> argparse.ArgumentParser:
                                     "on a grid; emits CSV columns x, r, dr.")
     ev.add_argument("--model", required=True, metavar="PATH",
                     help="JSON file: a fit report or a bare model block")
-    ev.add_argument("--points", default=None, metavar="A:B:COUNT", help="uniform evaluation grid")
-    ev.add_argument("--points-file", default=None, metavar="PATH",
-                    help="point file whose x column is the evaluation grid")
-    ev.add_argument("--out", default=None, metavar="PATH")
+    ev.add_argument("--points", **_split_flag("A:B:COUNT", ":", float, float, int, help="uniform evaluation grid"))
+    ev.add_argument("--points-file", metavar="PATH", help="point file whose x column is the evaluation grid")
+    _add_flags(ev, "--out")
     ev.set_defaults(func=cmd_eval)
 
     gen = sub.add_parser("generate", help="synthetic datasets",
@@ -541,13 +465,13 @@ def build_parser() -> argparse.ArgumentParser:
                      help="function to sample, or 'weibull' for failure times with median ranks")
     gen.add_argument("--sigma", type=float, default=0.0, help="relative noise level")
     gen.add_argument("--seed", type=int, default=0, help="PRNG seed")
-    gen.add_argument("--grid", default=None, metavar="A:B:SUBINTERVALS",
-                     help="sampling grid for function targets")
-    gen.add_argument("--count", type=int, default=None, help="number of failure times (weibull)")
+    gen.add_argument("--grid", **_split_flag("A:B:SUBINTERVALS", ":", float, float, int,
+                                             help="sampling grid for function targets"))
+    gen.add_argument("--count", type=int, help="number of failure times (weibull)")
     gen.add_argument("--theta", type=float, default=1.0, help="scale (weibull)")
     gen.add_argument("--beta", type=float, default=1.0, help="shape (weibull)")
     gen.add_argument("--rank-a", type=float, default=0.3, help="plotting-position constant (weibull)")
-    gen.add_argument("--out", default=None, metavar="PATH")
+    _add_flags(gen, "--out")
     gen.set_defaults(func=cmd_generate)
 
     return parser

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fitting import Dataset
+from .rational import require_interval
 from .weibull import WeibullParams
 
 TWO_PI = 2.0 * math.pi
@@ -64,10 +65,7 @@ def normal_deviates(count: int, spec: NoiseSpec) -> np.ndarray:
 def uniform_grid(a: float, b: float, subintervals: int) -> np.ndarray:
     """Endpoints of `subintervals` equal pieces of [a, b]; length is
     subintervals + 1."""
-    if not (b > a):
-        raise ValueError("interval must have positive length")
-    if not math.isfinite(float(b) - float(a)):  # inf or NaN for an infinite endpoint too
-        raise ValueError("interval must be finite, and so must its length")
+    require_interval(a, b)
     if subintervals < 1:
         raise ValueError("need at least one subinterval")
     return np.linspace(a, b, subintervals + 1)

@@ -8,14 +8,13 @@ so the score separates smooth fits from oscillating ones.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Literal
 
 import numpy as np
 
 from .errors import DenominatorZero, EmptyInput, LengthMismatch
-from .rational import DENOM_TOL, RationalModel, _slopes, denominator_zero
+from .rational import DENOM_TOL, RationalModel, _slopes, denominator_zero, require_interval
 
 #: Relative step for the finite-difference fallback derivative.
 FD_STEP = 1e-6
@@ -44,10 +43,7 @@ class DerivativeGridSpec:
 
     def __post_init__(self):
         a, b = self.interval
-        if not (b > a):
-            raise ValueError("interval must have positive length")
-        if not math.isfinite(float(b) - float(a)):  # inf or NaN for an infinite endpoint too
-            raise ValueError("interval must be finite, and so must its length")
+        require_interval(a, b)
         if self.count < 1:
             raise ValueError("count must be positive")
         if self.placement not in ("inside", "midpoint", "right"):

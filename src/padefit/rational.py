@@ -328,6 +328,14 @@ class PoleReport:
         return len(self.sign_changes if pending is None else pending[0]()[0][pending[1]])
 
 
+def require_interval(a, b, name: str = "interval") -> None:
+    """An interval [a, b] must have positive and finite length b - a."""
+    if not (b > a):
+        raise ValueError(f"{name} must have positive length")
+    if not math.isfinite(float(b) - float(a)):  # inf or NaN for an infinite endpoint too
+        raise ValueError(f"{name} must be finite, and so must its length")
+
+
 def require_nonnegative(x, x_power: float) -> None:
     """Non-integer substitution powers are defined only for x >= 0."""
     if not float(x_power).is_integer() and (np.asarray(x) < 0.0).any():
@@ -428,10 +436,7 @@ def _scans(c, exponents, interval, points) -> list[PoleReport]:
     # The reports of one batch, sharing one _scan run on the first read; the
     # interval and the domain (the grid's lowest node is a) are checked now.
     a, b = float(interval[0]), float(interval[1])
-    if not (b > a):
-        raise ValueError("scan interval must have positive length")
-    if not math.isfinite(b - a):  # inf or NaN for an infinite endpoint too
-        raise ValueError("scan interval must be finite, and so must its length")
+    require_interval(a, b, "scan interval")
     if points < 2:
         raise ValueError("need at least two scan points")
     for q in dict.fromkeys(exponents):

@@ -220,6 +220,13 @@ def test_search_table_covers_all_cells(capsys):
     assert doc["poles"]["count"] == 0
 
 
+def test_search_cdf_requires_tail_powers(capsys):
+    # an empty --l-list is no list, as if the flag were left out
+    for extra in ([], ["--l-list="]):
+        argv = ["search", TABLE1, "--form", "cdf", "--n-range", "1:2", "--m-range", "0:0", *extra]
+        assert run(capsys, argv) == (1, "", "error: --form cdf requires --l-list (tail powers to try)\n")
+
+
 def test_fit_solve_block_reports_conditioning(capsys, collinear):
     code, out, _ = run(capsys, ["fit", collinear, "--n", "1", "--m", "0"])
     assert code == 0
@@ -359,6 +366,26 @@ def test_eval_fractional_power_at_origin_exits_2(capsys, tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize("points", ["nan:1:3", "0:inf:5", "-1e308:1e308:3"])
+def test_eval_rejects_a_grid_of_nonfinite_length(capsys, tmp_path, points):
+    path = tmp_path / "const.json"
+    path.write_text(json.dumps(RationalModel(numer=(3.0,), denom=()).to_dict()))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, ["eval", "--model", str(path), f"--points={points}"])
+    assert (code, out) == (1, "")
+    assert "--points" in err
+
+
+def test_eval_descending_and_one_point_grids(capsys, tmp_path):
+    path = tmp_path / "const.json"
+    path.write_text(json.dumps(RationalModel(numer=(3.0,), denom=()).to_dict()))
+    for points, xs in (("1:0:3", [1.0, 0.5, 0.0]), ("0:1:1", [0.0])):
+        code, out, _ = run(capsys, ["eval", "--model", str(path), "--points", points])
+        assert code == 0
+        assert [float(line.split(",")[0]) for line in out.splitlines()[1:]] == xs
+
+
 def test_eval_rejects_non_model_file(capsys, tmp_path):
     path = tmp_path / "junk.json"
     path.write_text('{"hello": "world"}')
@@ -408,14 +435,62 @@ def test_generate_flag_validation(capsys):
 # -- shared plumbing -----------------------------------------------------------
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["search", TABLE1, "--n-range", "1", "--m-range", "0:1"], "--n-range"),
+        (["search", TABLE1, "--n-range", "1:x", "--m-range", "0:1"], "--n-range"),
+        (["fit", TABLE1, "--n", "2", "--m", "1", "--der-interval", "0:1:2"], "--der-interval"),
+        (["search", TABLE1, "--n-range", "1:2", "--m-range", "0:1", "--q-grid", "1,,2"], "--q-grid"),
+        (["sweep", TABLE1, "--n", "2", "--m", "1", "--lambda-grid", "a"], "--lambda-grid"),
+        (["search", TABLE1, "--n-range", "1:2", "--m-range", "0:1", "--l-list", "8,x"], "--l-list"),
+        (["fit", TABLE1, "--n", "2", "--m", "1", "--zero-mask", "0,x"], "--zero-mask"),
+        (["interpolate", TABLE1, "--n", "2", "--m", "1", "--group-size", "2", "--anchors", "0,0;1"], "--anchors"),
+        (["eval", "--model", "MODEL", "--points", "0:1"], "--points"),
+        (["generate", "--fn", "sin", "--grid", "0:1:x"], "--grid"),
+        (["fit", TABLE1, "--n", "2", "--m", "1", "--exact-fn", "weibull:1"], "--exact-fn"),
+        (["fit", TABLE1, "--n", "2", "--m", "1", "--exact-fn", "nope"], "--exact-fn"),
+    ],
+)
+def test_malformed_flag_values_are_usage_errors(capsys, tmp_path, argv, flag):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(RationalModel(numer=(1.0,)).to_dict()))
+    code, out, err = run(capsys, [str(model) if a == "MODEL" else a for a in argv])
+    assert (code, out) == (1, "")
+    # the last line is the message; a usage line above it lists every flag
+    assert flag in err.splitlines()[-1]
+
+
+@pytest.mark.parametrize(
+    "argv, empty",
+    [
+        (["fit", TABLE1, "--n", "2", "--m", "1"], "--zero-mask="),
+        (["fit", TABLE1, "--n", "2", "--m", "1"], "--der-interval="),
+        (["fit", TABLE1, "--n", "2", "--m", "1"], "--exact-fn="),
+        (["interpolate", TABLE1, "--n", "2", "--m", "1", "--group-size", "3"], "--anchors="),
+        (["search", TABLE1, "--n-range", "1:2", "--m-range", "0:1"], "--l-list="),
+        (["search", TABLE1, "--n-range", "1:2", "--m-range", "0:1"], "--q-grid="),
+        (["sweep", TABLE1, "--n", "2", "--m", "1", "--lambda-grid", "0,0.01"], "--der-interval="),
+    ],
+)
+def test_an_empty_flag_value_is_the_flag_left_out(capsys, argv, empty):
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert run(capsys, argv + [empty]) == (0, out, "")
+
+
 def test_version_and_help_exit_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
-    with pytest.raises(SystemExit) as exc:
-        main(["fit", "--help"])
-    assert exc.value.code == 0
-    capsys.readouterr()
+    helps = {}
+    for command in ("fit", "interpolate", "search", "sweep", "eval", "generate"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        helps[command] = capsys.readouterr().out
+    # search declares --lambda1 through the same table as fit, help text included
+    assert "ridge weight on denominator coefficients" in helps["search"]
 
 
 def test_point_file_round_trip(tmp_path):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import oracle
-from padefit import PoleReport, RationalModel, Tail, add, pole_scan
+from padefit import DerivativeGridSpec, PoleReport, RationalModel, Tail, add, pole_scan, uniform_grid
 from padefit.rational import _horner, pole_scans
 from padefit.errors import (
     DenominatorZero,
@@ -395,6 +395,33 @@ def test_pole_scan_validates_arguments():
         for interval in ((0.0, math.inf), (-math.inf, 1.0), (0.0, math.nan), (-1e308, 1e308)):
             with pytest.raises(ValueError):
                 pole_scan(m, interval)
+
+
+@pytest.mark.parametrize(
+    "check, name",
+    [
+        (lambda a, b: uniform_grid(a, b, 4), "interval"),
+        (lambda a, b: DerivativeGridSpec((a, b), 4), "interval"),
+        (lambda a, b: pole_scan(RationalModel((1.0,), (0.5,)), (a, b)), "scan interval"),
+    ],
+)
+@pytest.mark.parametrize(
+    "a, b, message",
+    [
+        (1.0, 1.0, "must have positive length"),
+        (2.0, 1.0, "must have positive length"),
+        (0.0, math.nan, "must have positive length"),
+        (0.0, math.inf, "must be finite, and so must its length"),
+        (-1e308, 1e308, "must be finite, and so must its length"),
+    ],
+)
+def test_interval_checks_give_one_message_each(check, name, a, b, message):
+    # the grid, the smoothness grid and the pole scan share one interval check
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as exc:
+            check(a, b)
+    assert str(exc.value) == f"{name} {message}"
 
 
 def test_pole_scan_rejects_negative_interval_for_fractional_power():

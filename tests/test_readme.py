@@ -31,7 +31,7 @@ def test_quick_start_runs(capsys):
 
 def test_command_line_examples_exit_zero(tmp_path, monkeypatch, capsys):
     commands = _commands()
-    assert [argv[0] for argv in commands] == ["fit", "sweep", "fit", "eval", "generate", "interpolate", "generate"]
+    assert [argv[0] for argv in commands] == ["fit", "sweep", "search", "fit", "eval", "generate", "interpolate", "generate"]
     (tmp_path / "data").mkdir()
     shutil.copy(ROOT / "data" / "table1.csv", tmp_path / "data" / "table1.csv")
     monkeypatch.chdir(tmp_path)
