@@ -221,7 +221,8 @@ def _emit_report(args, doc: dict) -> int:
 def cmd_fit(args) -> int:
     data = _load_dataset(args)
     config = _build_config(args)
-    report = fit_regularized(data, config, DerivativeGridSpec(args.der_interval or data.interval(), args.der_points))
+    der_grid = DerivativeGridSpec(args.der_interval or data.interval(), args.der_points)
+    report = fit_regularized(data, config, der_grid)
     doc = {
         "command": "fit",
         "data": {"file": args.data, "count": len(data)},
@@ -428,16 +429,20 @@ def build_parser() -> argparse.ArgumentParser:
     interp.add_argument("--group-size", type=int, metavar="K",
                         help="average consecutive groups of K data points into reference points")
     interp.add_argument("--anchors", **_split_flag("X,Y;X,Y", ";", _split("X,Y", ",", float, float),
-                                                   help="exact extra reference points appended to the averaged ones"))
+                                                   help="exact extra reference points appended to the "
+                                                        "averaged ones"))
     interp.set_defaults(func=cmd_interpolate)
 
     search = sub.add_parser("search", help="exhaustive structure search",
                             description="Fit every structure in the given ranges and rank them.")
     _add_flags(search, "data", "--exact-fn", "--out", "--form")
-    search.add_argument("--n-range", **_split_flag("LO:HI", ":", int, int, required=True, help="numerator degree range"))
-    search.add_argument("--m-range", **_split_flag("LO:HI", ":", int, int, required=True, help="denominator degree range"))
+    search.add_argument("--n-range", **_split_flag("LO:HI", ":", int, int, required=True,
+                                                   help="numerator degree range"))
+    search.add_argument("--m-range", **_split_flag("LO:HI", ":", int, int, required=True,
+                                                   help="denominator degree range"))
     search.add_argument("--l-list", **_split_flag("L1,L2,...", ",", int, help="tail powers to try"))
-    search.add_argument("--q-grid", **_split_flag("Q1,Q2,...", ",", float, help="substitution exponents to try (default: 1)"))
+    search.add_argument("--q-grid", **_split_flag("Q1,Q2,...", ",", float,
+                                                  help="substitution exponents to try (default: 1)"))
     _add_flags(search, "--lambda", "--lambda1", "--zero-mask")
     search.set_defaults(func=cmd_search)
 
