@@ -12,7 +12,6 @@ from padefit import (
     Dataset,
     DerivativeGridSpec,
     FitConfig,
-    choose_lambda,
     fit_regularized,
     lambda_sweep,
     median_ranks,
@@ -48,7 +47,7 @@ print("the pole sits inside the data range, so the model is unusable as a CDF")
 sweep = lambda_sweep(data, config, (0.0025, 0.005, 0.01), der_interval=(0.0, 2.0))
 for row in sweep.rows:
     print(f"  lambda = {row.lam:.4f}  D = {row.d:.5f}  D_der = {row.d_der:.5f}  poles = {row.pole_count}")
-lam = choose_lambda(sweep)
+lam = sweep.chosen_lam()
 print(f"chosen lambda: {lam}")
 
 smooth = fit_regularized(data, FitConfig.cdf_form(6, 0, 12, lam=lam), grid)

@@ -35,7 +35,6 @@ from .selection import (
     LambdaSweep,
     SearchSpace,
     SweepRow,
-    choose_lambda,
     grid_search,
     lambda_sweep,
     q_search,
@@ -71,7 +70,6 @@ __all__ = [
     "WeibullParams",
     "add",
     "build_reference_points",
-    "choose_lambda",
     "errors",
     "fit_linearized",
     "fit_regularized",

@@ -40,7 +40,6 @@ class NoiseSpec:
 
     sigma: float
     seed: int
-    mu: float = 0.0
 
     def __post_init__(self):
         if self.sigma < 0.0:
@@ -52,14 +51,14 @@ def _uniforms(seed: int, count: int) -> np.ndarray:
 
 
 def normal_deviates(count: int, spec: NoiseSpec) -> np.ndarray:
-    """`count` Box-Muller normals with mean mu and deviation sigma."""
+    """`count` Box-Muller normals with mean 0 and deviation sigma."""
     if count < 0:
         raise ValueError("count must be nonnegative")
     u = _uniforms(spec.seed, 2 * count)
     u1 = u[0::2]
     u2 = u[1::2]
     z = np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(TWO_PI * u2)
-    return spec.mu + spec.sigma * z
+    return spec.sigma * z
 
 
 def uniform_grid(a: float, b: float, subintervals: int) -> np.ndarray:

@@ -9,7 +9,7 @@ so the score separates smooth fits from oscillating ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Literal
+from typing import Callable
 
 import numpy as np
 
@@ -19,44 +19,29 @@ from .rational import DENOM_TOL, RationalModel, _slopes, denominator_zero, requi
 #: Relative step for the finite-difference fallback derivative.
 FD_STEP = 1e-6
 
-Placement = Literal["inside", "midpoint", "right"]
-
 
 @dataclass(frozen=True)
 class DerivativeGridSpec:
     """Uniform evaluation grid for the oscillation measure.
 
-    placement selects how the count points are placed in (a, b]:
-
-    - "right":    x_i = a + i*(b - a)/count, i = 1..count; includes b,
-      excludes a.  This is the default: the open left end keeps clear of
-      left-endpoint singularities (a square-root factor has an infinite
-      derivative at 0) while still sampling the full interval.
-    - "inside":   x_i = a + i*(b - a)/(count + 1); strictly interior with a
-      margin at both ends.
-    - "midpoint": x_i = a + (i - 0.5)*(b - a)/count; interval midpoints.
+    The count points are x_i = a + i*(b - a)/count, i = 1..count: the grid
+    includes b and excludes a.  The open left end keeps clear of
+    left-endpoint singularities (a square-root factor has an infinite
+    derivative at 0) while still sampling the full interval.
     """
 
     interval: tuple[float, float]
     count: int
-    placement: Placement = "right"
 
     def __post_init__(self):
         a, b = self.interval
         require_interval(a, b)
         if self.count < 1:
             raise ValueError("count must be positive")
-        if self.placement not in ("inside", "midpoint", "right"):
-            raise ValueError(f"unknown placement {self.placement!r}")
 
     def grid(self) -> np.ndarray:
         a, b = self.interval
-        i = np.arange(1, self.count + 1, dtype=float)
-        if self.placement == "inside":
-            return a + i * (b - a) / (self.count + 1)
-        if self.placement == "midpoint":
-            return a + (i - 0.5) * (b - a) / self.count
-        return a + i * (b - a) / self.count
+        return a + np.arange(1, self.count + 1, dtype=float) * (b - a) / self.count
 
 
 def rmse(values: np.ndarray, targets: np.ndarray) -> float:

@@ -61,6 +61,11 @@ class NegativeAbscissa(PadefitError):
     """Negative abscissa with a non-integer substitution power."""
 
 
+class EvaluationOverflow(PadefitError):
+    """A model value at x, or a step on the way to it, is not finite: the
+    arithmetic overflows the float range, or x itself is not finite."""
+
+
 class SingularDerivative(PadefitError):
     """dR/dx requested at x = 0 with a substitution power below 1, where the
     chain-rule factor x_power * x**(x_power - 1) is infinite."""

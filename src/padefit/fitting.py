@@ -317,7 +317,7 @@ def fit_regularized(
     """fit_linearized plus the oscillation measure d_der.
 
     The diagnostic grid defaults to 40 interior points over the data
-    interval; pass der_grid to control interval, count and placement.
+    interval; pass der_grid to control interval and count.
     With lam == lam1 == 0 the fitted model and error metrics match
     fit_linearized exactly.
     """

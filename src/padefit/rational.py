@@ -23,6 +23,7 @@ from numpy.polynomial import polynomial as npoly
 
 from .errors import (
     DenominatorZero,
+    EvaluationOverflow,
     NegativeAbscissa,
     NormalizationImpossible,
     SingularDerivative,
@@ -153,22 +154,55 @@ class RationalModel:
 
         Raises NegativeAbscissa for x < 0 with a non-integer x_power.
         """
-        (num,), (den,) = stacked_parts((self,), x)
-        return num, den
+        c, exponents = _stack((self,))
+        return tuple(_horner(c[:, :2], _substitutions(x, exponents))[:, 0])
 
     def __call__(self, x):
-        """Evaluate the model; scalar in, scalar out; array in, array out."""
-        num, den = self.parts(x)
-        if (err := denominator_zero(x, den)) is not None:
-            raise err
-        out = num / den
+        """Evaluate the model; scalar in, scalar out; array in, array out.
+
+        Raises DenominatorZero where |Q| <= DENOM_TOL, and
+        EvaluationOverflow where x is not finite or the value, or a step
+        on the way to it, overflows.
+        """
+        try:
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                num, den = self.parts(x)
+                if (err := denominator_zero(x, den)) is not None:
+                    raise err
+                out = num / den
+        except FloatingPointError as exc:
+            raise EvaluationOverflow(f"R(x) is out of float range ({exc})") from None
+        if not np.isfinite(out).all():
+            raise EvaluationOverflow("R(x) at a non-finite x")
         return out if np.ndim(x) else float(out)
 
     def derivative(self, x):
-        """First derivative dR/dx by the quotient rule (see `slopes`)."""
-        (out,), (den,) = slopes((self,), x)
+        """First derivative dR/dx by the quotient rule.
+
+        The chain rule contributes x_power * x**(x_power - 1) from the
+        substitution; for x_power == 1 that factor is exactly 1.
+
+        Raises
+        ------
+        DenominatorZero
+            Where |Q| <= DENOM_TOL.
+        NegativeAbscissa
+            For x < 0 with a non-integer x_power.
+        SingularDerivative
+            For x = 0 with x_power < 1, where the chain-rule factor is infinite.
+        EvaluationOverflow
+            Where x is not finite or the slope, or a step on the way to it,
+            overflows.
+        """
+        try:
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                (out,), (den,) = _slopes(*_stack((self,)), x)
+        except FloatingPointError as exc:
+            raise EvaluationOverflow(f"dR/dx is out of float range ({exc})") from None
         if (err := denominator_zero(x, den)) is not None:
             raise err
+        if not np.isfinite(out).all():
+            raise EvaluationOverflow("dR/dx at a non-finite x")
         return out if np.ndim(x) else float(out)
 
     def taylor_coefficients(self, count: int) -> tuple[float, ...]:
@@ -214,11 +248,23 @@ class RationalModel:
 
     @classmethod
     def from_dict(cls, rec: dict) -> "RationalModel":
+        """The model of a to_dict record.  Raises ValueError unless the
+        coefficients are JSON arrays of numbers and the tail and zero
+        powers are integers."""
         tail = rec.get("tail")
+        numbers = [rec["numer"], rec.get("denom", []), [rec.get("x_power", 1.0)]]
+        integers = [rec.get("zero_powers", [])]
+        if tail is not None:
+            numbers.append([tail["coeff"]])
+            integers.append([tail["power"]])
+        for arrays, kinds in ((numbers, (int, float)), (integers, int)):
+            for a in arrays:
+                if not isinstance(a, list) or any(isinstance(v, bool) or not isinstance(v, kinds) for v in a):
+                    raise ValueError("coefficients must be arrays of numbers, and tail and zero powers integers")
         return cls(
             numer=tuple(rec["numer"]),
             denom=tuple(rec.get("denom", ())),
-            tail=None if tail is None else Tail(int(tail["power"]), float(tail["coeff"])),
+            tail=None if tail is None else Tail(tail["power"], float(tail["coeff"])),
             x_power=float(rec.get("x_power", 1.0)),
             zero_powers=frozenset(rec.get("zero_powers", ())),
         )
@@ -229,11 +275,6 @@ class RationalModel:
     @classmethod
     def loads(cls, text: str) -> "RationalModel":
         return cls.from_dict(json.loads(text))
-
-    def __add__(self, other):
-        if isinstance(other, RationalModel):
-            return add(self, other)
-        return NotImplemented
 
 
 def _trim_trailing_zeros(c: np.ndarray, keep: int) -> np.ndarray:
@@ -376,32 +417,10 @@ def _horner(c, t) -> np.ndarray:
     return v
 
 
-def stacked_parts(models, x) -> tuple[np.ndarray, np.ndarray]:
-    """P(t) and Q(t) at t = x**x_power of each model, one row per model."""
-    c, exponents = _stack(models)
-    return tuple(_horner(c[:, :2], _substitutions(x, exponents)))
-
-
-def slopes(models, x) -> tuple[np.ndarray, np.ndarray]:
-    """dR/dx of each model by the quotient rule, with its denominator
-    values; one row per model.
-
-    The chain rule contributes x_power * x**(x_power - 1) from the
-    substitution; for x_power == 1 that factor is exactly 1.  Entries
-    where |Q| <= DENOM_TOL hold no derivative: callers check the
-    denominator row before using a slope row.
-
-    Raises
-    ------
-    NegativeAbscissa
-        For x < 0 with a non-integer x_power.
-    SingularDerivative
-        For x = 0 with x_power < 1, where the chain-rule factor is infinite.
-    """
-    return _slopes(*_stack(models), x)
-
-
 def _slopes(c, exponents, x):
+    # dR/dx of each model of the (top, 4, K) stack c by the quotient rule, and
+    # its denominator values, one row per model.  Entries where |Q| <= DENOM_TOL
+    # hold no slope: callers check the denominator row before using a slope row.
     xs = np.asarray(x, dtype=float)
     t = _substitutions(xs, exponents)
     if np.any(xs == 0.0) and (low := min(exponents)) < 1.0:

@@ -10,7 +10,7 @@ coefficients, then a smaller denominator degree.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 
 from .diagnostics import DerivativeGridSpec
@@ -19,7 +19,7 @@ from .fitting import SCAN_POINTS, Dataset, FitConfig, FitReport, _fit, _members
 from .rational import pole_scans, require_nonnegative
 
 #: Relative d_der change between neighbouring sweep rows that marks the
-#: onset of the plateau (choose_lambda).
+#: onset of the plateau (LambdaSweep).
 PLATEAU_TOL = 0.05
 
 #: tune_lambda1's coarse grid of denominator penalties, 1.0 down to 0.1 in
@@ -145,11 +145,37 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class LambdaSweep:
-    """Rows of a numerator-penalty sweep, ascending in lam, plus the index
-    chosen by the plateau rule of choose_lambda."""
+    """Rows of a numerator-penalty sweep, ascending in lam, and the index
+    `chosen` of the smallest pole-free penalty at the onset of the d_der
+    plateau.
+
+    A row qualifies when its oscillation measure differs from the next
+    larger penalty's by at most PLATEAU_TOL relative: past that point
+    extra smoothing no longer changes the derivative picture, so the
+    smallest such penalty distorts the data least.  Falls back to the
+    largest pole-free penalty when no plateau exists (and to the last row
+    if every row has poles).
+
+    Raises
+    ------
+    EmptySweep
+        If there are fewer than two rows.
+    """
 
     rows: tuple[SweepRow, ...]
-    chosen: int
+    chosen: int = field(init=False)
+
+    def __post_init__(self):
+        rows = self.rows
+        if len(rows) < 2:
+            raise EmptySweep("need at least two rows")
+        plateau = (
+            i for i, (row, nxt) in enumerate(zip(rows, rows[1:]))
+            if row.error is None and nxt.error is None and row.pole_count == 0
+            and abs(nxt.d_der - row.d_der) <= PLATEAU_TOL * abs(row.d_der)
+        )
+        clean = [i for i, r in enumerate(rows) if r.error is None and r.pole_count == 0]
+        object.__setattr__(self, "chosen", next(plateau, clean[-1] if clean else len(rows) - 1))
 
     def chosen_lam(self) -> float:
         return self.rows[self.chosen].lam
@@ -187,7 +213,7 @@ def lambda_sweep(
         else:
             report, count = fit
             rows.append(SweepRow(lam, report.d, report.d_der, count, report=report))
-    return LambdaSweep(rows=tuple(rows), chosen=_choose_index(rows))
+    return LambdaSweep(tuple(rows))
 
 
 def _fit_counted(data, configs, der_grid, interval):
@@ -205,39 +231,6 @@ def _fit_counted(data, configs, der_grid, interval):
             return [r if isinstance(r, PadefitError) else exc for r in fits]
     counts = iter(p.count for p in scans)
     return [r if isinstance(r, PadefitError) else (r, next(counts)) for r in fits]
-
-
-def _choose_index(rows) -> int:
-    for i in range(len(rows) - 1):
-        row, nxt = rows[i], rows[i + 1]
-        if row.error is not None or nxt.error is not None:
-            continue
-        if row.pole_count != 0:
-            continue
-        if abs(nxt.d_der - row.d_der) <= PLATEAU_TOL * abs(row.d_der):
-            return i
-    clean = [i for i, r in enumerate(rows) if r.error is None and r.pole_count == 0]
-    return clean[-1] if clean else len(rows) - 1
-
-
-def choose_lambda(sweep: LambdaSweep) -> float:
-    """Smallest pole-free penalty at the onset of the d_der plateau.
-
-    A row qualifies when its oscillation measure differs from the next
-    larger penalty's by at most PLATEAU_TOL relative: past that point
-    extra smoothing no longer changes the derivative picture, so the
-    smallest such penalty distorts the data least.  Falls back to the
-    largest pole-free penalty when no plateau exists (and to the last row
-    if every row has poles).
-
-    Raises
-    ------
-    EmptySweep
-        If the sweep has fewer than two rows.
-    """
-    if len(sweep.rows) < 2:
-        raise EmptySweep("need at least two rows")
-    return sweep.rows[_choose_index(sweep.rows)].lam
 
 
 def q_search(
@@ -278,7 +271,6 @@ def tune_lambda1(
     baseline_d_der: float,
     *,
     der_grid: DerivativeGridSpec,
-    pole_interval: tuple[float, float] | None = None,
 ) -> tuple[float, FitReport]:
     """Coarse-to-fine denominator-penalty pick against a smoothness anchor.
 
@@ -288,13 +280,11 @@ def tune_lambda1(
     smallest s wins.  A coarse pass over COARSE_LAM1 (1.0 down to 0.1 in
     steps of 0.1, then 0) brackets the winner, and one refinement pass at
     REFINE_STEP (0.01) granularity finishes the job; each pass is one
-    batch fit.
-
-    pole_interval widens the pole-free requirement past the smoothness
-    grid (default: the grid's own interval).  A model meant for
-    extrapolation should be scanned over the extrapolation range too: a
-    denominator root just outside the data window ruins predictions while
-    leaving every in-window diagnostic clean.
+    batch fit.  Poles are counted over der_grid's interval, which may
+    reach past the data: a model meant for extrapolation should be scanned
+    over the extrapolation range too, since a denominator root just
+    outside the data window ruins predictions while leaving every
+    in-window diagnostic clean.
 
     Raises
     ------
@@ -303,10 +293,9 @@ def tune_lambda1(
     """
     if not (0 < baseline_d_der < math.inf):
         raise ValueError("baseline_d_der must be positive and finite")
-    scan_interval = pole_interval if pole_interval is not None else der_grid.interval
 
     def best_of(lam1s, best):
-        fits = _fit_counted(data, _members(config, "lam1", lam1s), der_grid, scan_interval)
+        fits = _fit_counted(data, _members(config, "lam1", lam1s), der_grid, der_grid.interval)
         for lam1, fit in zip(lam1s, fits):
             if isinstance(fit, PadefitError):
                 continue

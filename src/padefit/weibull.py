@@ -252,8 +252,10 @@ def _rational_tail_integral(model: RationalModel, x_cut: float) -> float:
     return float(c * x_cut ** (-expo) / expo)
 
 
-# Far enough out both polynomials overflow and R is inf/inf; the quadrature
-# turns that NaN into NonconvergentQuadrature, so the warnings are noise.
+# Far enough out both polynomials overflow and R = P / Q is inf/inf: the
+# cutoff search passes over that NaN and the quadrature turns it into
+# NonconvergentQuadrature, so the warnings are noise.  R is therefore taken
+# from the model's parts: calling the model would raise EvaluationOverflow.
 @np.errstate(over="ignore", invalid="ignore")
 def mttf(obj: WeibullParams | RationalModel, *, x_max: float | None = None) -> float:
     """Mean time to failure of a CDF.
@@ -301,7 +303,7 @@ def mttf(obj: WeibullParams | RationalModel, *, x_max: float | None = None) -> f
     if scan.count:
         raise PoleOnRange(f"denominator changes sign at x ~ {scan.sign_changes[0][2]:.6g}")
     xs = np.linspace(0.0, x_max, 4097)[1:]
-    shortfall = 1.0 - np.asarray(model(xs))
+    shortfall = 1.0 - np.divide(*model.parts(xs))
     loud = np.nonzero(np.abs(shortfall) >= TAIL_EPS)[0]
     if loud.size == 0:
         x_cut = float(xs[0])
@@ -316,4 +318,4 @@ def mttf(obj: WeibullParams | RationalModel, *, x_max: float | None = None) -> f
         x_cut = float(xs[loud[-1] + 1])
 
     tail = _rational_tail_integral(model, x_cut)
-    return _graded_gauss(lambda x: 1.0 - model(x), x_cut) + tail
+    return _graded_gauss(lambda x: 1.0 - np.divide(*model.parts(x)), x_cut) + tail

@@ -219,17 +219,16 @@ def sweep_rows(data, config, grid, der_interval=None, der_points=40):
     return tuple(rows)
 
 
-def tune_lambda1(data, config, baseline, der_grid, pole_interval=None):
+def tune_lambda1(data, config, baseline, der_grid):
     """padefit.tune_lambda1 from one fit_regularized per penalty, each
-    counted by a fresh pole scan."""
-    scan_interval = pole_interval if pole_interval is not None else der_grid.interval
+    counted by a fresh pole scan over the derivative grid's interval."""
     grid = [1.0 - 0.1 * i for i in range(10)] + [0.0]
 
     def best_of(lam1s, best):
         for lam1 in lam1s:
             try:
                 report = fit_regularized(data, replace(config, lam1=lam1), der_grid)
-                count = pole_scan(report.model, scan_interval).count
+                count = pole_scan(report.model, der_grid.interval).count
             except PadefitError:
                 continue
             ok = count == 0 and abs(report.d_der - baseline) <= 0.10 * baseline

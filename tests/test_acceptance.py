@@ -196,7 +196,7 @@ def test_05_lambda_sweep(table1):
     ok = by_lam[0.0].d_der / by_lam[0.0025].d_der >= 5.0
     tail = [by_lam[lam].d for lam in (0.0025, 0.005, 0.01)]
     ok = ok and all(a <= b for a, b in zip(tail, tail[1:]))
-    chosen = pf.choose_lambda(sweep)
+    chosen = sweep.chosen_lam()
     ok = ok and 0.002 <= chosen <= 0.005
     ok = ok and elapsed < 1.0
     assert _line("5  sweep: smoothing ratio >= 5, rising D, chosen in band", ok)

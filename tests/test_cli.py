@@ -377,6 +377,17 @@ def test_eval_rejects_a_grid_of_nonfinite_length(capsys, tmp_path, points):
     assert "--points" in err
 
 
+def test_eval_overflow_exits_2(capsys, tmp_path):
+    # R = (1 + 2x)/(1 + 0.5x) at x = 1e308: 2x overflows
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(RationalModel((1.0, 2.0), (0.5,)).to_dict()))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, ["eval", "--model", str(path), "--points", "1e308:1e308:1"])
+    assert (code, out) == (2, "")
+    assert "out of float range" in err
+
+
 def test_eval_descending_and_one_point_grids(capsys, tmp_path):
     path = tmp_path / "const.json"
     path.write_text(json.dumps(RationalModel(numer=(3.0,), denom=()).to_dict()))
@@ -386,12 +397,20 @@ def test_eval_descending_and_one_point_grids(capsys, tmp_path):
         assert [float(line.split(",")[0]) for line in out.splitlines()[1:]] == xs
 
 
-def test_eval_rejects_non_model_file(capsys, tmp_path):
+@pytest.mark.parametrize(
+    "doc",
+    [
+        '{"hello": "world"}',
+        '{"numer": "35", "denom": "1"}',  # no coefficient arrays: not (3 + 5x)/(1 + x)
+        '{"numer": [1.0], "tail": {"power": 2.9, "coeff": 1.0}}',  # not a tail power of 2
+    ],
+)
+def test_eval_rejects_non_model_file(capsys, tmp_path, doc):
     path = tmp_path / "junk.json"
-    path.write_text('{"hello": "world"}')
-    code, _, err = run(capsys, ["eval", "--model", str(path), "--points", "0:1:5"])
-    assert code == 1
-    assert err != ""
+    path.write_text(doc)
+    code, out, err = run(capsys, ["eval", "--model", str(path), "--points", "0:1:5"])
+    assert (code, out) == (1, "")
+    assert "not a model document" in err
 
 
 # -- generate ------------------------------------------------------------------

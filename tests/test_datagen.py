@@ -25,11 +25,6 @@ def test_noise_spec_rejects_negative_sigma():
         NoiseSpec(sigma=-0.1, seed=0)
 
 
-def test_noise_spec_defaults():
-    spec = NoiseSpec(sigma=0.1, seed=3)
-    assert spec.mu == 0.0
-
-
 # -- uniform_grid -----------------------------------------------------------
 
 
@@ -79,10 +74,10 @@ def test_normal_deviates_golden_contract():
     np.testing.assert_array_equal(got, want)
 
 
-def test_normal_deviates_affine_in_mu_sigma():
+def test_normal_deviates_scale_with_sigma():
     z = normal_deviates(64, NoiseSpec(sigma=1.0, seed=9))
-    shifted = normal_deviates(64, NoiseSpec(sigma=2.0, seed=9, mu=3.0))
-    np.testing.assert_array_equal(shifted, 3.0 + 2.0 * z)
+    scaled = normal_deviates(64, NoiseSpec(sigma=2.0, seed=9))
+    np.testing.assert_array_equal(scaled, 2.0 * z)
 
 
 def test_normal_deviates_empty_and_negative():

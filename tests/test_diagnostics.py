@@ -23,13 +23,9 @@ from padefit.errors import DenominatorZero, EmptyInput, LengthMismatch
 # -- derivative grids -------------------------------------------------------
 
 
-def test_grid_placements_hand_computed():
+def test_grid_hand_computed():
     spec = DerivativeGridSpec((0.0, 2.0), 4)
     np.testing.assert_allclose(spec.grid(), [0.5, 1.0, 1.5, 2.0], rtol=1e-15)
-    inside = DerivativeGridSpec((0.0, 2.0), 4, placement="inside")
-    np.testing.assert_allclose(inside.grid(), [0.4, 0.8, 1.2, 1.6], rtol=1e-15)
-    mid = DerivativeGridSpec((0.0, 2.0), 4, placement="midpoint")
-    np.testing.assert_allclose(mid.grid(), [0.25, 0.75, 1.25, 1.75], rtol=1e-15)
 
 
 def test_grid_validation():
@@ -37,8 +33,6 @@ def test_grid_validation():
         DerivativeGridSpec((0.0, 2.0), 0)
     with pytest.raises(ValueError):
         DerivativeGridSpec((2.0, 2.0), 4)
-    with pytest.raises(ValueError):
-        DerivativeGridSpec((0.0, 2.0), 4, placement="corner")
     # (-1e308, 1e308) has finite endpoints, but its length overflows
     for interval in ((0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0), (-1e308, 1e308)):
         with pytest.raises(ValueError):
@@ -47,10 +41,9 @@ def test_grid_validation():
 
 def test_grid_excludes_left_endpoint():
     # the left endpoint would blow up on functions like sqrt(x)exp(-x)
-    for placement in ("right", "inside", "midpoint"):
-        g = DerivativeGridSpec((0.0, 2.0), 40, placement=placement).grid()
-        assert g[0] > 0.0
-        assert len(g) == 40
+    g = DerivativeGridSpec((0.0, 2.0), 40).grid()
+    assert g[0] > 0.0
+    assert len(g) == 40
 
 
 # -- rmse --------------------------------------------------------------------
@@ -147,6 +140,6 @@ def test_analytic_and_difference_derivatives_agree():
 
 def test_pole_on_grid_raises():
     model = RationalModel(numer=(1.0,), denom=(-1.0,))  # pole at x = 1
-    grid = DerivativeGridSpec((0.0, 2.0), 2)  # right placement hits 1.0 exactly
+    grid = DerivativeGridSpec((0.0, 2.0), 2)  # the grid hits 1.0 exactly
     with pytest.raises(DenominatorZero):
         oscillation_measure(model, grid)

@@ -345,7 +345,6 @@ DER_GRIDS = st.one_of(
         DerivativeGridSpec,
         st.sampled_from([(0.0, 2.0), (-0.5, 1.5), (-1.0, 1.0), (0.5, 1.0)]),
         st.integers(1, 12),
-        st.sampled_from(["right", "inside", "midpoint"]),
     ),
 )
 

@@ -19,6 +19,7 @@ from padefit import DerivativeGridSpec, PoleReport, RationalModel, Tail, add, po
 from padefit.rational import _horner, pole_scans
 from padefit.errors import (
     DenominatorZero,
+    EvaluationOverflow,
     NegativeAbscissa,
     NormalizationImpossible,
     SingularDerivative,
@@ -655,6 +656,25 @@ def test_deferred_report_read_for_its_smallest_denominator_behaves_as_an_eager_o
         assert show(report) == show(eager)
 
 
+def test_overflowing_evaluation_is_a_typed_error():
+    # R = (1 + 2x)/(1 + 0.5x) is about 4 at x = 1e308, where 2x overflows;
+    # at 1e200 the quotient rule's Q*Q overflows.  A non-finite x has no value.
+    m = RationalModel((1.0, 2.0), (0.5,))
+    errstate = np.geterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call, x in ((m, 1e308), (m, [2.0, 1e308]), (m.derivative, 1e200), (m.derivative, np.array([1e200]))):
+            with pytest.raises(EvaluationOverflow, match="out of float range"):
+                call(x)
+        for x in (math.inf, -math.inf, math.nan):
+            for call in (m, m.derivative):
+                with pytest.raises(EvaluationOverflow):
+                    call(x)
+        assert m(1e300) == pytest.approx(4.0, rel=1e-15)
+        assert (m(2.0), m.derivative(2.0)) == (2.5, 0.375)
+    assert np.geterr() == errstate
+
+
 # -- serialization ----------------------------------------------------------
 
 
@@ -683,6 +703,28 @@ def test_json_round_trip_through_text():
     assert back.denom == m.denom
 
 
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"numer": "35"},
+        {"numer": [1.0, "2"]},
+        {"numer": [True, 1.0]},
+        {"denom": "1"},
+        {"denom": {"1": 0.5}},
+        {"x_power": "0.5"},
+        {"tail": {"power": 2.9, "coeff": 0.5}},
+        {"numer": [1.0], "denom": [], "tail": {"power": True, "coeff": 0.5}},
+        {"tail": {"power": 3, "coeff": "0.5"}},
+        {"zero_powers": [0.5]},
+        {"zero_powers": "0"},
+    ],
+)
+def test_from_dict_rejects_malformed_fields(change):
+    rec = RationalModel((0.0, 1.0), (0.5,)).to_dict() | change
+    with pytest.raises(ValueError):
+        RationalModel.from_dict(rec)
+
+
 @settings(max_examples=50)
 @given(
     numer=st.lists(
@@ -691,11 +733,22 @@ def test_json_round_trip_through_text():
     denom=st.lists(
         st.floats(-0.5, 0.5, allow_nan=False, allow_infinity=False), max_size=4
     ),
+    tail=st.one_of(st.none(), st.tuples(st.integers(6, 9), st.floats(-2, 2, allow_nan=False))),
+    x_power=st.sampled_from([1, 1.0, 0.5, 2.0]),
+    zero_mask=st.booleans(),
 )
-def test_serialization_round_trip_property(numer, denom):
-    m = RationalModel(numer=tuple(numer), denom=tuple(denom))
-    back = RationalModel.loads(m.dumps())
-    assert back == m
+def test_serialization_round_trip_property(numer, denom, tail, x_power, zero_mask):
+    if zero_mask:
+        numer[0] = 0.0
+    m = RationalModel(
+        numer=tuple(numer),
+        denom=tuple(denom),
+        tail=None if tail is None else Tail(*tail),
+        x_power=x_power,
+        zero_powers=frozenset({0} if zero_mask else ()),
+    )
+    assert RationalModel.from_dict(m.to_dict()) == m
+    assert RationalModel.loads(m.dumps()) == m
 
 
 def test_scan_grid_is_built_once_and_read_only():

@@ -17,7 +17,6 @@ from padefit import (
     RationalModel,
     SearchSpace,
     SweepRow,
-    choose_lambda,
     fit_linearized,
     fit_regularized,
     grid_search,
@@ -264,27 +263,27 @@ def _rows(lams, d_ders, poles=None, errors=None):
         SweepRow(lam=l, d=0.1, d_der=v, pole_count=p, error=e)
         for l, v, p, e in zip(lams, d_ders, poles, errors)
     )
-    return LambdaSweep(rows=rows, chosen=0)
+    return LambdaSweep(rows)
 
 
-def test_choose_lambda_plateau_onset():
+def test_sweep_chooses_plateau_onset():
     sweep = _rows([0.0, 0.001, 0.002, 0.005], [10.0, 2.0, 1.0, 0.99])
-    assert choose_lambda(sweep) == 0.002
+    assert sweep.chosen_lam() == 0.002
 
 
-def test_choose_lambda_skips_pole_rows():
+def test_sweep_choice_skips_pole_rows():
     sweep = _rows([0.0, 0.001, 0.002], [1.0, 1.0, 1.0], poles=[1, 0, 0])
-    assert choose_lambda(sweep) == 0.001
+    assert sweep.chosen_lam() == 0.001
 
 
-def test_choose_lambda_no_plateau_falls_back_to_largest():
+def test_sweep_without_plateau_chooses_largest():
     sweep = _rows([0.0, 0.1, 0.2], [10.0, 5.0, 2.0])
-    assert choose_lambda(sweep) == 0.2
+    assert sweep.chosen_lam() == 0.2
 
 
-def test_choose_lambda_needs_two_rows():
+def test_sweep_needs_two_rows():
     with pytest.raises(EmptySweep):
-        choose_lambda(_rows([0.1], [1.0]))
+        _rows([0.1], [1.0])
 
 
 # -- substitution search ----------------------------------------------------
@@ -415,11 +414,11 @@ def test_selection_counts_poles_without_bisecting(monkeypatch, bisections, table
     reports = []
     deferred = rational.PoleReport._deferred
     monkeypatch.setattr(rational.PoleReport, "_deferred", lambda *args: reports.append(deferred(*args)) or reports[-1])
-    data, der, baseline = _tune_case()
+    data, der, baseline = _tune_case((0.0, 2.5))
     runs = {
         "grid_search": lambda: grid_search(data, SearchSpace(n_range=(0, 4), m_range=(0, 4))),
         "lambda_sweep": lambda: lambda_sweep(table1, FitConfig.cdf_form(6, 0, 12), (0.0, 0.0025, 0.01), (0.0, 2.0), 40),
-        "tune_lambda1": lambda: tune_lambda1(data, FitConfig(n=2, m=2), baseline, der_grid=der, pole_interval=(0.0, 3.0)),
+        "tune_lambda1": lambda: tune_lambda1(data, FitConfig(n=2, m=2), baseline, der_grid=der),
     }
     for name, run in runs.items():
         reports.clear()
@@ -428,27 +427,28 @@ def test_selection_counts_poles_without_bisecting(monkeypatch, bisections, table
     assert bisections == []
 
 
-def _tune_case():
+def _tune_case(der_interval=(0.1, 2.0)):
+    # data on [0.1, 2.0]; the derivative grid, and so the pole count, may reach past it
     rng = np.random.default_rng(6)
     xs = np.linspace(0.1, 2.0, 25)
     data = Dataset(xs, GEN(xs) * (1 + 0.05 * rng.normal(size=25)))
-    der = DerivativeGridSpec((0.1, 2.0), 40)
+    der = DerivativeGridSpec(der_interval, 40)
     baseline = fit_regularized(data, FitConfig(n=3, m=0), der).d_der
     return data, der, baseline
 
 
-@pytest.mark.parametrize("pole_interval", [None, (0.1, 2.0), (0.0, 3.0)])
-def test_tune_lambda1_scans_each_fit_once(monkeypatch, pole_interval):
-    data, der, baseline = _tune_case()
+@pytest.mark.parametrize("der_interval", [(0.1, 2.0), (0.0, 2.5)])
+def test_tune_lambda1_scans_each_fit_once(monkeypatch, der_interval):
+    data, der, baseline = _tune_case(der_interval)
     config = FitConfig(n=2, m=2)
-    want = oracle.tune_lambda1(data, config, baseline, der, pole_interval)
+    want = oracle.tune_lambda1(data, config, baseline, der)
     calls = _counted_scans(monkeypatch)
-    got = tune_lambda1(data, config, baseline, der_grid=der, pole_interval=pole_interval)
+    got = tune_lambda1(data, config, baseline, der_grid=der)
     assert got == want
-    if pole_interval == (0.0, 3.0):
+    if der_interval == (0.0, 2.5):
         # an interval wider than the fits' own scans needs one stacked
         # scan per batch: the coarse grid, then the fine grid
-        assert [interval for interval, _count in calls] == [(0.0, 3.0)] * 2
+        assert [interval for interval, _count in calls] == [(0.0, 2.5)] * 2
         assert calls[0][1] == 11
     else:
         assert calls == []
@@ -471,15 +471,16 @@ def test_reliability_route_evaluates_only_the_scans_it_reads(scan_evaluations, t
     assert scan_evaluations == [((0.0, 2.0), 7), ((0.0, x_max), 1)]
 
 
-@pytest.mark.parametrize("pole_interval", [None, (0.0, 3.0)])
-def test_tuning_evaluates_one_scan_per_batch(scan_evaluations, pole_interval):
+@pytest.mark.parametrize("der_interval", [(0.1, 2.0), (0.0, 2.5)])
+def test_tuning_evaluates_one_scan_per_batch(scan_evaluations, der_interval):
     # each pass reads the counts of its fits' own scans, or of the rescan
-    # over a wider pole_interval alone; q_search reads no scan at all
-    data, der, baseline = _tune_case()
+    # over a derivative grid wider than the data alone; q_search reads no
+    # scan at all
+    data, der, baseline = _tune_case(der_interval)
     q_search(data, FitConfig(n=3, m=0), (0.5, 0.75, 1.0))
     assert scan_evaluations == []
-    tune_lambda1(data, FitConfig(n=2, m=2), baseline, der_grid=der, pole_interval=pole_interval)
-    assert [interval for interval, _count in scan_evaluations] == [pole_interval or der.interval] * 2
+    tune_lambda1(data, FitConfig(n=2, m=2), baseline, der_grid=der)
+    assert [interval for interval, _count in scan_evaluations] == [der_interval] * 2
 
 
 @pytest.mark.parametrize("der_interval", [None, (0.0, 2.0)])
@@ -502,7 +503,7 @@ def test_sweep_equals_per_lambda_loop(table1):
         sweep = lambda_sweep(data, config, grid, der_interval)
         want = oracle.sweep_rows(data, config, grid, der_interval)
         assert sweep.rows == want
-        assert sweep.chosen_lam() == choose_lambda(LambdaSweep(want, 0))
+        assert sweep.chosen_lam() == LambdaSweep(want).chosen_lam()
 
 
 @pytest.mark.parametrize("q", [0.5, 0.65, 0.8, 1.0])
