@@ -13,8 +13,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DenominatorZero, EmptyInput, LengthMismatch
-from .rational import DENOM_TOL, RationalModel, _slopes, denominator_zero, require_interval
+from .errors import EmptyInput, EvaluationOverflow, LengthMismatch, PadefitError
+from .rational import DENOM_TOL, RationalModel, _slopes, _stack, denominator_zero, require_interval
 
 #: Relative step for the finite-difference fallback derivative.
 FD_STEP = 1e-6
@@ -62,14 +62,18 @@ def oscillation_measure(
 ) -> float:
     """RMS of the first derivative of `fn` over the grid.
 
-    Rational models use their analytic quotient-rule derivative.  For a
-    plain callable, pass its derivative explicitly or fall back to central
-    finite differences with a relative step of FD_STEP.
+    Rational models use their analytic quotient-rule derivative, and raise
+    EvaluationOverflow where it or its mean square leaves the float range.
+    For a plain callable, pass its derivative explicitly or fall back to
+    central finite differences with a relative step of FD_STEP.
     """
-    xs = grid.grid()
     if isinstance(fn, RationalModel):
-        d = np.asarray(fn.derivative(xs), dtype=float)
-    elif derivative is not None:
+        (measure,) = _measures(*_stack((fn,)), grid)
+        if isinstance(measure, PadefitError):
+            raise measure
+        return measure
+    xs = grid.grid()
+    if derivative is not None:
         d = np.asarray(derivative(xs), dtype=float)
     else:
         h = FD_STEP * np.maximum(1.0, np.abs(xs))
@@ -77,12 +81,20 @@ def oscillation_measure(
     return float(np.sqrt(np.mean(d * d)))
 
 
-def _measures(c, exponents, grid: DerivativeGridSpec) -> list[float | DenominatorZero]:
+def _measures(c, exponents, grid: DerivativeGridSpec) -> list[float | PadefitError]:
     # oscillation_measure of each model of the (top, 4, K) stack c, from
-    # one stacked quotient-rule pass; a model whose denominator vanishes on
-    # the grid gets the DenominatorZero its own measure would raise.
+    # one stacked quotient-rule pass.  A model's outcome is the error its own
+    # measure raises: DenominatorZero where its denominator vanishes on the
+    # grid, EvaluationOverflow where its slopes or their mean square leave
+    # the float range (a batch that overflows is measured model by model).
     xs = grid.grid()
-    d, den = _slopes(c, exponents, xs)
-    vanishing = np.abs(den).min(axis=1) <= DENOM_TOL
-    rms = iter(np.sqrt(np.mean(d[~vanishing] ** 2, axis=1)).tolist())
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            d, den = _slopes(c, exponents, xs)
+            vanishing = np.abs(den).min(axis=1) <= DENOM_TOL
+            rms = iter(np.sqrt(np.mean(d[~vanishing] ** 2, axis=1)).tolist())
+    except FloatingPointError as exc:
+        if len(exponents) == 1:
+            return [EvaluationOverflow(f"the oscillation measure is out of float range ({exc})")]
+        return [out for k in range(len(exponents)) for out in _measures(c[:, :, k : k + 1], exponents[k : k + 1], grid)]
     return [denominator_zero(xs, q) if v else next(rms) for q, v in zip(den, vanishing.tolist())]

@@ -88,7 +88,8 @@ class FitConfig:
         Numerator and denominator degrees.  The denominator constant is
         fixed at 1 and never fitted.
     tail_power : int, optional
-        Power of the shared tail coefficient (CDF form); must exceed n and m.
+        Power of the shared tail coefficient (CDF form); an int, not a bool,
+        that exceeds n and m.
     x_power : float
         Abscissa substitution exponent; the fit runs on t = x**x_power.
     lam, lam1 : float

@@ -61,12 +61,14 @@ def free_columns(
     """Ordered free-coefficient identities for the given model structure."""
     if n < 0 or m < 0:
         raise ValueError("degrees must be nonnegative")
+    if tail_power is not None and (isinstance(tail_power, bool) or not isinstance(tail_power, int)):
+        raise ValueError("tail power must be an integer")
     if tail_power is not None and (tail_power <= n or tail_power <= m):
         raise ValueError("tail power must exceed both degrees")
     cols: list[Column] = [("numer", i) for i in range(n + 1) if i not in zero_powers]
     cols += [("denom", j) for j in range(1, m + 1)]
     if tail_power is not None:
-        cols.append(("tail", int(tail_power)))
+        cols.append(("tail", tail_power))
     if not cols:
         raise ValueError("model has no free coefficients")
     return tuple(cols)

@@ -55,16 +55,16 @@ def denominator_zero(x, den) -> DenominatorZero | None:
 class Tail:
     """Shared coefficient on x**power added to numerator and denominator.
 
-    power must exceed the degree of both polynomials; because the same
-    coefficient multiplies the highest power on both sides of the ratio,
-    the model tends to 1 as x grows.
+    power is an int, not a bool, and must exceed the degree of both
+    polynomials; because the same coefficient multiplies the highest power
+    on both sides of the ratio, the model tends to 1 as x grows.
     """
 
     power: int
     coeff: float
 
     def __post_init__(self):
-        if self.power < 1:
+        if isinstance(self.power, bool) or not isinstance(self.power, int) or self.power < 1:
             raise ValueError("tail power must be a positive integer")
         if not math.isfinite(self.coeff):
             raise ValueError("tail coefficient must be finite")

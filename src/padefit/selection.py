@@ -280,11 +280,13 @@ def tune_lambda1(
     smallest s wins.  A coarse pass over COARSE_LAM1 (1.0 down to 0.1 in
     steps of 0.1, then 0) brackets the winner, and one refinement pass at
     REFINE_STEP (0.01) granularity finishes the job; each pass is one
-    batch fit.  Poles are counted over der_grid's interval, which may
-    reach past the data: a model meant for extrapolation should be scanned
-    over the extrapolation range too, since a denominator root just
-    outside the data window ruins predictions while leaving every
-    in-window diagnostic clean.
+    batch fit, and ties keep the earlier grid value (the coarse winner
+    over the fine pass).  Poles are counted over der_grid's interval,
+    which may reach past the data: a model meant for extrapolation should
+    be scanned over the extrapolation range too, since a denominator root
+    just outside the data window ruins predictions while leaving every
+    in-window diagnostic clean.  A pass scans only the members that could
+    still win, one at a time in order of s, up to the first pole-free one.
 
     Raises
     ------
@@ -295,14 +297,21 @@ def tune_lambda1(
         raise ValueError("baseline_d_der must be positive and finite")
 
     def best_of(lam1s, best):
-        fits = _fit_counted(data, _members(config, "lam1", lam1s), der_grid, der_grid.interval)
-        for lam1, fit in zip(lam1s, fits):
-            if isinstance(fit, PadefitError):
-                continue
-            report, count = fit
-            ok = count == 0 and abs(report.d_der - baseline_d_der) <= D_DER_WINDOW * baseline_d_der
-            if ok and (best is None or report.s < best[1].s):
-                best = (lam1, report)
+        # The members in the window by (s, grid index), while they beat the
+        # carried best: the first pole-free one wins; a failed scan skips one.
+        fits = _fit(data, _members(config, "lam1", lam1s), der_grid)
+        window = D_DER_WINDOW * baseline_d_der
+        inside = sorted(
+            (r.s, k) for k, r in enumerate(fits) if isinstance(r, FitReport) and abs(r.d_der - baseline_d_der) <= window
+        )
+        for s, k in inside:
+            if best is not None and not s < best[1].s:
+                break
+            try:
+                if pole_scans([fits[k].model], der_grid.interval, SCAN_POINTS)[0].count == 0:
+                    return lam1s[k], fits[k]
+            except PadefitError:
+                pass
         return best
 
     best = best_of(COARSE_LAM1, None)

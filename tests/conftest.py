@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from padefit import Dataset, rational
+from padefit import Dataset, rational, selection
 from padefit.cli import read_points
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
@@ -36,4 +36,19 @@ def scan_evaluations(monkeypatch) -> list:
         return scan(c, exponents, a, b, points)
 
     monkeypatch.setattr(rational, "_scan", counting)
+    return calls
+
+
+@pytest.fixture
+def counted_scans(monkeypatch) -> list:
+    """The interval and model count of every pole_scans call that
+    padefit.selection makes in the test."""
+    calls = []
+    scans = selection.pole_scans
+
+    def counting(models, interval, points):
+        calls.append((tuple(interval), len(models)))
+        return scans(models, interval, points)
+
+    monkeypatch.setattr(selection, "pole_scans", counting)
     return calls

@@ -33,7 +33,7 @@ from padefit import (
     oscillation_measure,
     rmse,
 )
-from padefit.errors import NoFeasibleModel, PadefitError
+from padefit.errors import NegativeAbscissa, NoFeasibleModel, PadefitError
 from padefit.rational import DENOM_TOL, POLE_REFINE_TOL, PoleReport
 from padefit.weibull import TAIL_EPS
 
@@ -96,6 +96,8 @@ def pole_scan(model, interval, points=1001):
         raise ValueError("scan interval must have positive length")
     if points < 2:
         raise ValueError("need at least two scan points")
+    if a < 0.0 and not float(model.x_power).is_integer():
+        raise NegativeAbscissa("non-integer x_power needs x >= 0")
     q = model._rows[1]
 
     def den(x):

@@ -75,6 +75,16 @@ def test_fit_der_points_apply_over_the_data_interval(capsys):
     assert want != fit_regularized(data, config).d_der
 
 
+def test_fit_overflowing_d_der_exits_2(capsys):
+    # the (3, 2) slopes overflow on a derivative grid reaching 1e200: a
+    # typed error, not d_der = null with exit 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, ["fit", TABLE1, "--n", "3", "--m", "2", "--der-interval", "0:1e200"])
+    assert (code, out) == (2, "")
+    assert "EvaluationOverflow" in err and "out of float range" in err
+
+
 def test_fit_missing_file(capsys, tmp_path):
     code, out, err = run(capsys, ["fit", str(tmp_path / "nope.csv"), "--n", "1", "--m", "0"])
     assert code == 1

@@ -31,7 +31,14 @@ from padefit import (
     uniform_grid,
 )
 from padefit.cli import read_points
-from padefit.errors import CountMismatch, DuplicateAbscissa, InsufficientData, PadefitError, SingularSystem
+from padefit.errors import (
+    CountMismatch,
+    DuplicateAbscissa,
+    EvaluationOverflow,
+    InsufficientData,
+    PadefitError,
+    SingularSystem,
+)
 
 GEN = RationalModel(numer=(1.0, -0.4, 0.2), denom=(0.25,))
 
@@ -102,6 +109,13 @@ def test_config_validation():
 def test_config_rejects_nonfinite_values(field, value):
     with pytest.raises(ValueError, match="finite"):
         FitConfig(n=1, m=1, **{field: value})
+
+
+@pytest.mark.parametrize("power", [12.5, 12.0, True])
+def test_config_rejects_a_tail_power_that_is_not_an_int(power):
+    # 12.0 used to pass here and fail the fit with an untyped TypeError
+    with pytest.raises(ValueError, match="integer"):
+        FitConfig(n=6, m=0, tail_power=power)
 
 
 def test_cdf_form_pins_origin_and_sets_tail():
@@ -181,6 +195,26 @@ def test_d_der_equals_independent_measure():
     grid = DerivativeGridSpec((0.5, 2.0), 25)
     report = fit_regularized(data, FitConfig(n=2, m=1, lam=1e-6), grid)
     assert report.d_der == oscillation_measure(report.model, grid)
+
+
+def test_overflowing_d_der_is_the_members_own_typed_error(table1):
+    # On a derivative grid reaching 1e200 the slopes of (3, 2) and the mean
+    # square of the quadratic's overflow; the line and the constant do not.
+    grid = DerivativeGridSpec((0.0, 1e200), 5)
+    configs = [FitConfig(n=3, m=2), FitConfig(n=1, m=0), FitConfig(n=2, m=0), FitConfig(n=0, m=0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fits = fitting._fit(table1, configs, grid)
+        for config, fit in zip(configs, fits):
+            if isinstance(fit, PadefitError):
+                with pytest.raises(EvaluationOverflow) as own:
+                    oscillation_measure(fit_linearized(table1, config).model, grid)
+                assert (type(fit), str(fit)) == (EvaluationOverflow, str(own.value))
+                with pytest.raises(EvaluationOverflow, match="out of float range"):
+                    fit_regularized(table1, config, grid)
+            else:
+                assert fit == fit_regularized(table1, config, grid)
+    assert [isinstance(fit, PadefitError) for fit in fits] == [True, False, True, False]
 
 
 def test_regularized_default_grid_covers_data_interval():

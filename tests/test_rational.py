@@ -107,6 +107,13 @@ def test_tail_power_must_clear_both_degrees():
     RationalModel(numer=(0.0, 1.0), denom=(0.5,), tail=Tail(2, 1.0))
 
 
+@pytest.mark.parametrize("power", [2.9, 3.0, True, 0])
+def test_tail_power_must_be_a_positive_int(power):
+    # a float power used to construct and fail on first use with a TypeError
+    with pytest.raises(ValueError, match="positive integer"):
+        Tail(power, 1.0)
+
+
 def test_masked_coefficient_must_be_zero():
     with pytest.raises(ValueError):
         RationalModel(numer=(1.0, 2.0), zero_powers=frozenset({0}))

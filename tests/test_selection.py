@@ -6,12 +6,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracle
 from padefit import (
     Dataset,
     DerivativeGridSpec,
     FitConfig,
+    FitReport,
     LambdaSweep,
     NoiseSpec,
     RationalModel,
@@ -30,8 +33,7 @@ from padefit import (
     tune_lambda1,
     uniform_grid,
 )
-from padefit.errors import EmptySweep, NegativeAbscissa, NoFeasibleModel, PoleOnRange
-from padefit.rational import pole_scans
+from padefit.errors import EmptySweep, NegativeAbscissa, NoFeasibleModel, PadefitError, PoleOnRange
 
 GEN = RationalModel(numer=(1.0, -0.4, 0.2), denom=(0.25,))
 
@@ -187,6 +189,17 @@ def test_search_records_structure_without_free_coefficients():
     assert rows[0].attempt == (0, 0, None, 1.0)
     assert rows[0].config is None and rows[0].error == "model has no free coefficients"
     assert all(c.report is not None for c in rows[1:])
+
+
+def test_search_records_a_tail_power_that_is_not_an_int():
+    data = _exact_data()
+    _, rows = grid_search(data, SearchSpace(n_range=(1, 1), m_range=(0, 1), l_candidates=(3, 3.5, True)))
+    assert [c.attempt[2] for c in rows] == [3, 3.5, True] * 2
+    for c in rows:
+        if c.attempt[2] == 3:
+            assert c.report is not None
+        else:
+            assert c.config is None and c.error == "tail power must be an integer"
 
 
 # -- penalty sweep ----------------------------------------------------------
@@ -397,17 +410,6 @@ def test_tune_lambda1_rejects_impossible_window():
         tune_lambda1(data, FitConfig(n=2, m=1), 1e9, der_grid=der)
 
 
-def _counted_scans(monkeypatch):
-    calls = []
-
-    def counting(models, interval, points):
-        calls.append((tuple(interval), len(models)))
-        return pole_scans(models, interval, points)
-
-    monkeypatch.setattr(selection, "pole_scans", counting)
-    return calls
-
-
 def test_selection_counts_poles_without_bisecting(monkeypatch, bisections, table1):
     # Each run below fits members with pole brackets, and rescans over a
     # wider interval in the sweep and the tuning pass; only counts are read.
@@ -427,9 +429,9 @@ def test_selection_counts_poles_without_bisecting(monkeypatch, bisections, table
     assert bisections == []
 
 
-def _tune_case(der_interval=(0.1, 2.0)):
+def _tune_case(der_interval=(0.1, 2.0), seed=6):
     # data on [0.1, 2.0]; the derivative grid, and so the pole count, may reach past it
-    rng = np.random.default_rng(6)
+    rng = np.random.default_rng(seed)
     xs = np.linspace(0.1, 2.0, 25)
     data = Dataset(xs, GEN(xs) * (1 + 0.05 * rng.normal(size=25)))
     der = DerivativeGridSpec(der_interval, 40)
@@ -437,21 +439,37 @@ def _tune_case(der_interval=(0.1, 2.0)):
     return data, der, baseline
 
 
+def _tuning_passes(monkeypatch, baseline, calls) -> list:
+    # One (members inside the d_der window, pole_scans calls made before the
+    # pass) pair per tune_lambda1 pass, from its one selection._fit call.
+    passes = []
+    fit = selection._fit
+
+    def recording(data, configs, der_grid):
+        fits = fit(data, configs, der_grid)
+        window = selection.D_DER_WINDOW * baseline
+        inside = sum(isinstance(r, FitReport) and abs(r.d_der - baseline) <= window for r in fits)
+        passes.append((inside, len(calls)))
+        return fits
+
+    monkeypatch.setattr(selection, "_fit", recording)
+    return passes
+
+
 @pytest.mark.parametrize("der_interval", [(0.1, 2.0), (0.0, 2.5)])
-def test_tune_lambda1_scans_each_fit_once(monkeypatch, der_interval):
+def test_tune_lambda1_scans_each_fit_once(monkeypatch, counted_scans, der_interval):
+    # each pass counts poles with one-model scans over the derivative
+    # grid's interval, at most one per member inside the window
     data, der, baseline = _tune_case(der_interval)
     config = FitConfig(n=2, m=2)
     want = oracle.tune_lambda1(data, config, baseline, der)
-    calls = _counted_scans(monkeypatch)
-    got = tune_lambda1(data, config, baseline, der_grid=der)
-    assert got == want
-    if der_interval == (0.0, 2.5):
-        # an interval wider than the fits' own scans needs one stacked
-        # scan per batch: the coarse grid, then the fine grid
-        assert [interval for interval, _count in calls] == [(0.0, 2.5)] * 2
-        assert calls[0][1] == 11
-    else:
-        assert calls == []
+    passes = _tuning_passes(monkeypatch, baseline, counted_scans)
+    assert tune_lambda1(data, config, baseline, der_grid=der) == want
+    assert counted_scans and set(counted_scans) == {(der_interval, 1)}
+    assert len(passes) == 2
+    ends = [start for _inside, start in passes[1:]] + [len(counted_scans)]
+    for (inside, start), end in zip(passes, ends):
+        assert end - start <= inside
 
 
 def test_reliability_route_evaluates_only_the_scans_it_reads(scan_evaluations, table1):
@@ -471,26 +489,63 @@ def test_reliability_route_evaluates_only_the_scans_it_reads(scan_evaluations, t
     assert scan_evaluations == [((0.0, 2.0), 7), ((0.0, x_max), 1)]
 
 
+def test_tune_lambda1_counts_past_members_with_poles(monkeypatch, counted_scans):
+    # the coarse pass's lowest-s member inside the window has a pole, so the
+    # pass counts the next one, and the fine pass finds a better pole-free fit
+    data, der, _baseline = _tune_case(seed=1)
+    config = FitConfig(n=3, m=4)
+    want = oracle.tune_lambda1(data, config, 1.9, der)
+    passes = _tuning_passes(monkeypatch, 1.9, counted_scans)
+    assert tune_lambda1(data, config, 1.9, der_grid=der) == want
+    assert [start for _inside, start in passes] == [0, 2]
+    assert counted_scans == [((0.1, 2.0), 1)] * 3
+
+
+def test_tune_lambda1_ties_keep_the_earliest_penalty(counted_scans):
+    # lam1 weighs no coefficient of a polynomial, so every member is the
+    # same fit: the coarse pass keeps its first penalty, 1.0, and the fine
+    # pass, none of whose members beats it, counts no poles at all
+    data, der, baseline = _tune_case()
+    config = FitConfig(n=3, m=0)
+    got = tune_lambda1(data, config, baseline, der_grid=der)
+    assert got == oracle.tune_lambda1(data, config, baseline, der)
+    assert got[0] == 1.0
+    assert counted_scans == [((0.1, 2.0), 1)]
+
+
+def test_tune_lambda1_skips_members_whose_scan_fails(counted_scans):
+    # The one-node derivative grid at 2.0 is fine for x**0.5, but the pole
+    # scan from -0.05 is not: every member the walk reaches raises
+    # NegativeAbscissa and is skipped, and no penalty is admissible.
+    data, _der, _baseline = _tune_case()
+    der = DerivativeGridSpec((-0.05, 2.0), 1)
+    config = FitConfig(n=2, m=2, x_power=0.5)
+    with pytest.raises(NoFeasibleModel) as want:
+        oracle.tune_lambda1(data, config, 0.047, der)
+    with pytest.raises(NoFeasibleModel) as got:
+        tune_lambda1(data, config, 0.047, der_grid=der)
+    assert str(got.value) == str(want.value)
+    assert len(counted_scans) > 1
+
+
 @pytest.mark.parametrize("der_interval", [(0.1, 2.0), (0.0, 2.5)])
-def test_tuning_evaluates_one_scan_per_batch(scan_evaluations, der_interval):
-    # each pass reads the counts of its fits' own scans, or of the rescan
-    # over a derivative grid wider than the data alone; q_search reads no
-    # scan at all
+def test_tuning_evaluates_only_its_one_model_scans(scan_evaluations, counted_scans, der_interval):
+    # q_search reads no scan at all, and a tuning pass evaluates only the
+    # one-model scans it counts poles with, never its fits' own scans
     data, der, baseline = _tune_case(der_interval)
     q_search(data, FitConfig(n=3, m=0), (0.5, 0.75, 1.0))
     assert scan_evaluations == []
     tune_lambda1(data, FitConfig(n=2, m=2), baseline, der_grid=der)
-    assert [interval for interval, _count in scan_evaluations] == [der_interval] * 2
+    assert counted_scans and scan_evaluations == counted_scans
 
 
 @pytest.mark.parametrize("der_interval", [None, (0.0, 2.0)])
-def test_sweep_scans_each_fit_once(monkeypatch, table1, der_interval):
+def test_sweep_scans_each_fit_once(counted_scans, table1, der_interval):
     config = FitConfig.cdf_form(6, 0, 12)
     grid = (0.0, 0.0025, 0.01)
     want = oracle.sweep_rows(table1, config, grid, der_interval)
-    calls = _counted_scans(monkeypatch)
     assert lambda_sweep(table1, config, grid, der_interval).rows == want
-    assert calls == ([] if der_interval is None else [(der_interval, len(grid))])
+    assert counted_scans == ([] if der_interval is None else [(der_interval, len(grid))])
 
 
 def test_sweep_equals_per_lambda_loop(table1):
@@ -517,6 +572,46 @@ def test_tune_lambda1_equals_per_lambda_loop(q):
     except NoFeasibleModel as exc:
         with pytest.raises(NoFeasibleModel, match=str(exc)):
             tune_lambda1(data, config, baseline, der_grid=der)
+    else:
+        assert tune_lambda1(data, config, baseline, der_grid=der) == want
+
+
+STUDY_Q = tuple(round(0.5 + 0.05 * i, 2) for i in range(11))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    q=st.sampled_from(STUDY_Q),
+    window=st.sampled_from(["none", "some", "all"]),
+    pick=st.integers(0, 10),
+)
+def test_tune_lambda1_equals_oracle_property(seed, q, window, pick):
+    # The baseline puts the coarse members' d_der outside the window, one
+    # member (and those near it) inside, or the largest and every member
+    # within 0.9/1.05 of it: all of them when their spread allows.
+    data = sample_noisy(sqrt_exp, uniform_grid(0.0, 2.0, 10), NoiseSpec(0.1, seed))
+    der = DerivativeGridSpec((0.0, 2.0), 100)
+    config = FitConfig(n=3, m=6, x_power=q, zero_powers=frozenset({0}))
+    d_ders = []
+    for lam1 in selection.COARSE_LAM1:
+        try:
+            d_ders.append(fit_regularized(data, replace(config, lam1=lam1), der).d_der)
+        except PadefitError:
+            pass
+    d_ders.sort()
+    if window == "none" or not d_ders:
+        baseline = 10.0 * (d_ders[-1] if d_ders else 1.0)
+    elif window == "some":
+        baseline = d_ders[pick % len(d_ders)]
+    else:
+        baseline = d_ders[-1] / 1.05
+    try:
+        want = oracle.tune_lambda1(data, config, baseline, der)
+    except NoFeasibleModel as exc:
+        with pytest.raises(NoFeasibleModel) as got:
+            tune_lambda1(data, config, baseline, der_grid=der)
+        assert str(got.value) == str(exc)
     else:
         assert tune_lambda1(data, config, baseline, der_grid=der) == want
 
