@@ -9,6 +9,7 @@ so the score separates smooth fits from oscillating ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -28,6 +29,11 @@ class DerivativeGridSpec:
     includes b and excludes a.  The open left end keeps clear of
     left-endpoint singularities (a square-root factor has an infinite
     derivative at 0) while still sampling the full interval.
+
+    A spec keeps its nodes once built, and for each exponent q that a fit
+    measures on it the substituted nodes x**q and the chain-rule factor
+    x**(q - 1): two count-length arrays per exponent, for as long as the
+    spec lives.
     """
 
     interval: tuple[float, float]
@@ -38,10 +44,17 @@ class DerivativeGridSpec:
         require_interval(a, b)
         if self.count < 1:
             raise ValueError("count must be positive")
+        object.__setattr__(self, "_powers", {})  # exponent -> _nodes**exponent, filled by _slopes
 
     def grid(self) -> np.ndarray:
+        return self._nodes.copy()
+
+    @cached_property
+    def _nodes(self) -> np.ndarray:
         a, b = self.interval
-        return a + np.arange(1, self.count + 1, dtype=float) * (b - a) / self.count
+        xs = a + np.arange(1, self.count + 1, dtype=float) * (b - a) / self.count
+        xs.setflags(write=False)
+        return xs
 
 
 def rmse(values: np.ndarray, targets: np.ndarray) -> float:
@@ -87,10 +100,10 @@ def _measures(c, exponents, grid: DerivativeGridSpec) -> list[float | PadefitErr
     # measure raises: DenominatorZero where its denominator vanishes on the
     # grid, EvaluationOverflow where its slopes or their mean square leave
     # the float range (a batch that overflows is measured model by model).
-    xs = grid.grid()
+    xs = grid._nodes
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            d, den = _slopes(c, exponents, xs)
+            d, den = _slopes(c, exponents, xs, grid._powers)
             vanishing = np.abs(den).min(axis=1) <= DENOM_TOL
             rms = iter(np.sqrt(np.mean(d[~vanishing] ** 2, axis=1)).tolist())
     except FloatingPointError as exc:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -43,6 +44,10 @@ class Dataset:
     With `underlying` present, fits also report how far the noisy data sits
     from the truth (d0) and how far the fitted model sits from the truth
     (d1); a fit that beats the noise has d1 < d0.
+
+    A dataset keeps its interval (min x, max x) from construction, and
+    underlying(x) and d0 from the first fit that needs them: one len(x)
+    array per dataset with an underlying function.
     """
 
     x: np.ndarray
@@ -60,18 +65,28 @@ class Dataset:
             raise ValueError("need at least one point")
         if not (np.isfinite(x).all() and np.isfinite(f).all()):
             raise ValueError("coordinates must be finite")
-        if not math.isfinite(float(x.max()) - float(x.min())):
+        lo, hi = float(x.min()), float(x.max())
+        if not math.isfinite(hi - lo):
             raise ValueError("x must span a finite interval")
         x.setflags(write=False)
         f.setflags(write=False)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "f", f)
+        object.__setattr__(self, "_interval", (lo, hi))
 
     def __len__(self) -> int:
         return len(self.x)
 
     def interval(self) -> tuple[float, float]:
-        return float(np.min(self.x)), float(np.max(self.x))
+        return self._interval
+
+    @cached_property
+    def _truth(self) -> tuple[np.ndarray, float] | tuple[None, None]:
+        # underlying(x) and d0, the data's RMS distance from it
+        if self.underlying is None:
+            return None, None
+        truth = np.asarray(self.underlying(self.x), dtype=float)
+        return truth, rmse(self.f, truth)
 
     def sorted_by_x(self) -> "Dataset":
         order = np.argsort(self.x, kind="stable")
@@ -199,18 +214,17 @@ def _build_reports(
     diagnostics: list[SolveDiagnostics],
     data: Dataset,
     der_grid: DerivativeGridSpec | None,
+    ts: dict,
 ) -> list[FitReport | PadefitError]:
-    # One stacked evaluation at the data and derivative pass for the models,
-    # whose _rows are the (top, 4, K) stack c, and one pole scan run on its
-    # first read; then each error measure as one reduction over the rows.
+    # One stacked evaluation at the data (x**q kept in ts, see _substitutions)
+    # and derivative pass for the models, whose _rows are the (top, 4, K)
+    # stack c, and one pole scan run on its first read; then each error
+    # measure as one reduction over the rows.
     exponents = [model.x_power for model in models]
     lo, hi = data.interval()
     try:
-        num, den = _horner(c[:, :2], _substitutions(data.x, exponents))
-        truth = d0 = None
-        if data.underlying is not None:
-            truth = np.asarray(data.underlying(data.x), dtype=float)
-            d0 = rmse(data.f, truth)
+        num, den = _horner(c[:, :2], _substitutions(data.x, exponents, ts))
+        truth, d0 = data._truth
         poles = _scans(c, exponents, (lo, hi), SCAN_POINTS) if hi > lo else None
         d_ders = _measures(c, exponents, der_grid) if der_grid is not None else [None] * len(models)
     except PadefitError as exc:
@@ -221,7 +235,7 @@ def _build_reports(
         for q in dict.fromkeys(exponents):
             ks = [k for k, e in enumerate(exponents) if e == q]
             part = [models[k] for k in ks], c[:, :, ks], [diagnostics[k] for k in ks]
-            out.update(zip(ks, _build_reports(*part, data, der_grid)))
+            out.update(zip(ks, _build_reports(*part, data, der_grid, ts)))
         return [out[k] for k in range(len(models))]
     lowest = np.abs(den).min(axis=1)
     if poles is None:  # single-abscissa data has nothing to scan: a clean empty record
@@ -248,10 +262,11 @@ def _fit(
     der_grid: DerivativeGridSpec | None,
     evaluate_on: Dataset | None = None,
 ) -> list[FitReport | PadefitError]:
-    """Fit each of `configs` on `data`: one design matrix per exponent for
-    the union of their columns, one stacked solve per column count, and
-    one stacked evaluation, deferred pole scan and derivative pass.  Returns
-    each config's report, or the PadefitError that ended its fit alone."""
+    """Fit each of `configs` on `data`: one x**q and one design matrix per
+    exponent for the union of their columns, one stacked solve per column
+    count, and one stacked evaluation, deferred pole scan and derivative
+    pass.  Returns each config's report, or the PadefitError that ended its
+    fit alone."""
     if not configs:
         return []
     columns = [linsys.free_columns(c.n, c.m, c.tail_power, c.zero_powers) for c in configs]
@@ -259,9 +274,10 @@ def _fit(
     index = {cols: [where[col] for col in cols] for cols in dict.fromkeys(columns)}
     designs: dict = {}  # exponent -> slot in the design stack, or its error
     stack = []
+    ts: dict = {}  # exponent -> data.x**q, for the designs and the reports at the data
     for q in dict.fromkeys(c.x_power for c in configs):
         try:
-            stack.append(linsys.design_matrix(_substitutions(data.x, [q])[0], data.f, tuple(where)).T)
+            stack.append(linsys.design_matrix(_substitutions(data.x, [q], ts)[0], data.f, tuple(where)).T)
             designs[q] = len(stack) - 1
         except PadefitError as exc:
             designs[q] = exc
@@ -284,8 +300,8 @@ def _fit(
     solved = [k for k, result in enumerate(out) if isinstance(result, SolveDiagnostics)]
     if solved:
         models, c = _models([configs[k] for k in solved], theta[solved], where)
-        target = evaluate_on if evaluate_on is not None else data
-        for k, report in zip(solved, _build_reports(models, c, [out[k] for k in solved], target, der_grid)):
+        target, ts = (data, ts) if evaluate_on is None else (evaluate_on, {})
+        for k, report in zip(solved, _build_reports(models, c, [out[k] for k in solved], target, der_grid, ts)):
             out[k] = report
     return out
 

@@ -51,14 +51,21 @@ class SolveDiagnostics:
     condition_flag: bool
 
 
-@lru_cache(maxsize=64)  # batches ask for the same few structures again and again
+# Batches ask for the same few structures again and again.  typed: 2.0 and
+# True, equal to 2 and 1, must not find the entries of valid structures.
+@lru_cache(maxsize=64, typed=True)
 def free_columns(
     n: int,
     m: int,
     tail_power: int | None = None,
     zero_powers: frozenset[int] = frozenset(),
 ) -> tuple[Column, ...]:
-    """Ordered free-coefficient identities for the given model structure."""
+    """Ordered free-coefficient identities for the given model structure.
+    Raises ValueError for a degree or tail power that is not an int (or is
+    a bool), a negative degree, a tail power not above both degrees, or a
+    structure with no free coefficient."""
+    if any(isinstance(d, bool) or not isinstance(d, int) for d in (n, m)):
+        raise ValueError("degrees must be integers")
     if n < 0 or m < 0:
         raise ValueError("degrees must be nonnegative")
     if tail_power is not None and (isinstance(tail_power, bool) or not isinstance(tail_power, int)):
@@ -110,10 +117,11 @@ def solve_least_squares(
     equilibrated by exact powers of two, so the scaling adds no rounding.
     Problems with some positive weight get sqrt(ridge) rows stacked under
     their G; the others are solved without them, in their own stack.  A
-    system with more rows than columns is solved by Householder QR, a
-    square one by LU; each stack takes one batched call of each
-    factorization, so a problem's solution does not depend on the others
-    in its batch.
+    system with more rows than columns is reduced to a triangular one by
+    Householder QR, one batched call per stack; a square one goes to LU as
+    it is.  Both stacks then share one batched SVD (condition and rank)
+    and one batched solve.  The batched calls factor each matrix alone,
+    so a problem's solution does not depend on the others in its batch.
 
     Returns, per row of `ridges`, theta and its SolveDiagnostics, or the
     PadefitError that problem raised:
@@ -137,55 +145,61 @@ def solve_least_squares(
     signs = zip((ridges < 0.0).any(axis=1).tolist(), (ridges > 0.0).any(axis=1).tolist())
     kinds = ["negative" if negative else "ridged" if positive else "plain" for negative, positive in signs]
     g = np.broadcast_to(g, (len(ridges), rows, p))
-    plain = iter(_solve_stack(g[[kind == "plain" for kind in kinds]], f) if "plain" in kinds else ())
-    ridged = iter(())
-    if "ridged" in kinds:
-        # each G with the diagonal rows sqrt(ridge) under it
-        chosen = [kind == "ridged" for kind in kinds]
-        weights = np.sqrt(ridges[chosen])
-        stack = np.zeros((len(weights), rows + p, p))
-        stack[:, :rows] = g[chosen]
-        stack[:, rows + np.arange(p), np.arange(p)] = weights
-        ridged = iter(_solve_stack(stack, np.concatenate([f, np.zeros(p)])))
-    return [
-        next(plain) if kind == "plain" else next(ridged) if kind == "ridged" else NegativeWeight("penalty weights must be nonnegative")
-        for kind in kinds
-    ]
+    out: list = [NegativeWeight("penalty weights must be nonnegative") if kind == "negative" else None for kind in kinds]
+    plain = [k for k, kind in enumerate(kinds) if kind == "plain"]
+    ridged = [k for k, kind in enumerate(kinds) if kind == "ridged"]
+    systems = [_triangularize(plain, g[plain], f, out) if plain else None]
+    if ridged:  # each G with the diagonal rows sqrt(ridge) under it
+        stack = np.zeros((len(ridged), rows + p, p))
+        stack[:, :rows] = g[ridged]
+        stack[:, rows + np.arange(p), np.arange(p)] = np.sqrt(ridges[ridged])
+        systems.append(_triangularize(ridged, stack, np.concatenate([f, np.zeros(p)]), out))
+    if systems := [system for system in systems if system is not None]:
+        ks, *parts = zip(*systems)  # both stacks finished by one SVD and one solve
+        for k, result in zip(sum(ks, []), _finish(*map(np.concatenate, parts))):
+            out[k] = result
+    return out
 
 
-def _solve_stack(g: np.ndarray, f: np.ndarray) -> list[tuple[np.ndarray, SolveDiagnostics] | SingularSystem]:
-    # solve_least_squares for a (K, rows, p) stack of systems sharing F.
-    k, rows, p = g.shape
+def _triangularize(ks: list, g: np.ndarray, f: np.ndarray, out: list):
+    # Problems ks, the (K, rows, p) stack g sharing F, as square systems
+    # R y = Q'F (by QR, or as they are when square) of the equilibrated
+    # columns, with their column scales; a problem with a zero or non-finite
+    # column gets its SingularSystem in `out` instead (None if all do).
     # max-abs rather than 2-norm: squaring entries would underflow for tiny x
     peaks = np.abs(g).max(axis=1)
-    usable = (peaks > 0.0) & (peaks < np.inf)
-    if not usable.all():
-        usable = usable.all(axis=1)
-        out: list = [SingularSystem("a design column is zero or not finite") for _ in range(k)]
-        for i, result in zip(np.flatnonzero(usable), _solve_stack(g[usable], f) if usable.any() else ()):
-            out[i] = result
-        return out
+    usable = ((peaks > 0.0) & (peaks < np.inf)).all(axis=1).tolist()
+    for k in (k for k, ok in zip(ks, usable) if not ok):
+        out[k] = SingularSystem("a design column is zero or not finite")
+    if not any(usable):
+        return None
+    if not all(usable):
+        ks, g, peaks = [k for k, ok in zip(ks, usable) if ok], g[usable], peaks[usable]
     scale = np.ldexp(1.0, np.frexp(peaks)[1] - 1)  # column maxima land in [1, 2)
     a = g / scale[:, None, :]
+    k, rows, p = a.shape
+    if rows == p:
+        return ks, a, np.broadcast_to(f[:, None], (k, p, 1)), scale
+    q, r = np.linalg.qr(a)
+    return ks, r, np.swapaxes(q, 1, 2) @ f[:, None], scale
+
+
+def _finish(r: np.ndarray, rhs: np.ndarray, scale: np.ndarray) -> list[tuple[np.ndarray, SolveDiagnostics] | SingularSystem]:
+    # Singular values, rank and theta = y / scale of the (K, p, p) systems
+    # R y = rhs, one batched call each: the gufuncs factor each matrix alone.
+    k, p = scale.shape
     try:
-        if rows == p:
-            r, rhs = a, np.broadcast_to(f[:, None], (k, p, 1))
-        else:
-            q, r = np.linalg.qr(a)
-            rhs = np.swapaxes(q, 1, 2) @ f[:, None]
         sv = np.linalg.svd(r, compute_uv=False)
         rank = (sv > sv[:, :1] * p * EPS).sum(axis=1)
         full = rank == p
-        if not full.all():  # solve only the full-rank problems
-            r, rhs, scale = r[full], rhs[full], scale[full]
-        y = np.linalg.solve(r, rhs)[..., 0]
+        y = np.linalg.solve(*((r, rhs) if full.all() else (r[full], rhs[full])))[..., 0]  # the full-rank problems
     except np.linalg.LinAlgError as exc:
         if k == 1:
             return [SingularSystem(str(exc))]
         # A failure in a batched call: find its problem, keep the others.
-        return [_solve_stack(g[i : i + 1], f)[0] for i in range(k)]
+        return [_finish(r[i : i + 1], rhs[i : i + 1], scale[i : i + 1])[0] for i in range(k)]
     with np.errstate(over="ignore"):
-        theta = y / scale
+        theta = y / scale[full]
     solved = zip(theta, (sv[full, 0] / sv[full, -1]).tolist(), np.isfinite(theta).all(axis=1).tolist())
     out = []
     for ok, rk in zip(full.tolist(), rank.tolist()):

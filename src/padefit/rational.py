@@ -152,10 +152,19 @@ class RationalModel:
     def parts(self, x):
         """Numerator and denominator values P(t), Q(t) at t = x**x_power.
 
-        Raises NegativeAbscissa for x < 0 with a non-integer x_power.
+        Raises NegativeAbscissa for x < 0 with a non-integer x_power, and
+        EvaluationOverflow where x is not finite or a value, or a step on
+        the way to it, overflows.
         """
         c, exponents = _stack((self,))
-        return tuple(_horner(c[:, :2], _substitutions(x, exponents))[:, 0])
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                values = _horner(c[:, :2], _substitutions(x, exponents))[:, 0]
+        except FloatingPointError as exc:
+            raise EvaluationOverflow(f"P(t) and Q(t) are out of float range ({exc})") from None
+        if not np.isfinite(values).all():
+            raise EvaluationOverflow("P(t) and Q(t) at a non-finite x")
+        return tuple(values)
 
     def __call__(self, x):
         """Evaluate the model; scalar in, scalar out; array in, array out.
@@ -164,16 +173,14 @@ class RationalModel:
         EvaluationOverflow where x is not finite or the value, or a step
         on the way to it, overflows.
         """
+        num, den = self.parts(x)
+        if (err := denominator_zero(x, den)) is not None:
+            raise err
         try:
-            with np.errstate(over="raise", divide="raise", invalid="raise"):
-                num, den = self.parts(x)
-                if (err := denominator_zero(x, den)) is not None:
-                    raise err
+            with np.errstate(over="raise"):
                 out = num / den
         except FloatingPointError as exc:
             raise EvaluationOverflow(f"R(x) is out of float range ({exc})") from None
-        if not np.isfinite(out).all():
-            raise EvaluationOverflow("R(x) at a non-finite x")
         return out if np.ndim(x) else float(out)
 
     def derivative(self, x):
@@ -383,16 +390,20 @@ def require_nonnegative(x, x_power: float) -> None:
         raise NegativeAbscissa("non-integer x_power needs x >= 0")
 
 
-def _substitutions(x, exponents) -> np.ndarray:
+def _substitutions(x, exponents, ts=None) -> np.ndarray:
     # t = x**q for each of `exponents`, one row each, or one row for all
-    # when they agree.  Each distinct exponent takes its own scalar power:
-    # numpy's fast paths for 0.5, 1 and 2 round differently from pow.
+    # when they agree.  Each distinct exponent takes its own domain check and
+    # scalar power (numpy's fast paths for 0.5, 1 and 2 round differently
+    # from pow), once per `ts`: a caller's dict, exponent -> x**q, that keeps
+    # them for its next call on the same x.
     xs = np.asarray(x, dtype=float)
-    ts = dict.fromkeys(exponents)
-    for q in ts:
-        require_nonnegative(xs, q)
-        ts[q] = xs**q
-    return ts[q][None] if len(ts) == 1 else np.stack([ts[q] for q in exponents])
+    ts = {} if ts is None else ts
+    distinct = dict.fromkeys(exponents)
+    for q in distinct:
+        if q not in ts:
+            require_nonnegative(xs, q)
+            ts[q] = xs**q
+    return ts[q][None] if len(distinct) == 1 else np.stack([ts[q] for q in exponents])
 
 
 def _stack(models) -> tuple[np.ndarray, list]:
@@ -417,18 +428,21 @@ def _horner(c, t) -> np.ndarray:
     return v
 
 
-def _slopes(c, exponents, x):
+def _slopes(c, exponents, x, ts=None):
     # dR/dx of each model of the (top, 4, K) stack c by the quotient rule, and
     # its denominator values, one row per model.  Entries where |Q| <= DENOM_TOL
     # hold no slope: callers check the denominator row before using a slope row.
+    # `ts` keeps x**q and the chain-rule factor's x**(q - 1), as for _substitutions;
+    # the factor is taken only past the x = 0 check, where it would divide by 0.
     xs = np.asarray(x, dtype=float)
-    t = _substitutions(xs, exponents)
+    t = _substitutions(xs, exponents, ts)
     if np.any(xs == 0.0) and (low := min(exponents)) < 1.0:
         raise SingularDerivative(f"dR/dx at x = 0 needs x_power >= 1, not {low:g}")
     num, den, dnum, dden = _horner(c, t)
     out = (dnum * den - num * dden) / np.where(np.abs(den) <= DENOM_TOL, 1.0, den * den)
     if any(q != 1.0 for q in exponents):
-        out = out * np.reshape(exponents, (-1,) + (1,) * xs.ndim) * _substitutions(xs, [q - 1.0 for q in exponents])
+        factors = _substitutions(xs, [q - 1.0 for q in exponents], ts)
+        out = out * np.reshape(exponents, (-1,) + (1,) * xs.ndim) * factors
     return out, den
 
 
@@ -475,7 +489,8 @@ def _scan(c, exponents, a, b, points) -> tuple[list, list]:
     zero = vals == 0.0
     opens = zero.copy()
     opens[:, 1:-1] &= ~zero[:, :-2]
-    opens[:, :-1] |= vals[:, :-1] * vals[:, 1:] < 0.0
+    neg, pos = vals < 0.0, vals > 0.0  # signs, not a product that can underflow to 0 or overflow
+    opens[:, :-1] |= (neg[:, :-1] & pos[:, 1:]) | (pos[:, :-1] & neg[:, 1:])
     ks, nodes = np.nonzero(opens)
     ends = zip(xs[nodes].tolist(), xs[np.minimum(nodes + 1, points - 1)].tolist(), vals[ks, nodes].tolist())
     brackets: list = [[] for _ in exponents]
@@ -495,7 +510,8 @@ def _scan_grid(a: float, b: float, points: int) -> np.ndarray:
 
 def _bisect(q: np.ndarray, x_power: float, lo: float, hi: float, vlo: float):
     # Narrow a sign change of the denominator Q(x**x_power) on [lo, hi],
-    # where Q(lo) = vlo, to POLE_REFINE_TOL (or to an exact zero).  Horner
+    # where Q(lo) = vlo, to POLE_REFINE_TOL, or to two adjacent floats
+    # where those lie farther apart (or to an exact zero).  Horner
     # runs in Python floats with _horner's operation order, so the
     # values are its bits.  The power stays numpy's: Python's ** and
     # math.pow differ from it in the last bit for some arguments, and
@@ -503,13 +519,15 @@ def _bisect(q: np.ndarray, x_power: float, lo: float, hi: float, vlo: float):
     top, *rest = q.tolist()[::-1]
     while hi - lo > POLE_REFINE_TOL:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         t = mid if x_power == 1.0 else float(np.asarray(mid, dtype=float) ** x_power)
         vmid = top + t * 0.0
         for c in rest:
             vmid = c + vmid * t
         if vmid == 0.0:
             return mid, mid
-        if vlo * vmid < 0.0:
+        if (vlo < 0.0) != (vmid < 0.0):  # neither is 0; their product can underflow
             hi = mid
         else:
             lo, vlo = mid, vmid

@@ -46,6 +46,8 @@ class SearchSpace:
     q_grid: tuple[float, ...] = (1.0,)
 
     def __post_init__(self):
+        if any(isinstance(d, bool) or not isinstance(d, int) for d in (*self.n_range, *self.m_range)):
+            raise ValueError("degree ranges must be integers")
         if self.n_range[0] > self.n_range[1] or self.m_range[0] > self.m_range[1]:
             raise ValueError("degree ranges must be nondecreasing")
         if self.n_range[0] < 0 or self.m_range[0] < 0:

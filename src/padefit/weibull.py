@@ -29,7 +29,7 @@ from .errors import (
     PoleOnRange,
     SingularSystem,
 )
-from .rational import RationalModel, pole_scan
+from .rational import RationalModel, _horner, _stack, _substitutions, pole_scan
 
 #: Bisection bracket for the MLE shape parameter.
 SHAPE_BRACKET = (0.01, 100.0)
@@ -255,7 +255,8 @@ def _rational_tail_integral(model: RationalModel, x_cut: float) -> float:
 # Far enough out both polynomials overflow and R = P / Q is inf/inf: the
 # cutoff search passes over that NaN and the quadrature turns it into
 # NonconvergentQuadrature, so the warnings are noise.  R is therefore taken
-# from the model's parts: calling the model would raise EvaluationOverflow.
+# from the stacked evaluation of P and Q: the model and its parts would
+# raise EvaluationOverflow.
 @np.errstate(over="ignore", invalid="ignore")
 def mttf(obj: WeibullParams | RationalModel, *, x_max: float | None = None) -> float:
     """Mean time to failure of a CDF.
@@ -302,8 +303,10 @@ def mttf(obj: WeibullParams | RationalModel, *, x_max: float | None = None) -> f
     scan = pole_scan(model, (0.0, x_max), 4097)
     if scan.count:
         raise PoleOnRange(f"denominator changes sign at x ~ {scan.sign_changes[0][2]:.6g}")
+    stack, exponents = _stack((model,))
+    ratio = lambda x: np.divide(*_horner(stack[:, :2], _substitutions(x, exponents))[:, 0])
     xs = np.linspace(0.0, x_max, 4097)[1:]
-    shortfall = 1.0 - np.divide(*model.parts(xs))
+    shortfall = 1.0 - ratio(xs)
     loud = np.nonzero(np.abs(shortfall) >= TAIL_EPS)[0]
     if loud.size == 0:
         x_cut = float(xs[0])
@@ -318,4 +321,4 @@ def mttf(obj: WeibullParams | RationalModel, *, x_max: float | None = None) -> f
         x_cut = float(xs[loud[-1] + 1])
 
     tail = _rational_tail_integral(model, x_cut)
-    return _graded_gauss(lambda x: 1.0 - np.divide(*model.parts(x)), x_cut) + tail
+    return _graded_gauss(lambda x: 1.0 - ratio(x), x_cut) + tail

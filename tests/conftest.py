@@ -1,5 +1,6 @@
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from padefit import Dataset, rational, selection
@@ -40,6 +41,23 @@ def scan_evaluations(monkeypatch) -> list:
 
 
 @pytest.fixture
+def substitutions(monkeypatch) -> list:
+    """The exponent and abscissa shape of every domain check that
+    padefit.rational makes in the test: one per substitution t = x**q
+    (rational._substitutions), and one of shape () per exponent of a pole
+    scan batch."""
+    calls = []
+    check = rational.require_nonnegative
+
+    def counting(x, x_power):
+        calls.append((x_power, np.shape(x)))
+        return check(x, x_power)
+
+    monkeypatch.setattr(rational, "require_nonnegative", counting)
+    return calls
+
+
+@pytest.fixture
 def counted_scans(monkeypatch) -> list:
     """The interval and model count of every pole_scans call that
     padefit.selection makes in the test."""
@@ -51,4 +69,21 @@ def counted_scans(monkeypatch) -> list:
         return scans(models, interval, points)
 
     monkeypatch.setattr(selection, "pole_scans", counting)
+    return calls
+
+
+@pytest.fixture
+def linalg_calls(monkeypatch) -> dict:
+    """The number of np.linalg.qr, svd and solve calls in the test."""
+    calls = {"qr": 0, "svd": 0, "solve": 0}
+
+    def counted(name, call):
+        def counting(*args, **kwargs):
+            calls[name] += 1
+            return call(*args, **kwargs)
+
+        return counting
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
     return calls

@@ -25,6 +25,7 @@ from padefit import (
     free_columns,
     interpolate_reference,
     oscillation_measure,
+    rmse,
     sample_noisy,
     sin2pi,
     sqrt_exp,
@@ -37,6 +38,7 @@ from padefit.errors import (
     EvaluationOverflow,
     InsufficientData,
     PadefitError,
+    SingularDerivative,
     SingularSystem,
 )
 
@@ -69,6 +71,25 @@ def test_dataset_rejects_an_x_span_beyond_the_float_range():
             Dataset(np.array([-1e308, 0.0, 1e308]), np.array([1.0, 2.0, 3.0]))
         assert Dataset(np.array([-1e308, 0.0]), np.array([1.0, 2.0])).interval() == (-1e308, 0.0)
 
+
+
+@given(st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=30))
+def test_dataset_interval_is_the_min_and_max_of_x(xs):
+    data = Dataset(xs, np.zeros(len(xs)))
+    assert data.interval() == (float(np.min(data.x)), float(np.max(data.x)))
+    assert [type(v) for v in data.interval()] == [float, float]
+
+
+def test_dataset_evaluates_its_underlying_function_once():
+    # underlying(x) and d0 are the dataset's, whatever the batch or fit
+    calls = []
+    xs = np.linspace(0.5, 2.0, 10)
+    data = Dataset(xs, GEN(xs) + 1e-3 * np.cos(7.0 * xs), lambda x: calls.append(len(x)) or GEN(x))
+    batch = fitting._fit(data, [FitConfig(n=2, m=1), FitConfig(n=1, m=0, x_power=0.5)], None)
+    alone = fit_regularized(data, FitConfig(n=2, m=1))
+    assert calls == [10]
+    assert batch[0].d0 == batch[1].d0 == alone.d0 == rmse(data.f, GEN(xs))
+    assert batch[0].d1 == alone.d1
 
 def test_dataset_copies_the_callers_arrays():
     x = np.linspace(0.0, 1.0, 5)
@@ -117,6 +138,30 @@ def test_config_rejects_a_tail_power_that_is_not_an_int(power):
     with pytest.raises(ValueError, match="integer"):
         FitConfig(n=6, m=0, tail_power=power)
 
+
+
+@pytest.mark.parametrize(
+    "valid, bad",
+    [
+        ({"n": 2, "m": 1}, {"n": 2.0, "m": 1}),
+        ({"n": 2, "m": 1}, {"n": 2, "m": 1.0}),
+        ({"n": 1, "m": 1}, {"n": True, "m": 1}),
+        ({"n": 2, "m": 1}, {"n": 2, "m": True}),
+        ({"n": 2, "m": 0}, {"n": 2.5, "m": 0}),
+        ({"n": 0, "m": 0, "tail_power": 1}, {"n": 0, "m": 0, "tail_power": True}),
+        ({"n": 6, "m": 0, "tail_power": 12}, {"n": 6, "m": 0, "tail_power": 12.0}),
+    ],
+)
+def test_config_rejects_a_degree_that_is_not_an_int_after_a_valid_one(valid, bad):
+    # the structure cache must not answer for 2.0 or True with the entry
+    # of the equal 2 or 1 built just before
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert FitConfig(**valid).free_count() > 0
+        with pytest.raises(ValueError, match="must be integers|must be an integer"):
+            FitConfig(**bad)
+        with pytest.raises(ValueError, match="must be integers|must be an integer"):
+            free_columns(bad["n"], bad["m"], bad.get("tail_power"))
 
 def test_cdf_form_pins_origin_and_sets_tail():
     cfg = FitConfig.cdf_form(6, 0, 12)
@@ -453,6 +498,98 @@ def test_fit_evaluates_its_pole_scan_on_the_first_read(scan_evaluations):
     assert all(r.poles.min_abs_denominator > 0.0 for r in batch)
     assert scan_evaluations[2:] == [(data.interval(), 3)]
 
+
+
+def _data_substitutions(calls, size):
+    # the exponents substituted into abscissae of `size` points, in order
+    return [q for q, shape in calls if shape == (size,)]
+
+
+def test_a_batch_substitutes_each_exponent_of_its_data_once(substitutions):
+    # the designs and the evaluation at the data share one x**q per
+    # distinct exponent; data evaluated elsewhere takes one of its own
+    data, full, refs = _exact_dataset(), _exact_dataset(count=25), _exact_dataset(count=3)
+    substitutions.clear()  # GEN's own evaluations at the data
+    configs = [
+        FitConfig(n=2, m=1),
+        FitConfig(n=1, m=1, x_power=0.5),
+        FitConfig(n=2, m=0, x_power=0.5, lam=1e-3),
+        FitConfig(n=3, m=0, x_power=0.75),
+    ]
+    reports = fitting._fit(data, configs, None)
+    assert all(isinstance(r, fitting.FitReport) for r in reports)
+    assert _data_substitutions(substitutions, 10) == [1.0, 0.5, 0.75]
+    substitutions.clear()
+    elsewhere = fitting._fit(data, configs, None, full)
+    assert _data_substitutions(substitutions, 10) == [1.0, 0.5, 0.75]
+    assert _data_substitutions(substitutions, 25) == [1.0, 0.5, 0.75]
+    assert [r.model for r in elsewhere] == [r.model for r in reports]
+    substitutions.clear()
+    interpolate_reference(refs, 2, 0, evaluate_on=full)
+    assert _data_substitutions(substitutions, 3) == _data_substitutions(substitutions, 25) == [1.0]
+
+
+def test_a_grid_substitutes_its_nodes_once_per_exponent(substitutions):
+    # a spec keeps x**q and the chain-rule factor's x**(q - 1) for every
+    # exponent measured on it, across batches and fits
+    data = _exact_dataset()
+    grid = DerivativeGridSpec((0.5, 2.0), 7)
+    configs = [FitConfig(n=2, m=1), FitConfig(n=1, m=1, x_power=0.5)]
+    first = fitting._fit(data, configs, grid)
+    assert _data_substitutions(substitutions, 7) == [1.0, 0.5, 0.0, -0.5]
+    substitutions.clear()
+    again = fitting._fit(data, configs + [FitConfig(n=2, m=0, x_power=0.5, lam=1e-3)], grid)
+    alone = fit_regularized(data, configs[1], grid)
+    assert oscillation_measure(first[1].model, grid) == first[1].d_der
+    assert _data_substitutions(substitutions, 7) == []
+    assert [r.d_der for r in again[:2]] == [r.d_der for r in first] and alone.d_der == first[1].d_der
+    fit_regularized(data, FitConfig(n=2, m=1, x_power=0.75), grid)
+    assert _data_substitutions(substitutions, 7) == [0.75, -0.25]
+    # grid() hands out a fresh, writeable copy of the nodes
+    nodes = grid.grid()
+    nodes[:] = 0.0
+    assert grid.grid() is not grid.grid()
+    np.testing.assert_array_equal(grid.grid(), 0.5 + np.arange(1.0, 8.0) * 1.5 / 7)
+    assert fit_regularized(data, configs[1], grid).d_der == first[1].d_der
+
+
+@pytest.mark.parametrize("interval, count", [((0.0, 5e-324), 2), ((-0.5, 1.5), 4)])
+def test_a_grid_node_at_zero_is_singular_below_exponent_one(interval, count):
+    # dR/dx at x = 0 is infinite for x_power < 1: SingularDerivative, raised
+    # before the chain-rule factor x**(q - 1) divides by zero, on every use
+    # of the spec; (0, 5e-324) in two steps has its first node at 0
+    grid = DerivativeGridSpec(interval, count)
+    assert 0.0 in grid.grid()
+    data = _exact_dataset()
+    config = FitConfig(n=2, m=1, x_power=0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(2):
+            with pytest.raises(SingularDerivative):
+                fit_regularized(data, config, grid)
+            with pytest.raises(SingularDerivative):
+                oscillation_measure(fit_linearized(data, config).model, grid)
+            root, plain = fitting._fit(data, [config, FitConfig(n=2, m=1)], grid)
+            assert isinstance(root, SingularDerivative) and plain.d_der > 0.0
+
+
+def test_a_batch_finishes_each_column_count_in_one_svd_and_one_solve(linalg_calls):
+    # zero and positive penalties on three column counts: two QRs for a
+    # count with both, one for a count with one kind, one svd and one solve
+    # per count, and every member the bits of its own fit
+    data = _exact_dataset(count=12)
+    configs = [
+        FitConfig(n=2, m=1),
+        FitConfig(n=2, m=1, lam=1e-3),
+        FitConfig(n=3, m=1, x_power=0.5, lam1=0.1),
+        FitConfig(n=3, m=1, x_power=0.5),
+        FitConfig(n=1, m=1, x_power=2.0, lam=1e-2),
+    ]
+    batch = fitting._fit(data, configs, None)
+    assert linalg_calls == {"qr": 5, "svd": 3, "solve": 3}
+    for report, config in zip(batch, configs):
+        alone = fit_linearized(data, config)
+        assert report.model == alone.model and report.diagnostics == alone.diagnostics
 
 # -- exact interpolation ----------------------------------------------------
 

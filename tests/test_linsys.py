@@ -173,6 +173,64 @@ def test_stack_of_matrices_solves_each_alone():
             solve_least_squares(stack, f, bad)
 
 
+def _assert_same_outcome(got, want):
+    # the same theta bytes and diagnostics, or the same error
+    if isinstance(want, SingularSystem):
+        assert type(got) is SingularSystem and str(got) == str(want)
+    else:
+        assert got[0].tobytes() == want[0].tobytes() and got[1] == want[1]
+
+
+@pytest.mark.parametrize("rows", [8, 3])
+def test_mixed_penalties_finish_in_one_svd_and_one_solve(linalg_calls, rows):
+    # the zero-penalty and the ridged stacks are triangularized apart (a
+    # square plain stack by no QR at all), then finished together by one
+    # svd and one solve call; every member keeps the bits or the error of
+    # its own solve
+    rng = np.random.default_rng(3)
+    g = rng.normal(size=(6, rows, 3))
+    g[2, :, 2] = g[2, :, 0] + g[2, :, 1]  # rank deficient
+    g[3, :, 1] = 0.0  # a zero column
+    g[4, :, 1] = 0.0  # a zero column that no ridge row covers
+    g[5, :, 2] = g[5, :, 0] - g[5, :, 1]  # rank deficient, made full rank by its ridge
+    f = rng.normal(size=rows)
+    ridges = np.array([[0.0] * 3, [0.1, 0.2, 0.3], [0.0] * 3, [0.0] * 3, [0.5, 0.0, 0.5], [1e-2] * 3])
+    alone = [solve_least_squares(gk, f, ridge[None])[0] for gk, ridge in zip(g, ridges)]
+    for name in linalg_calls:
+        linalg_calls[name] = 0
+    got = solve_least_squares(g, f, ridges)
+    assert linalg_calls == {"qr": 1 if rows == 3 else 2, "svd": 1, "solve": 1}
+    assert [isinstance(r, SingularSystem) for r in got] == [False, False, True, True, True, False]
+    for result, want in zip(got, alone):
+        _assert_same_outcome(result, want)
+
+
+def test_a_failed_batched_solve_falls_back_to_each_problem(monkeypatch):
+    # a LinAlgError in the shared call is found problem by problem: the
+    # failing one gets its SingularSystem, the others their lone results
+    rng = np.random.default_rng(4)
+    g = rng.normal(size=(4, 8, 3))
+    f = rng.normal(size=8)
+    ridges = np.array([[0.0] * 3, [0.1] * 3, [0.0] * 3, [0.2] * 3])
+    alone = [solve_least_squares(gk, f, ridge[None])[0] for gk, ridge in zip(g, ridges)]
+    solve, singles = np.linalg.solve, []
+
+    def failing(a, b):
+        if len(a) > 1:
+            raise np.linalg.LinAlgError("batched")
+        singles.append(len(a))
+        if len(singles) == 2:  # the plain stack comes first: problem 2
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", failing)
+    got = solve_least_squares(g, f, ridges)
+    assert singles == [1, 1, 1, 1]
+    assert type(got[2]) is SingularSystem and str(got[2]) == "Singular matrix"
+    for k in (0, 1, 3):
+        _assert_same_outcome(got[k], alone[k])
+
+
 def test_strided_rhs_solves_like_a_contiguous_copy():
     # a strided F must not take another BLAS path in Q'F
     x = uniform_grid(0.0, 1.0, 20)[::2]

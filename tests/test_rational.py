@@ -16,7 +16,7 @@ from hypothesis.extra.numpy import arrays
 
 import oracle
 from padefit import DerivativeGridSpec, PoleReport, RationalModel, Tail, add, pole_scan, uniform_grid
-from padefit.rational import _horner, pole_scans
+from padefit.rational import _horner, _scan, pole_scans
 from padefit.errors import (
     DenominatorZero,
     EvaluationOverflow,
@@ -681,6 +681,53 @@ def test_overflowing_evaluation_is_a_typed_error():
         assert (m(2.0), m.derivative(2.0)) == (2.5, 0.375)
     assert np.geterr() == errstate
 
+
+
+def test_overflowing_parts_are_a_typed_error():
+    # P = 1 + 2x overflows at x = 1e308 while Q = 1 + 0.5x does not; a
+    # non-finite x has no parts either
+    m = RationalModel((1.0, 2.0), (0.5,))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in (1e308, [2.0, 1e308], np.array([[1e308]])):
+            with pytest.raises(EvaluationOverflow, match="out of float range"):
+                m.parts(x)
+        for x in (math.inf, -math.inf, math.nan, [2.0, math.nan]):
+            with pytest.raises(EvaluationOverflow):
+                m.parts(x)
+        assert m.parts(2.0) == (5.0, 2.0)
+        assert m.parts(1e300) == (2e300 + 1.0, 5e299 + 1.0)
+
+
+def test_pole_scan_of_huge_values_decides_sign_changes_by_sign():
+    # Q values near 1e300 on either side of a root: their product overflows
+    # but their signs bracket the root, and bisection stops at adjacent
+    # floats, which lie farther apart than POLE_REFINE_TOL there
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = pole_scan(RationalModel((1.0, 2.0), (0.5,)), (0.0, 1e308))
+        assert (report.count, report.min_abs_denominator) == (0, 1.0)
+        report = pole_scan(RationalModel((1.0,), (1.0, -3e-301)), (0.0, 1e303))
+        assert report.count == 1
+        ((lo, hi, root),) = report.sign_changes
+        assert lo < hi == np.nextafter(lo, math.inf) and root == pytest.approx(1.0 / 3e-301, rel=1e-15)
+        ((lo, hi, root),) = pole_scan(RationalModel((1.0,), (-3e-9,)), (0.0, 1e9)).sign_changes
+        assert hi == np.nextafter(lo, math.inf) and root == pytest.approx(1.0 / 3e-9, rel=1e-15)
+
+
+def test_scan_keeps_a_sign_change_whose_product_underflows():
+    # Q(t) = 1e-170 (1 - t) changes sign between nodes 2/3 and 4/3 of the
+    # grid, where |Q| is about 3e-171 and the product of the two values
+    # underflows to -0.0.  A model's own Q cannot get that close to 0 off a
+    # root (its constant is 1), so the stack is built by hand.
+    c = np.zeros((2, 4, 1))
+    c[:, 1, 0] = (1e-170, -1e-170)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        brackets, lows = _scan(c, [1.0], 0.0, 2.0, 4)
+    ((lo, hi, vlo),) = brackets[0]
+    assert (lo, hi) == (2.0 / 3.0, 4.0 / 3.0) and vlo == pytest.approx(1e-170 / 3.0, rel=1e-15)
+    assert lows == [pytest.approx(1e-170 / 3.0, rel=1e-15)]
 
 # -- serialization ----------------------------------------------------------
 

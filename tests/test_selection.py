@@ -55,6 +55,18 @@ def test_search_space_validation():
         SearchSpace(n_range=(0, 2), m_range=(0, 2), q_grid=(0.0,))
 
 
+
+@pytest.mark.parametrize("n_range, m_range", [((0.5, 1.5), (0, 0)), ((0, 2), (0.0, 1.0)), ((0, True), (0, 0)), ((0, 2), (0, 1.5))])
+def test_search_space_rejects_degree_ranges_that_are_not_ints(n_range, m_range):
+    # no range of integer degrees to enumerate: a ValueError here, not an
+    # untyped TypeError from range() inside grid_search
+    data = _exact_data()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grid_search(data, SearchSpace(n_range=(0, 2), m_range=(0, 1)))
+        with pytest.raises(ValueError, match="degree ranges must be integers"):
+            grid_search(data, SearchSpace(n_range, m_range))
+
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
 def test_nonfinite_exponents_and_penalties_raise(bad):
     data = _exact_data()
