@@ -210,7 +210,16 @@ def _report_body(report: FitReport) -> dict:
     }
 
 
-def _emit_report(args, doc: dict) -> int:
+def _emit_report(args, data: Dataset, config: dict, report: FitReport, **extra) -> int:
+    """Write a command's JSON report: the command, the data file, the
+    config echo, the command's own blocks `extra`, then the report body."""
+    doc = {
+        "command": args.command,
+        "data": {"file": args.data, "count": len(data)},
+        "config": config,
+        **extra,
+        **_report_body(report),
+    }
     _write_output(args.out, json.dumps(doc, indent=2, allow_nan=False) + "\n")
     return 0
 
@@ -223,13 +232,7 @@ def cmd_fit(args) -> int:
     config = _build_config(args)
     der_grid = DerivativeGridSpec(args.der_interval or data.interval(), args.der_points)
     report = fit_regularized(data, config, der_grid)
-    doc = {
-        "command": "fit",
-        "data": {"file": args.data, "count": len(data)},
-        "config": _config_echo(config, args.form),
-        **_report_body(report),
-    }
-    return _emit_report(args, doc)
+    return _emit_report(args, data, _config_echo(config, args.form), report)
 
 
 def cmd_interpolate(args) -> int:
@@ -246,14 +249,9 @@ def cmd_interpolate(args) -> int:
     else:
         refs = build_reference_points(data, args.group_size, args.anchors or ())
     report = interpolate_reference(refs, args.n, args.m, mask, evaluate_on=data)
-    doc = {
-        "command": "interpolate",
-        "data": {"file": args.data, "count": len(data)},
-        "config": {"n": args.n, "m": args.m, "zero_mask": sorted(mask)},
-        "reference_points": [[float(a), float(b)] for a, b in zip(refs.x, refs.f)],
-        **_report_body(report),
-    }
-    return _emit_report(args, doc)
+    config = {"n": args.n, "m": args.m, "zero_mask": sorted(mask)}
+    points = [[float(a), float(b)] for a, b in zip(refs.x, refs.f)]
+    return _emit_report(args, data, config, report, reference_points=points)
 
 
 def cmd_search(args) -> int:
@@ -279,23 +277,17 @@ def cmd_search(args) -> int:
             "error": cand.error,
         }
         table.append(entry)
-    doc = {
-        "command": "search",
-        "data": {"file": args.data, "count": len(data)},
-        "config": {
-            "form": args.form,
-            "n_range": list(space.n_range),
-            "m_range": list(space.m_range),
-            "l_list": list(space.l_candidates) if space.l_candidates else None,
-            "q_grid": list(space.q_grid),
-            "lambda": args.lam,
-            "lambda1": args.lam1,
-            "zero_mask": sorted(mask),
-        },
-        "candidates": table,
-        **_report_body(best),
+    config = {
+        "form": args.form,
+        "n_range": list(space.n_range),
+        "m_range": list(space.m_range),
+        "l_list": list(space.l_candidates) if space.l_candidates else None,
+        "q_grid": list(space.q_grid),
+        "lambda": args.lam,
+        "lambda1": args.lam1,
+        "zero_mask": sorted(mask),
     }
-    return _emit_report(args, doc)
+    return _emit_report(args, data, config, best, candidates=table)
 
 
 def cmd_sweep(args) -> int:
@@ -306,27 +298,21 @@ def cmd_sweep(args) -> int:
     row = sweep.rows[sweep.chosen]
     if row.report is None:
         raise NoFeasibleModel(f"the fit at the chosen lambda failed: {row.error}")
-    doc = {
-        "command": "sweep",
-        "data": {"file": args.data, "count": len(data)},
-        "config": _config_echo(replace(config, lam=chosen), args.form),
-        "sweep": {
-            "rows": [
-                {
-                    "lambda": row.lam,
-                    "d": _num(row.d),
-                    "d_der": _num(row.d_der),
-                    "pole_count": row.pole_count,
-                    "error": row.error,
-                }
-                for row in sweep.rows
-            ],
-            "chosen_index": sweep.chosen,
-            "chosen_lambda": chosen,
-        },
-        **_report_body(row.report),
+    block = {
+        "rows": [
+            {
+                "lambda": row.lam,
+                "d": _num(row.d),
+                "d_der": _num(row.d_der),
+                "pole_count": row.pole_count,
+                "error": row.error,
+            }
+            for row in sweep.rows
+        ],
+        "chosen_index": sweep.chosen,
+        "chosen_lambda": chosen,
     }
-    return _emit_report(args, doc)
+    return _emit_report(args, data, _config_echo(replace(config, lam=chosen), args.form), row.report, sweep=block)
 
 
 def cmd_eval(args) -> int:
@@ -490,12 +476,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (CountMismatch, DuplicateAbscissa) as exc:
+    except PadefitError as exc:  # input-format errors of the reference points exit 1, fit failures 2
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except PadefitError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, (CountMismatch, DuplicateAbscissa)) else 2
 
 
 if __name__ == "__main__":

@@ -95,7 +95,7 @@ def oscillation_measure(
 
 
 def _measures(c, exponents, grid: DerivativeGridSpec) -> list[float | PadefitError]:
-    # oscillation_measure of each model of the (top, 4, K) stack c, from
+    # oscillation_measure of each model of the (top, 2, K) stack c, from
     # one stacked quotient-rule pass.  A model's outcome is the error its own
     # measure raises: DenominatorZero where its denominator vanishes on the
     # grid, EvaluationOverflow where its slopes or their mean square leave

@@ -21,10 +21,6 @@ class UnsupportedSubstitution(PadefitError):
     """Operation requires the plain coordinate (x_power == 1)."""
 
 
-class NormalizationImpossible(PadefitError):
-    """Result denominator has a zero constant term and cannot be scaled to 1."""
-
-
 class InsufficientData(PadefitError):
     """Fewer data points than free coefficients."""
 

@@ -186,18 +186,16 @@ def _members(config: FitConfig, name: str, values) -> list[FitConfig]:
 def _models(configs: list[FitConfig], theta: np.ndarray, where: dict) -> tuple[list[RationalModel], np.ndarray]:
     # The models whose coefficients on the union columns (`where` maps each
     # to its index) are the rows of theta, and their RationalModel._rows as
-    # one read-only (top, 4, K) stack; each model is handed its own slice.
+    # one read-only (top, 2, K) stack; each model is handed its own slice.
     tops = [max(c.n, c.m) + 1 if c.tail_power is None else c.tail_power + 1 for c in configs]
-    c = np.zeros((max(tops + [power + 1 for _kind, power in where]), 4, len(configs)))
+    c = np.zeros((max(tops + [power + 1 for _kind, power in where]), 2, len(configs)))
     c[0, 1] = 1.0
     for (kind, power), u in sorted(where.items(), key=lambda item: item[0][0] == "tail"):
         if kind != "tail":
             c[power, 0 if kind == "numer" else 1] = theta[:, u]
         else:  # added to P and Q once their other columns are in
             rows = [config.tail_power == power for config in configs]
-            c[power, :2, rows] += theta[rows, u][:, None]
-    c[:-1, 2:] = c[1:, :2] * np.arange(1.0, len(c))[:, None, None]
-    c[0, 2:, np.equal(tops, 1)] = c[0, :2, np.equal(tops, 1)] * 0.0  # polyder of a constant
+            c[power, :, rows] += theta[rows, u][:, None]
     c.setflags(write=False)
     values, numer, denom = theta.tolist(), c[:, 0].T.tolist(), c[:, 1].T.tolist()
     models = []
@@ -217,13 +215,13 @@ def _build_reports(
     ts: dict,
 ) -> list[FitReport | PadefitError]:
     # One stacked evaluation at the data (x**q kept in ts, see _substitutions)
-    # and derivative pass for the models, whose _rows are the (top, 4, K)
+    # and derivative pass for the models, whose _rows are the (top, 2, K)
     # stack c, and one pole scan run on its first read; then each error
     # measure as one reduction over the rows.
     exponents = [model.x_power for model in models]
     lo, hi = data.interval()
     try:
-        num, den = _horner(c[:, :2], _substitutions(data.x, exponents, ts))
+        num, den = _horner(c, _substitutions(data.x, exponents, ts))
         truth, d0 = data._truth
         poles = _scans(c, exponents, (lo, hi), SCAN_POINTS) if hi > lo else None
         d_ders = _measures(c, exponents, der_grid) if der_grid is not None else [None] * len(models)

@@ -25,7 +25,6 @@ from .errors import (
     DenominatorZero,
     EvaluationOverflow,
     NegativeAbscissa,
-    NormalizationImpossible,
     SingularDerivative,
     UnsupportedSubstitution,
 )
@@ -127,18 +126,14 @@ class RationalModel:
     @cached_property
     def _rows(self) -> np.ndarray:
         # Dense ascending coefficients of P and Q, including the implicit 1
-        # and the tail, then of their derivatives in t for the quotient rule
-        # (npoly.polyder's values, padded with a top zero, which leaves
-        # Horner's values unchanged): one read-only (4, top) array.
+        # and the tail: one read-only (2, top) array.
         top = self.tail.power + 1 if self.tail is not None else max(len(self.numer), len(self.denom) + 1)
-        c = np.zeros((4, top))
+        c = np.zeros((2, top))
         c[0, : len(self.numer)] = self.numer
         c[1, 0] = 1.0
         c[1, 1 : len(self.denom) + 1] = self.denom
         if self.tail is not None:
-            c[:2, self.tail.power] += self.tail.coeff
-        c[2:, :-1] = c[:2, 1:] * np.arange(1.0, top)
-        c[2:, -1] = c[:2, -1] * 0.0 if top == 1 else 0.0  # polyder of a constant
+            c[:, self.tail.power] += self.tail.coeff
         c.setflags(write=False)
         return c
 
@@ -159,7 +154,7 @@ class RationalModel:
         c, exponents = _stack((self,))
         try:
             with np.errstate(over="raise", invalid="raise"):
-                values = _horner(c[:, :2], _substitutions(x, exponents))[:, 0]
+                values = _horner(c, _substitutions(x, exponents))[:, 0]
         except FloatingPointError as exc:
             raise EvaluationOverflow(f"P(t) and Q(t) are out of float range ({exc})") from None
         if not np.isfinite(values).all():
@@ -227,7 +222,7 @@ class RationalModel:
             raise UnsupportedSubstitution("Maclaurin expansion needs x_power == 1")
         if count < 0:
             raise ValueError("count must be nonnegative")
-        p, q = self._rows[:2]
+        p, q = self._rows
         c = []
         for i in range(count):
             a_i = p[i] if i < len(p) else 0.0
@@ -284,43 +279,27 @@ class RationalModel:
         return cls.from_dict(json.loads(text))
 
 
-def _trim_trailing_zeros(c: np.ndarray, keep: int) -> np.ndarray:
-    """Drop exact trailing zeros, keeping at least `keep` leading entries."""
-    n = len(c)
-    while n > keep and c[n - 1] == 0.0:
-        n -= 1
-    return c[:n]
-
-
 def add(f: RationalModel, g: RationalModel) -> RationalModel:
     """Exact sum of two rational models over the common denominator.
 
     Both operands must use the plain coordinate (x_power == 1) and carry
-    no tail term.  The result is renormalized so its denominator constant
-    is exactly 1.
+    no tail term.  Their denominator constants are both 1, so the product
+    denominator's is exactly 1 too.
 
     Raises
     ------
     UnsupportedSubstitution
         If either operand has x_power != 1 or a tail term.
-    NormalizationImpossible
-        If the product denominator's constant term is zero.
     """
     for operand in (f, g):
         if operand.x_power != 1.0 or operand.tail is not None:
             raise UnsupportedSubstitution("add needs plain-coordinate models without tails")
-    pf, qf = f._rows[:2]
-    pg, qg = g._rows[:2]
+    pf, qf = f._rows
+    pg, qg = g._rows
     num = npoly.polyadd(npoly.polymul(pf, qg), npoly.polymul(pg, qf))
-    den = npoly.polymul(qf, qg)
-    c0 = den[0]
-    if abs(c0) <= DENOM_TOL:
-        raise NormalizationImpossible("sum denominator has zero constant term")
-    num = np.atleast_1d(num) / c0
-    den = np.atleast_1d(den) / c0
-    num = _trim_trailing_zeros(num, keep=1)
-    den = _trim_trailing_zeros(den, keep=1)
-    return RationalModel(numer=tuple(num), denom=tuple(den[1:]))
+    den = np.trim_zeros(npoly.polymul(qf, qg), "b")
+    # exact trailing zeros go; an all-zero numerator keeps its constant
+    return RationalModel(numer=tuple(np.trim_zeros(num, "b")) or (num[0],), denom=tuple(den[1:]))
 
 
 @dataclass(frozen=True)
@@ -407,9 +386,9 @@ def _substitutions(x, exponents, ts=None) -> np.ndarray:
 
 
 def _stack(models) -> tuple[np.ndarray, list]:
-    # The models' _rows as one (top, 4, K) stack, coefficient first for _horner
-    # and padded with top zeros (Horner's values unchanged); their exponents.
-    c = np.zeros((max(m._rows.shape[1] for m in models), 4, len(models)))
+    # The models' _rows as one (top, 2, K) stack of P and Q, coefficient first for
+    # _horner and padded with top zeros (Horner's values unchanged); their exponents.
+    c = np.zeros((max(m._rows.shape[1] for m in models), 2, len(models)))
     for k, m in enumerate(models):
         c[: m._rows.shape[1], :, k] = m._rows.T
     return c, [m.x_power for m in models]
@@ -429,16 +408,21 @@ def _horner(c, t) -> np.ndarray:
 
 
 def _slopes(c, exponents, x, ts=None):
-    # dR/dx of each model of the (top, 4, K) stack c by the quotient rule, and
-    # its denominator values, one row per model.  Entries where |Q| <= DENOM_TOL
-    # hold no slope: callers check the denominator row before using a slope row.
-    # `ts` keeps x**q and the chain-rule factor's x**(q - 1), as for _substitutions;
-    # the factor is taken only past the x = 0 check, where it would divide by 0.
+    # dR/dx of each model of the (top, 2, K) stack c of P and Q by the quotient
+    # rule, and its denominator values, one row per model.  P' and Q' in t, read
+    # nowhere else, are built here with a top zero (Horner's values unchanged).
+    # Entries where |Q| <= DENOM_TOL hold no slope: callers check the denominator
+    # row before using a slope row.  `ts` keeps x**q and the chain-rule factor's
+    # x**(q - 1), as for _substitutions; the factor is taken only past the x = 0
+    # check, where it would divide by 0.
     xs = np.asarray(x, dtype=float)
     t = _substitutions(xs, exponents, ts)
     if np.any(xs == 0.0) and (low := min(exponents)) < 1.0:
         raise SingularDerivative(f"dR/dx at x = 0 needs x_power >= 1, not {low:g}")
-    num, den, dnum, dden = _horner(c, t)
+    rows = np.zeros((len(c), 4, c.shape[2]))
+    rows[:, :2] = c
+    rows[:-1, 2:] = c[1:] * np.arange(1.0, len(c))[:, None, None]
+    num, den, dnum, dden = _horner(rows, t)
     out = (dnum * den - num * dden) / np.where(np.abs(den) <= DENOM_TOL, 1.0, den * den)
     if any(q != 1.0 for q in exponents):
         factors = _substitutions(xs, [q - 1.0 for q in exponents], ts)
@@ -452,7 +436,9 @@ def pole_scan(model: RationalModel, interval: tuple[float, float], points: int =
     The denominator is evaluated in the substituted coordinate t = x**x_power;
     brackets are refined by bisection on x.  An exact zero on a grid node is
     reported as a degenerate bracket, once per run of zero nodes.  Raises
-    NegativeAbscissa for an interval below 0 with a non-integer x_power.
+    NegativeAbscissa for an interval below 0 with a non-integer x_power, and
+    EvaluationOverflow where x**x_power at an end of the interval is out of
+    float range.
     """
     return pole_scans((model,), interval, points)[0]
 
@@ -467,13 +453,18 @@ def pole_scans(models, interval: tuple[float, float], points: int = SCAN_POINTS)
 
 def _scans(c, exponents, interval, points) -> list[PoleReport]:
     # The reports of one batch, sharing one _scan run on the first read; the
-    # interval and the domain (the grid's lowest node is a) are checked now.
+    # interval, the domain (the grid's lowest node is a) and the range of t
+    # (|t| is largest at an end, where math.pow raises on overflow) are checked now.
     a, b = float(interval[0]), float(interval[1])
     require_interval(a, b, "scan interval")
     if points < 2:
         raise ValueError("need at least two scan points")
     for q in dict.fromkeys(exponents):
         require_nonnegative(a, q)
+        try:
+            math.pow(max(-a, b), q)
+        except OverflowError:
+            raise EvaluationOverflow(f"x**{q:g} is out of float range on the scan interval [{a:g}, {b:g}]") from None
     memo: dict = {}  # the batch's one _scan, run on the first read of any member
     scan = lambda: memo.get(0) or memo.setdefault(0, _scan(c, exponents, a, b, points))
     return [PoleReport._deferred((a, b), points, scan, k, c[:, 1, k], q) for k, q in enumerate(exponents)]
@@ -484,8 +475,11 @@ def _scan(c, exponents, a, b, points) -> tuple[list, list]:
     # brackets and smallest |Q|.  The brackets, in grid order, are the sign
     # changes (never at a zero node) and the first nodes of zero runs among
     # nodes 0..points-2, as (lo, hi, Q(lo)), then a zero last node as (x, x, 0.0).
+    # With every t finite (checked by _scans) a value may overflow to +-inf,
+    # which keeps its sign, but never becomes NaN.
     xs = _scan_grid(a, b, points)
-    vals = _horner(c[:, 1], _substitutions(xs, exponents))
+    with np.errstate(over="ignore"):
+        vals = _horner(c[:, 1], _substitutions(xs, exponents))
     zero = vals == 0.0
     opens = zero.copy()
     opens[:, 1:-1] &= ~zero[:, :-2]

@@ -193,10 +193,11 @@ def lambda_sweep(
     """Fit every penalty value, as one batch, and tabulate d, d_der and
     pole count.
 
-    Pole counting and the oscillation measure both run over der_interval
-    (default: the data interval), so the sweep judges smoothness on the
-    same window throughout.  A failed fit becomes a row with NaN metrics
-    and its error text; the sweep itself only fails if the grid is bad.
+    Pole counting, by one stacked scan of every fitted model, and the
+    oscillation measure both run over der_interval (default: the data
+    interval), so the sweep judges smoothness on the same window
+    throughout.  A failed fit becomes a row with NaN metrics and its error
+    text; the sweep itself only fails if the grid is bad.
     """
     lams = [float(v) for v in grid]
     if len(lams) < 2:
@@ -207,32 +208,19 @@ def lambda_sweep(
         raise ValueError("penalty grid must be strictly ascending")
     interval = der_interval if der_interval is not None else data.interval()
     der_grid = DerivativeGridSpec(interval, der_points)
-    fits = _fit_counted(data, _members(config, "lam", lams), der_grid, interval)
+    fits = _fit(data, _members(config, "lam", lams), der_grid)
+    models = [r.model for r in fits if isinstance(r, FitReport)]
+    try:  # one stacked scan counts every fit's poles; its failure is every fit's error
+        counts = iter([p.count for p in pole_scans(models, interval, SCAN_POINTS)] if models else [])
+    except PadefitError as exc:
+        fits = [r if isinstance(r, PadefitError) else exc for r in fits]
     rows = []
     for lam, fit in zip(lams, fits):
         if isinstance(fit, PadefitError):
             rows.append(SweepRow(lam, math.nan, math.nan, 0, str(fit)))
         else:
-            report, count = fit
-            rows.append(SweepRow(lam, report.d, report.d_der, count, report=report))
+            rows.append(SweepRow(lam, fit.d, fit.d_der, next(counts), report=fit))
     return LambdaSweep(tuple(rows))
-
-
-def _fit_counted(data, configs, der_grid, interval):
-    """_fit of one batch, each report paired with its denominator's sign
-    changes on `interval`.  The fits' own scans answer when they covered
-    the same interval; otherwise one stacked scan counts their brackets,
-    its failure becomes their error, and their own scans are never run."""
-    fits = _fit(data, configs, der_grid)
-    reports = [r for r in fits if isinstance(r, FitReport)]
-    scans = [r.poles for r in reports]
-    if reports and scans[0].scan_interval != tuple(map(float, interval)):
-        try:
-            scans = pole_scans([r.model for r in reports], interval, SCAN_POINTS)
-        except PadefitError as exc:
-            return [r if isinstance(r, PadefitError) else exc for r in fits]
-    counts = iter(p.count for p in scans)
-    return [r if isinstance(r, PadefitError) else (r, next(counts)) for r in fits]
 
 
 def q_search(

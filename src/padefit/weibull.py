@@ -29,7 +29,7 @@ from .errors import (
     PoleOnRange,
     SingularSystem,
 )
-from .rational import RationalModel, _horner, _stack, _substitutions, pole_scan
+from .rational import RationalModel, _horner, _scan_grid, _stack, _substitutions, pole_scan
 
 #: Bisection bracket for the MLE shape parameter.
 SHAPE_BRACKET = (0.01, 100.0)
@@ -49,6 +49,9 @@ QUAD_TOL = 1e-8
 
 #: Rounds of panel halving the MTTF quadrature may make.
 QUAD_ROUNDS = 6
+
+#: Nodes of the MTTF pole scan over [0, x_max]; past 0 they are the candidate cutoffs.
+MTTF_SCAN_POINTS = 4097
 
 
 @dataclass(frozen=True)
@@ -219,37 +222,18 @@ def _gauss_rules():
     return leggauss(20), leggauss(10)
 
 
-def _tail_power_law(model: RationalModel) -> tuple[float, float] | None:
-    """(c, k) with 1 - R ~ c * x**-k for large x; None when 1 - R == 0.
+def _tail_power_law(model: RationalModel) -> tuple[float, float]:
+    """(c, k) with 1 - R ~ c * x**-k for large x, where R(0) = 0 keeps 1 - R off 0.
 
     With the shared tail coefficient, the numerator of 1 - R loses its top
     power exactly, so 1 - R decays like (c_n / c_d) * x**(dn - dd) in the
     substituted coordinate.
     """
-    p, q = model._rows[:2]
+    p, q = model._rows
     diff = q - p
-    if not np.any(diff):
-        return None
     dn = int(np.max(np.nonzero(diff)[0]))
     dd = int(np.max(np.nonzero(q)[0]))
     return diff[dn] / q[dd], model.x_power * (dd - dn)
-
-
-def _rational_tail_integral(model: RationalModel, x_cut: float) -> float:
-    """Closed-form estimate of the remaining integral of 1 - R past x_cut,
-    from its leading power law (see _tail_power_law).  Returns 0 for the
-    exact case 1 - R == 0; raises NonconvergentTail when the decay is too
-    slow for the remaining integral to be finite.
-    """
-    law = _tail_power_law(model)
-    if law is None:
-        return 0.0
-    c, k = law
-    expo = k - 1.0
-    if expo <= 0.0:
-        raise NonconvergentTail(f"1 - R decays like x**{-k:g}, integral diverges")
-    # integral of c * x**-k dx from x_cut: c * x_cut**(1 - k) / (k - 1)
-    return float(c * x_cut ** (-expo) / expo)
 
 
 # Far enough out both polynomials overflow and R = P / Q is inf/inf: the
@@ -276,6 +260,8 @@ def mttf(obj: WeibullParams | RationalModel, *, x_max: float | None = None) -> f
     ------
     PoleOnRange
         If the model denominator changes sign inside the integration range.
+    EvaluationOverflow
+        If x_max**x_power is out of float range (see pole_scan).
     NonconvergentTail
         If 1 - R decays too slowly for a finite integral, or is still at
         least TAIL_EPS at x_max without following its leading power law
@@ -300,25 +286,30 @@ def mttf(obj: WeibullParams | RationalModel, *, x_max: float | None = None) -> f
         raise ValueError("model CDF must start at R(0) = 0")
     if model.tail is None:
         raise ValueError("model CDF must carry a tail term so R -> 1 at infinity")
-    scan = pole_scan(model, (0.0, x_max), 4097)
+    scan = pole_scan(model, (0.0, x_max), MTTF_SCAN_POINTS)
     if scan.count:
         raise PoleOnRange(f"denominator changes sign at x ~ {scan.sign_changes[0][2]:.6g}")
     stack, exponents = _stack((model,))
-    ratio = lambda x: np.divide(*_horner(stack[:, :2], _substitutions(x, exponents))[:, 0])
-    xs = np.linspace(0.0, x_max, 4097)[1:]
+    ratio = lambda x: np.divide(*_horner(stack, _substitutions(x, exponents))[:, 0])
+    xs = _scan_grid(0.0, float(x_max), MTTF_SCAN_POINTS)[1:]
     shortfall = 1.0 - ratio(xs)
     loud = np.nonzero(np.abs(shortfall) >= TAIL_EPS)[0]
+    c, k = _tail_power_law(model)
     if loud.size == 0:
         x_cut = float(xs[0])
     elif loud[-1] == xs.size - 1:
         # The cutoff falls on x_max itself: the tail formula holds there only
         # if 1 - R already follows its leading power law.
         x_cut = float(xs[-1])
-        c, k = _tail_power_law(model)
         if not abs(c * np.float64(x_cut) ** -k - shortfall[-1]) <= TAIL_MATCH * abs(shortfall[-1]):
             raise NonconvergentTail(f"1 - R has not reached its leading-order decay by x_max = {x_max:g}")
     else:
         x_cut = float(xs[loud[-1] + 1])
 
-    tail = _rational_tail_integral(model, x_cut)
+    # The remaining integral of 1 - R past x_cut, in closed form from its
+    # leading power law: c * x_cut**(1 - k) / (k - 1), finite only for k > 1.
+    expo = k - 1.0
+    if expo <= 0.0:
+        raise NonconvergentTail(f"1 - R decays like x**{-k:g}, integral diverges")
+    tail = float(c * x_cut ** (-expo) / expo)
     return _graded_gauss(lambda x: 1.0 - ratio(x), x_cut) + tail

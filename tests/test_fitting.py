@@ -453,13 +453,21 @@ def test_mixed_batches_match_report_oracle(lo, count, seed, truth, draws, der):
         _assert_batch_matches_oracle(data, configs, der)
 
 
-def test_constant_members_keep_the_signed_zero_slope_row():
-    # polyder of a negative constant is -0.0, in a batch as on its own
+def test_constant_members_have_the_slopes_of_their_lone_fits():
+    # A negative constant in a batch whose stack is six coefficients tall:
+    # its slopes, from P' and Q' built out of its P and Q rows, are its lone
+    # fit's to the bit, on both sides of x = 0.
     x = np.linspace(-1.0, 1.0, 7)
     data = Dataset(x, -2.0 - 0.1 * x)
+    der = DerivativeGridSpec((-1.0, 1.0), 5)
     configs = [FitConfig(0, 0, x_power=q) for q in (1.0, 2.0)] + [FitConfig(1, 1), FitConfig(0, 0, 5)]
-    _assert_batch_matches_oracle(data, configs, DerivativeGridSpec((-1.0, 1.0), 5))
-    assert np.signbit(fitting._fit(data, configs, None)[0].model._rows[2, 0])
+    _assert_batch_matches_oracle(data, configs, der)
+    batch = fitting._fit(data, configs, der)
+    for cfg, got in zip(configs[:2], batch):
+        (lone,) = fitting._fit(data, [cfg], der)
+        assert got.model.numer[0] < 0.0 and got.model._rows.shape == (2, 1)
+        assert np.float64(got.d_der).tobytes() == np.float64(lone.d_der).tobytes()
+        assert got.model.derivative(x).tobytes() == lone.model.derivative(x).tobytes()
 
 
 def test_mixed_batch_with_vanishing_denominator_matches_report_oracle():

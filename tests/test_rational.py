@@ -21,7 +21,6 @@ from padefit.errors import (
     DenominatorZero,
     EvaluationOverflow,
     NegativeAbscissa,
-    NormalizationImpossible,
     SingularDerivative,
     UnsupportedSubstitution,
 )
@@ -314,6 +313,16 @@ def test_add_two_peak_sum_matches_fraction_oracle():
     np.testing.assert_allclose(
         h.denom, [float(c) for c in CANON_DENOM], rtol=1e-12, atol=1e-12
     )
+
+
+def test_add_of_a_model_and_its_negation_keeps_one_zero_numerator_entry():
+    # every numerator coefficient of f + (-f) cancels to +0.0; trailing zeros
+    # go, except the constant, and the product denominator stays whole
+    f = RationalModel(numer=(1.0, -2.0, 0.5), denom=(0.25, 3.0))
+    h = add(f, RationalModel(numer=tuple(-c for c in f.numer), denom=f.denom))
+    assert h.numer == (0.0,) and not math.copysign(1.0, h.numer[0]) < 0.0
+    assert h.denom == (0.5, 6.0625, 1.5, 9.0)
+    assert h(0.7) == 0.0
 
 
 def test_add_rejects_substitution_and_tails():
@@ -715,12 +724,38 @@ def test_pole_scan_of_huge_values_decides_sign_changes_by_sign():
         assert hi == np.nextafter(lo, math.inf) and root == pytest.approx(1.0 / 3e-9, rel=1e-15)
 
 
+def test_pole_scan_of_a_substitution_past_the_float_range_is_a_typed_error(scan_evaluations):
+    # Q = 1 - x**2 changes sign at x = 1, but x**2 overflows at 1e200: the
+    # call raises, before any evaluation, instead of counting no pole; a
+    # numpy exponent, whose ** would overflow to inf, raises too
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for model in [RationalModel((1.0,), (-1.0,), x_power=q) for q in (2.0, np.float64(2.0))]:
+            for interval in ((0.0, 1e200), (-1e200, 0.0)):
+                with pytest.raises(EvaluationOverflow, match="out of float range"):
+                    pole_scan(model, interval)
+            assert pole_scan(model, (0.0, 1e150)).count == 1
+    assert scan_evaluations == [((0.0, 1e150), 1)] * 2
+
+
+def test_pole_scan_counts_overflowing_denominators_by_their_sign():
+    # Q = 1 + 1e300 (t - t**2 + t**3) overflows to +-inf on [0, 1e10] with t
+    # finite: the infinite values keep their sign, and Q > 0 there
+    model = RationalModel((1.0,), (1e300, -1e300, 1e300))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = pole_scan(model, (0.0, 1e10))
+        assert (report.count, report.min_abs_denominator, report.sign_changes) == (0, 1.0, ())
+        flipped = pole_scan(RationalModel((1.0,), (1e300, -1e300, -1e300)), (0.0, 1e10))
+        assert flipped.count == 1 and 0.0 < flipped.sign_changes[0][2] < 1e10
+
+
 def test_scan_keeps_a_sign_change_whose_product_underflows():
     # Q(t) = 1e-170 (1 - t) changes sign between nodes 2/3 and 4/3 of the
     # grid, where |Q| is about 3e-171 and the product of the two values
     # underflows to -0.0.  A model's own Q cannot get that close to 0 off a
     # root (its constant is 1), so the stack is built by hand.
-    c = np.zeros((2, 4, 1))
+    c = np.zeros((2, 2, 1))
     c[:, 1, 0] = (1e-170, -1e-170)
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -552,12 +552,28 @@ def test_tuning_evaluates_only_its_one_model_scans(scan_evaluations, counted_sca
 
 
 @pytest.mark.parametrize("der_interval", [None, (0.0, 2.0)])
-def test_sweep_scans_each_fit_once(counted_scans, table1, der_interval):
+def test_sweep_scans_each_fit_once(scan_evaluations, counted_scans, table1, der_interval):
+    # one stacked scan of every fit over the derivative interval, evaluated
+    # once; the fits' own scans of the data interval are never evaluated
     config = FitConfig.cdf_form(6, 0, 12)
     grid = (0.0, 0.0025, 0.01)
-    want = oracle.sweep_rows(table1, config, grid, der_interval)
-    assert lambda_sweep(table1, config, grid, der_interval).rows == want
-    assert counted_scans == ([] if der_interval is None else [(der_interval, len(grid))])
+    interval = der_interval if der_interval is not None else table1.interval()
+    sweep = lambda_sweep(table1, config, grid, der_interval)
+    assert counted_scans == [(interval, len(grid))]
+    assert scan_evaluations == [(interval, len(grid))]
+    assert sweep.rows == oracle.sweep_rows(table1, config, grid, der_interval)
+
+
+def test_sweep_scan_failure_is_every_fitted_rows_error(counted_scans):
+    # The one-node derivative grid, x = 2, measures both fits, but their scan
+    # of [-0.05, 2] starts where x**0.5 is undefined.  A sweep whose fits
+    # all fail makes no scan.
+    sweep = lambda_sweep(_exact_data(), FitConfig(n=1, m=1, x_power=0.5), (0.0, 0.1), (-0.05, 2.0), 1)
+    assert [row.error for row in sweep.rows] == ["non-integer x_power needs x >= 0"] * 2
+    assert counted_scans == [((-0.05, 2.0), 2)]
+    sweep = lambda_sweep(Dataset(np.full(4, 1.0), np.arange(4.0)), FitConfig(n=5, m=0), (0.0, 0.1), (0.0, 2.0))
+    assert all(row.error == "4 points for 6 free coefficients" for row in sweep.rows)
+    assert len(counted_scans) == 1
 
 
 def test_sweep_equals_per_lambda_loop(table1):

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import re
 import time
 import warnings
 
@@ -312,11 +313,18 @@ def test_mttf_pole_on_range():
             mttf(model, x_max=10.0)
 
 
-def test_mttf_divergent_tail():
-    # with x_power = 0.5 the shortfall decays like 1/x: not integrable
-    model = RationalModel(numer=(0.0,), tail=Tail(2, 1.0), x_power=0.5)
-    with pytest.raises(NonconvergentTail):
-        mttf(model, x_max=100.0)
+@pytest.mark.parametrize(
+    "x_power, x_max, decay", [(0.5, 100.0, "x**-1"), (0.5, 1e8, "x**-1"), (0.25, 1e8, "x**-0.5")]
+)
+def test_mttf_divergent_tail(x_power, x_max, decay):
+    # 1 - R = 1/(1 + x**(2 x_power)) decays like 1/x or 1/sqrt(x): not
+    # integrable.  The cutoff falls on x_max, where that decay already
+    # holds, except for 1/x on [0, 1e8], where it falls inside.
+    model = RationalModel(numer=(0.0,), tail=Tail(2, 1.0), x_power=x_power)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonconvergentTail, match=f"^1 - R decays like {re.escape(decay)}, integral diverges$"):
+            mttf(model, x_max=x_max)
 
 
 def test_mttf_huge_cap_ends_in_typed_error(table1_cdf):
