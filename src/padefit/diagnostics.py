@@ -8,6 +8,7 @@ so the score separates smooth fits from oscillating ones.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -44,6 +45,8 @@ class DerivativeGridSpec:
         require_interval(a, b)
         if self.count < 1:
             raise ValueError("count must be positive")
+        if not math.isfinite(float(a) + self.count * (float(b) - float(a)) / self.count):  # _nodes' last, largest
+            raise ValueError("interval and count put grid nodes out of float range")
         object.__setattr__(self, "_powers", {})  # exponent -> _nodes**exponent, filled by _slopes
 
     def grid(self) -> np.ndarray:
@@ -58,14 +61,20 @@ class DerivativeGridSpec:
 
 
 def rmse(values: np.ndarray, targets: np.ndarray) -> float:
-    """Root mean square difference between two equal-length sequences."""
+    """Root mean square difference between two equal-length sequences.
+    Raises EvaluationOverflow where a difference, a square or their mean
+    leaves the float range."""
     v = np.asarray(values, dtype=float)
     t = np.asarray(targets, dtype=float)
     if v.shape != t.shape:
         raise LengthMismatch(f"shape {v.shape} vs {t.shape}")
     if v.size == 0:
         raise EmptyInput("rmse of empty sequences")
-    return float(np.sqrt(np.mean((v - t) ** 2)))
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return float(np.sqrt(np.mean((v - t) ** 2)))
+    except FloatingPointError as exc:
+        raise EvaluationOverflow(f"the RMS difference is out of float range ({exc})") from None
 
 
 def oscillation_measure(
@@ -97,17 +106,18 @@ def oscillation_measure(
 def _measures(c, exponents, grid: DerivativeGridSpec) -> list[float | PadefitError]:
     # oscillation_measure of each model of the (top, 2, K) stack c, from
     # one stacked quotient-rule pass.  A model's outcome is the error its own
-    # measure raises: DenominatorZero where its denominator vanishes on the
-    # grid, EvaluationOverflow where its slopes or their mean square leave
-    # the float range (a batch that overflows is measured model by model).
+    # measure raises: DenominatorZero where its denominator vanishes on the grid,
+    # NegativeAbscissa or SingularDerivative from _slopes, EvaluationOverflow where
+    # its slopes or their mean square overflow (a failed batch goes model by model).
     xs = grid._nodes
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             d, den = _slopes(c, exponents, xs, grid._powers)
             vanishing = np.abs(den).min(axis=1) <= DENOM_TOL
             rms = iter(np.sqrt(np.mean(d[~vanishing] ** 2, axis=1)).tolist())
-    except FloatingPointError as exc:
+    except (FloatingPointError, PadefitError) as exc:
         if len(exponents) == 1:
-            return [EvaluationOverflow(f"the oscillation measure is out of float range ({exc})")]
+            overflow = isinstance(exc, FloatingPointError)
+            return [EvaluationOverflow(f"the oscillation measure is out of float range ({exc})") if overflow else exc]
         return [out for k in range(len(exponents)) for out in _measures(c[:, :, k : k + 1], exponents[k : k + 1], grid)]
     return [denominator_zero(xs, q) if v else next(rms) for q, v in zip(den, vanishing.tolist())]

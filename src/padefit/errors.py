@@ -12,9 +12,9 @@ class PadefitError(Exception):
 class DenominatorZero(PadefitError):
     """The denominator polynomial vanishes at a requested evaluation point."""
 
-    def __init__(self, x, message=None):
+    def __init__(self, x):
         self.x = x
-        super().__init__(message or f"denominator vanishes at x = {x!r}")
+        super().__init__(f"denominator vanishes at x = {x!r}")
 
 
 class UnsupportedSubstitution(PadefitError):

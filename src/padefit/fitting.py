@@ -31,9 +31,10 @@ import numpy as np
 
 from . import linsys
 from .diagnostics import DerivativeGridSpec, _measures, rmse
-from .errors import CountMismatch, DuplicateAbscissa, PadefitError
+from .errors import CountMismatch, DuplicateAbscissa, EvaluationOverflow, PadefitError
 from .linsys import SolveDiagnostics
 from .rational import DENOM_TOL, SCAN_POINTS, PoleReport, RationalModel, Tail, _horner, _scans, _substitutions
+from .rational import require_power_range
 
 
 @dataclass(frozen=True)
@@ -214,44 +215,40 @@ def _build_reports(
     der_grid: DerivativeGridSpec | None,
     ts: dict,
 ) -> list[FitReport | PadefitError]:
-    # One stacked evaluation at the data (x**q kept in ts, see _substitutions)
-    # and derivative pass for the models, whose _rows are the (top, 2, K)
-    # stack c, and one pole scan run on its first read; then each error
-    # measure as one reduction over the rows.
+    # One stacked evaluation at the data (x**q kept in ts, see _substitutions;
+    # _fit has checked its domain and range) and derivative pass for the
+    # models, whose _rows are the (top, 2, K) stack c, and one pole scan run
+    # on its first read; then each error measure as one reduction over the rows.
     exponents = [model.x_power for model in models]
     lo, hi = data.interval()
     try:
-        num, den = _horner(c, _substitutions(data.x, exponents, ts))
         truth, d0 = data._truth
-        poles = _scans(c, exponents, (lo, hi), SCAN_POINTS) if hi > lo else None
-        d_ders = _measures(c, exponents, der_grid) if der_grid is not None else [None] * len(models)
-    except PadefitError as exc:
-        if len(set(exponents)) == 1:
-            return [exc] * len(models)
-        # The error is one exponent's: build each exponent's reports apart.
-        out: dict = {}
-        for q in dict.fromkeys(exponents):
-            ks = [k for k, e in enumerate(exponents) if e == q]
-            part = [models[k] for k in ks], c[:, :, ks], [diagnostics[k] for k in ks]
-            out.update(zip(ks, _build_reports(*part, data, der_grid, ts)))
-        return [out[k] for k in range(len(models))]
-    lowest = np.abs(den).min(axis=1)
+    except PadefitError as exc:  # from underlying, or d0 out of float range: every member's error
+        return [exc] * len(models)
+    poles = _scans(c, exponents, (lo, hi), SCAN_POINTS) if hi > lo else None
+    d_ders = _measures(c, exponents, der_grid) if der_grid is not None else [None] * len(models)
+    with np.errstate(all="ignore"):  # a non-finite measure is checked below
+        num, den = _horner(c, _substitutions(data.x, exponents, ts))
+        lowest = np.abs(den).min(axis=1)
+        vanishes = lowest <= DENOM_TOL
+        rho = num - data.f * den
+        s0 = (rho[:, None] @ rho[..., None])[:, 0, 0]  # BLAS ddot per row, the bits of np.dot
+        s, d1 = np.full(len(models), math.inf), np.full(len(models), math.inf)
+        r = num[~vanishes] / den[~vanishes]
+        res = r - data.f
+        s[~vanishes] = (res[:, None] @ res[..., None])[:, 0, 0]
+        if truth is not None:
+            d1[~vanishes] = np.sqrt(np.mean((r - truth) ** 2, axis=1))  # rmse, row by row
+    # s and d1 are +inf where the denominator vanishes; elsewhere they, and s0, must be finite
+    finite = (np.isfinite(s0) & (vanishes | np.isfinite(s) & (truth is None or np.isfinite(d1)))).tolist()
     if poles is None:  # single-abscissa data has nothing to scan: a clean empty record
         poles = [PoleReport((lo, hi), 0, low, ()) for low in lowest.tolist()]
-    vanishes = lowest <= DENOM_TOL
-    rho = num - data.f * den
-    s0 = (rho[:, None] @ rho[..., None])[:, 0, 0]  # BLAS ddot per row, the bits of np.dot
-    s, d1 = np.full(len(models), math.inf), np.full(len(models), math.inf)
-    r = num[~vanishes] / den[~vanishes]
-    res = r - data.f
-    s[~vanishes] = (res[:, None] @ res[..., None])[:, 0, 0]
-    if truth is not None:
-        d1[~vanishes] = np.sqrt(np.mean((r - truth) ** 2, axis=1))  # rmse, row by row
     d1 = d1.tolist() if truth is not None else [None] * len(models)
     d = np.sqrt(s / len(data)).tolist()
     fields = zip(models, s.tolist(), s0.tolist(), d, [d0] * len(models), d1, d_ders, poles, diagnostics, vanishes.tolist())
-    # row[6] is d_der: a DenominatorZero on the derivative grid is that member's outcome
-    return [row[6] if isinstance(row[6], PadefitError) else FitReport(*row) for row in fields]
+    # row[6] is d_der: an error on the derivative grid is that member's outcome, then a non-finite sum
+    overflow = EvaluationOverflow("s0, s or d1 is out of float range")
+    return [row[6] if isinstance(row[6], PadefitError) else FitReport(*row) if ok else overflow for row, ok in zip(fields, finite)]
 
 
 def _fit(
@@ -274,7 +271,9 @@ def _fit(
     stack = []
     ts: dict = {}  # exponent -> data.x**q, for the designs and the reports at the data
     for q in dict.fromkeys(c.x_power for c in configs):
-        try:
+        try:  # x**q for the designs and the reports, checked before either is taken
+            for target in (data,) if evaluate_on is None else (data, evaluate_on):
+                require_power_range(*target.interval(), q, "data interval")
             stack.append(linsys.design_matrix(_substitutions(data.x, [q], ts)[0], data.f, tuple(where)).T)
             designs[q] = len(stack) - 1
         except PadefitError as exc:
@@ -396,7 +395,7 @@ def build_reference_points(
     if group_size < 1:
         raise ValueError("group_size must be positive")
     anchor_x = {float(ax) for ax, _ay in anchors}
-    keep = ~np.isin(data.x, sorted(anchor_x)) if anchor_x else np.ones(len(data), dtype=bool)
+    keep = ~np.isin(data.x, sorted(anchor_x))
     xs = data.x[keep]
     fs = data.f[keep]
     order = np.argsort(xs, kind="stable")

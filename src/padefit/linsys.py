@@ -181,7 +181,8 @@ def _triangularize(ks: list, g: np.ndarray, f: np.ndarray, out: list):
     if rows == p:
         return ks, a, np.broadcast_to(f[:, None], (k, p, 1)), scale
     q, r = np.linalg.qr(a)
-    return ks, r, np.swapaxes(q, 1, 2) @ f[:, None], scale
+    with np.errstate(all="ignore"):  # a Q'F out of float range solves to no finite theta: SingularSystem
+        return ks, r, np.swapaxes(q, 1, 2) @ f[:, None], scale
 
 
 def _finish(r: np.ndarray, rhs: np.ndarray, scale: np.ndarray) -> list[tuple[np.ndarray, SolveDiagnostics] | SingularSystem]:

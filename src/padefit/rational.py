@@ -41,13 +41,12 @@ SCAN_POINTS = 1001
 
 def denominator_zero(x, den) -> DenominatorZero | None:
     """The DenominatorZero at the first x where |Q| <= DENOM_TOL, or None
-    when the denominator values `den` at `x` do not vanish."""
+    when the denominator values `den` at `x`, of x's shape, do not vanish."""
     ds = np.atleast_1d(den)
     if not np.min(np.abs(ds)) <= DENOM_TOL:
         return None
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    hit = xs[np.abs(ds) <= DENOM_TOL]
-    return DenominatorZero(float(hit[0]) if hit.size else float(xs[0]))
+    return DenominatorZero(float(xs[np.abs(ds) <= DENOM_TOL][0]))
 
 
 @dataclass(frozen=True)
@@ -216,13 +215,14 @@ class RationalModel:
             c_i = a_i - sum_{j=1..i} b_j * c_{i-j}.
 
         Requires x_power == 1, since for other powers the model is not a
-        power series in x.
+        power series in x.  Raises EvaluationOverflow where a coefficient
+        leaves the float range.
         """
         if self.x_power != 1.0:
             raise UnsupportedSubstitution("Maclaurin expansion needs x_power == 1")
         if count < 0:
             raise ValueError("count must be nonnegative")
-        p, q = self._rows
+        p, q = self._rows.tolist()  # Python floats: an overflow is an inf, checked below, not a warning
         c = []
         for i in range(count):
             a_i = p[i] if i < len(p) else 0.0
@@ -231,7 +231,9 @@ class RationalModel:
                 b_j = q[j] if j < len(q) else 0.0
                 if b_j != 0.0:
                     acc -= b_j * c[i - j]
-            c.append(float(acc))
+            if not math.isfinite(acc):
+                raise EvaluationOverflow(f"Maclaurin coefficient {i} is out of float range")
+            c.append(acc)
         return tuple(c)
 
     # -- serialization ------------------------------------------------
@@ -290,14 +292,19 @@ def add(f: RationalModel, g: RationalModel) -> RationalModel:
     ------
     UnsupportedSubstitution
         If either operand has x_power != 1 or a tail term.
+    EvaluationOverflow
+        If a coefficient of the sum leaves the float range.
     """
     for operand in (f, g):
         if operand.x_power != 1.0 or operand.tail is not None:
             raise UnsupportedSubstitution("add needs plain-coordinate models without tails")
     pf, qf = f._rows
     pg, qg = g._rows
-    num = npoly.polyadd(npoly.polymul(pf, qg), npoly.polymul(pg, qf))
-    den = np.trim_zeros(npoly.polymul(qf, qg), "b")
+    with np.errstate(all="ignore"):  # checked below
+        num = npoly.polyadd(npoly.polymul(pf, qg), npoly.polymul(pg, qf))
+        den = np.trim_zeros(npoly.polymul(qf, qg), "b")
+    if not (np.isfinite(num).all() and np.isfinite(den).all()):
+        raise EvaluationOverflow("the coefficients of the sum are out of float range")
     # exact trailing zeros go; an all-zero numerator keeps its constant
     return RationalModel(numer=tuple(np.trim_zeros(num, "b")) or (num[0],), denom=tuple(den[1:]))
 
@@ -336,12 +343,12 @@ class PoleReport:
         if name == "min_abs_denominator":
             self.__dict__[name] = low = scan()[1][k]
             return low
-        found = []
+        found, den = [], _denominator(q, x_power)
         for lo, hi, vlo in scan()[0][k]:
             if vlo == 0.0:
                 found.append((lo,) * 3)
                 continue
-            lo, hi = _bisect(q, x_power, lo, hi, vlo)
+            lo, hi = _bisect(den, lo, hi, vlo, POLE_REFINE_TOL)
             found.append((lo, hi, 0.5 * (lo + hi)))
         self.__dict__[name] = found = tuple(found)
         return found
@@ -367,6 +374,16 @@ def require_nonnegative(x, x_power: float) -> None:
     """Non-integer substitution powers are defined only for x >= 0."""
     if not float(x_power).is_integer() and (np.asarray(x) < 0.0).any():
         raise NegativeAbscissa("non-integer x_power needs x >= 0")
+
+
+def require_power_range(a: float, b: float, q: float, name: str) -> None:
+    """x**q must be defined on [a, b], checked at a, and finite, checked at the
+    larger |end| by math.pow: else NegativeAbscissa or EvaluationOverflow."""
+    require_nonnegative(a, q)
+    try:
+        math.pow(max(-a, b), q)
+    except OverflowError:
+        raise EvaluationOverflow(f"x**{q:g} is out of float range on the {name} [{a:g}, {b:g}]") from None
 
 
 def _substitutions(x, exponents, ts=None) -> np.ndarray:
@@ -453,18 +470,13 @@ def pole_scans(models, interval: tuple[float, float], points: int = SCAN_POINTS)
 
 def _scans(c, exponents, interval, points) -> list[PoleReport]:
     # The reports of one batch, sharing one _scan run on the first read; the
-    # interval, the domain (the grid's lowest node is a) and the range of t
-    # (|t| is largest at an end, where math.pow raises on overflow) are checked now.
+    # interval and, per exponent, the domain and range of t are checked now.
     a, b = float(interval[0]), float(interval[1])
     require_interval(a, b, "scan interval")
     if points < 2:
         raise ValueError("need at least two scan points")
     for q in dict.fromkeys(exponents):
-        require_nonnegative(a, q)
-        try:
-            math.pow(max(-a, b), q)
-        except OverflowError:
-            raise EvaluationOverflow(f"x**{q:g} is out of float range on the scan interval [{a:g}, {b:g}]") from None
+        require_power_range(a, b, q, "scan interval")
     memo: dict = {}  # the batch's one _scan, run on the first read of any member
     scan = lambda: memo.get(0) or memo.setdefault(0, _scan(c, exponents, a, b, points))
     return [PoleReport._deferred((a, b), points, scan, k, c[:, 1, k], q) for k, q in enumerate(exponents)]
@@ -502,27 +514,35 @@ def _scan_grid(a: float, b: float, points: int) -> np.ndarray:
     return xs
 
 
-def _bisect(q: np.ndarray, x_power: float, lo: float, hi: float, vlo: float):
-    # Narrow a sign change of the denominator Q(x**x_power) on [lo, hi],
-    # where Q(lo) = vlo, to POLE_REFINE_TOL, or to two adjacent floats
-    # where those lie farther apart (or to an exact zero).  Horner
-    # runs in Python floats with _horner's operation order, so the
-    # values are its bits.  The power stays numpy's: Python's ** and
-    # math.pow differ from it in the last bit for some arguments, and
-    # x**1.0 is x exactly.
+def _denominator(q: np.ndarray, x_power: float):
+    # Q(x**x_power) of a Python float, Q's coefficients q, for _bisect: Horner in
+    # _horner's operation order and bits, and numpy's power (Python's ** and
+    # math.pow differ from it in the last bit for some x; x**1.0 is x exactly).
     top, *rest = q.tolist()[::-1]
-    while hi - lo > POLE_REFINE_TOL:
+
+    def value(x: float) -> float:
+        t = x if x_power == 1.0 else float(np.asarray(x, dtype=float) ** x_power)
+        v = top + t * 0.0
+        for c in rest:
+            v = c + v * t
+        return v
+
+    return value
+
+
+def _bisect(f, lo: float, hi: float, flo: float, tol: float) -> tuple[float, float]:
+    # Narrow a sign change of the scalar function f on [lo, hi], where
+    # f(lo) = flo != 0, to a width of tol, or to two adjacent floats where
+    # those lie farther apart, or to an exact zero (mid, mid).
+    while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
-        t = mid if x_power == 1.0 else float(np.asarray(mid, dtype=float) ** x_power)
-        vmid = top + t * 0.0
-        for c in rest:
-            vmid = c + vmid * t
-        if vmid == 0.0:
+        fmid = f(mid)
+        if fmid == 0.0:
             return mid, mid
-        if (vlo < 0.0) != (vmid < 0.0):  # neither is 0; their product can underflow
+        if (flo < 0.0) != (fmid < 0.0):  # neither is 0; their product can underflow
             hi = mid
         else:
-            lo, vlo = mid, vmid
+            lo, flo = mid, fmid
     return lo, hi

@@ -29,7 +29,7 @@ from .errors import (
     PoleOnRange,
     SingularSystem,
 )
-from .rational import RationalModel, _horner, _scan_grid, _stack, _substitutions, pole_scan
+from .rational import RationalModel, _bisect, _horner, _scan_grid, _stack, _substitutions, pole_scan
 
 #: Bisection bracket for the MLE shape parameter.
 SHAPE_BRACKET = (0.01, 100.0)
@@ -172,16 +172,7 @@ def mle_fit(times: np.ndarray) -> WeibullParams:
     elif flo * fhi > 0.0:
         raise NoBracket(f"profile equation has no sign change on {SHAPE_BRACKET}")
     else:
-        while hi - lo > SHAPE_TOL:
-            mid = 0.5 * (lo + hi)
-            fmid = profile(mid)
-            if fmid == 0.0:
-                lo = hi = mid
-                break
-            if flo * fmid < 0.0:
-                hi = mid
-            else:
-                lo, flo = mid, fmid
+        lo, hi = _bisect(profile, lo, hi, flo, SHAPE_TOL)
         shape = 0.5 * (lo + hi)
     theta = scale * float(np.mean(u**shape)) ** (1.0 / shape)
     return WeibullParams(theta=theta, shape=shape)

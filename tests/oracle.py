@@ -12,7 +12,8 @@ per-candidate, per-penalty and per-exponent loops of single fits that
 padefit.selection runs as batches; the stacked Horner oracle is numpy's
 polyval model by model.  The MTTF
 oracle integrates 1 - R in mpmath to the cutoff padefit.weibull.mttf
-chooses and adds the same closed-form tail.
+chooses and adds the same closed-form tail.  The maximum-likelihood oracle
+is padefit.weibull.mle_fit's profile equation bisected by a loop of its own.
 """
 
 import math
@@ -33,9 +34,9 @@ from padefit import (
     oscillation_measure,
     rmse,
 )
-from padefit.errors import NegativeAbscissa, NoFeasibleModel, PadefitError
+from padefit.errors import NegativeAbscissa, NoBracket, NoFeasibleModel, PadefitError
 from padefit.rational import DENOM_TOL, POLE_REFINE_TOL, PoleReport
-from padefit.weibull import TAIL_EPS
+from padefit.weibull import SHAPE_BRACKET, SHAPE_TOL, TAIL_EPS, WeibullParams
 
 
 def design(x, f, columns):
@@ -271,3 +272,34 @@ def mttf(model, x_max, dps=35):
         dd = max(i for i, c in enumerate(q) if c)
         k = power * (dd - dn)
         return float(body + diff[dn] / q[dd] * cut ** (1 - k) / (k - 1))
+
+
+def mle_fit(times):
+    """padefit.weibull.mle_fit for positive finite times, bisecting on the
+    sign of the product f(lo) * f(mid), which differs from comparing the
+    two signs only where that product underflows."""
+    u = np.asarray(times, dtype=float) / float(np.max(times))
+    log_u = np.log(u)
+    mean_log = float(np.mean(log_u))
+
+    def profile(k):
+        w = u**k
+        return float(np.dot(w, log_u) / np.sum(w)) - 1.0 / k - mean_log
+
+    lo, hi = SHAPE_BRACKET
+    flo, fhi = profile(lo), profile(hi)
+    if flo * fhi > 0.0:
+        raise NoBracket("no sign change")
+    if flo == 0.0 or fhi == 0.0:
+        lo = hi = lo if flo == 0.0 else hi
+    while hi - lo > SHAPE_TOL:
+        mid = 0.5 * (lo + hi)
+        fmid = profile(mid)
+        if fmid == 0.0:
+            lo = hi = mid
+        elif flo * fmid < 0.0:
+            hi = mid
+        else:
+            lo, flo = mid, fmid
+    shape = 0.5 * (lo + hi)
+    return WeibullParams(float(np.max(times)) * float(np.mean(u**shape)) ** (1.0 / shape), shape)

@@ -8,11 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from padefit import Dataset, DerivativeGridSpec, FitConfig, fit_regularized
-from padefit.cli import format_points, main, read_points
+from padefit import Dataset, DerivativeGridSpec, FitConfig, fit_regularized, rmse
+from padefit.cli import _num, format_points, main, read_points
 from padefit.datagen import sin2pi, uniform_grid
 from padefit.rational import RationalModel
-from padefit.weibull import median_ranks
+from padefit.weibull import WeibullParams, median_ranks, weibull_cdf
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 TABLE1 = str(DATA / "table1.csv")
@@ -136,6 +136,13 @@ def test_fit_exact_fn_enables_truth_metrics(capsys, sin21):
     assert doc["metrics"]["d1"] is not None
 
 
+def test_fit_exact_fn_weibull_parameters(capsys):
+    code, out, _ = run(capsys, ["fit", TABLE1, "--n", "2", "--m", "0", "--exact-fn", "weibull:1:2"])
+    assert code == 0
+    x, f = read_points(TABLE1)
+    assert json.loads(out)["metrics"]["d0"] == rmse(f, weibull_cdf(WeibullParams(1.0, 2.0), x))
+
+
 def test_fit_unknown_exact_fn(capsys, sin21):
     code, _, err = run(capsys, ["fit", sin21, "--n", "2", "--m", "0", "--exact-fn", "cosine"])
     assert code == 1
@@ -250,6 +257,16 @@ def test_fit_solve_block_reports_conditioning(capsys, collinear):
 # -- sweep ---------------------------------------------------------------------
 
 
+def test_sweep_whose_chosen_row_failed_exits_2(capsys, tmp_path):
+    # two points for four coefficients: every row fails, and the sweep
+    # falls back to the last one, which has no report to emit
+    path = tmp_path / "two.csv"
+    path.write_text("x,y\n0,1\n1,2")
+    code, out, err = run(capsys, ["sweep", str(path), "--n", "3", "--m", "0", "--lambda-grid", "0,1"])
+    assert (code, out) == (2, "")
+    assert err.startswith("NoFeasibleModel: the fit at the chosen lambda failed")
+
+
 def test_sweep_reports_rows_and_choice(capsys):
     code, out, _ = run(
         capsys,
@@ -295,6 +312,8 @@ def test_nonfinite_flags_are_usage_errors(capsys, argv):
         (["sweep", TABLE1, "--n", "2", "--m", "1", "--lambda-grid", "0.01,0.001"], "penalty grid must be strictly ascending"),
         (["generate", "--fn", "weibull", "--theta", "-1", "--count", "5"], "theta and shape must be positive"),
         (["generate", "--fn", "sin", "--grid", "0:1:0"], "need at least one subinterval"),
+        (["fit", TABLE1, "--n", "2", "--m", "1", "--der-interval", "0:1.7e308", "--der-points", "3"],
+         "interval and count put grid nodes out of float range"),
     ],
 )
 def test_library_value_errors_are_usage_errors(capsys, argv, message):
@@ -350,6 +369,23 @@ def test_eval_round_trip_reproduces_s(capsys, tmp_path):
     s_again = float(np.sum((r - f) ** 2))
     s_reported = json.loads(report_path.read_text())["metrics"]["s"]
     assert abs(s_again - s_reported) <= 1e-12 * max(1.0, s_reported)
+
+
+@pytest.mark.parametrize(
+    "text, points, message",
+    [
+        (None, "0:1:5", "No such file"),
+        ("{", "0:1:5", "not valid JSON"),
+        ('{"numer": [1.0]}', "0:1:0", "--points: COUNT must be positive"),
+    ],
+)
+def test_eval_rejects_a_missing_or_broken_model_file_and_an_empty_grid(capsys, tmp_path, text, points, message):
+    path = tmp_path / "model.json"
+    if text is not None:
+        path.write_text(text)
+    code, out, err = run(capsys, ["eval", "--model", str(path), "--points", points])
+    assert (code, out) == (1, "")
+    assert message in err
 
 
 def test_eval_needs_one_grid_source(capsys, tmp_path):
@@ -479,6 +515,7 @@ def test_generate_flag_validation(capsys):
         (["generate", "--fn", "sin", "--grid", "0:1:x"], "--grid"),
         (["fit", TABLE1, "--n", "2", "--m", "1", "--exact-fn", "weibull:1"], "--exact-fn"),
         (["fit", TABLE1, "--n", "2", "--m", "1", "--exact-fn", "nope"], "--exact-fn"),
+        (["fit", TABLE1, "--n", "2", "--m", "1", "--exact-fn", "weibull:0:1"], "--exact-fn"),
     ],
 )
 def test_malformed_flag_values_are_usage_errors(capsys, tmp_path, argv, flag):
@@ -530,6 +567,21 @@ def test_point_file_round_trip(tmp_path):
     rx, ry = read_points(str(path))
     np.testing.assert_array_equal(rx, np.array(x))
     np.testing.assert_array_equal(ry, np.array(y))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("x,y\n0,1\n1;2\n", ":3: expected '<decimal>,<decimal>', got '1;2'"), ("x,y\n", ": no data rows")],
+)
+def test_point_file_with_a_malformed_row_or_no_rows(capsys, tmp_path, text, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    assert run(capsys, ["fit", str(path), "--n", "0", "--m", "0"]) == (1, "", f"error: {path}{message}\n")
+
+
+@pytest.mark.parametrize("value, rendered", [(None, None), (math.nan, None), (math.inf, "inf"), (-math.inf, "-inf"), (2.5, 2.5)])
+def test_report_numbers_render_nan_as_null_and_infinities_as_strings(value, rendered):
+    assert _num(value) == rendered
 
 
 def test_point_file_crlf(capsys, tmp_path):

@@ -1,6 +1,7 @@
 """RMS error metrics and the derivative-based oscillation measure."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from padefit import (
     weibull_cdf,
     weibull_pdf,
 )
-from padefit.errors import DenominatorZero, EmptyInput, LengthMismatch
+from padefit.errors import DenominatorZero, EmptyInput, EvaluationOverflow, LengthMismatch
 
 
 # -- derivative grids -------------------------------------------------------
@@ -37,6 +38,18 @@ def test_grid_validation():
     for interval in ((0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0), (-1e308, 1e308)):
         with pytest.raises(ValueError):
             DerivativeGridSpec(interval, 4)
+
+
+def test_grid_whose_nodes_leave_the_float_range_is_rejected():
+    # the nodes a + i * (b - a) / count take i * (b - a) first: 3 * 1.7e308
+    # overflows, so the spec is refused instead of holding inf nodes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="grid nodes out of float range"):
+            DerivativeGridSpec((0.0, 1.7e308), 3)
+        nodes = DerivativeGridSpec((0.0, 5.9e307), 3).grid()
+    np.testing.assert_array_equal(nodes, np.arange(1.0, 4.0) * 5.9e307 / 3)
+    assert np.isfinite(nodes).all()
 
 
 def test_grid_excludes_left_endpoint():
@@ -62,6 +75,12 @@ def test_rmse_errors():
         rmse([1.0, 2.0], [1.0])
     with pytest.raises(EmptyInput):
         rmse([], [])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # the square of the difference 2e200 overflows; inf - inf is invalid
+        for values, targets in (([1e200, 0.0], [-1e200, 0.0]), ([math.inf], [math.inf])):
+            with pytest.raises(EvaluationOverflow, match="out of float range"):
+                rmse(values, targets)
 
 
 @given(

@@ -304,6 +304,49 @@ def test_overflowing_design_column_is_singular_without_warning():
             fit_linearized(Dataset(xs * 1e80, sin2pi(xs)), FitConfig(n=4, m=2))
 
 
+@pytest.mark.parametrize("n", [0, 1])
+def test_an_exponent_past_the_float_range_on_the_data_fails_before_its_solve(n):
+    # (1e200)**2 overflows: x**q is checked on the data interval before the
+    # design takes it, so the constant, whose only column t**0 stays finite,
+    # and the line both end in EvaluationOverflow, while the plain coordinate
+    # in the same batch fits; evaluate_on's interval is checked too
+    data = Dataset([0.0, 1e200], [1.0, 2.0])
+    squared, plain = FitConfig(n=n, m=0, x_power=2.0), FitConfig(n=n, m=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EvaluationOverflow, match=r"x\*\*2 is out of float range on the data interval"):
+            fit_linearized(data, squared)
+        failed, fitted = fitting._fit(data, [squared, plain], None)
+        assert isinstance(failed, EvaluationOverflow) and fitted == fit_linearized(data, plain)
+        (elsewhere,) = fitting._fit(Dataset([0.0, 1.0], [1.0, 2.0]), [squared], None, data)
+        assert isinstance(elsewhere, EvaluationOverflow)
+
+
+def test_ordinates_near_the_float_range_end_in_typed_errors():
+    # f = 1e308 overflows Q'F in the solve, and alternating +-1e308 makes
+    # it inf - inf: SingularSystem either way.  Ordinates near 1e160 fit,
+    # but a member whose residuals stay near 1e160 overflows its sums of
+    # squares (and here its oscillation measure): EvaluationOverflow, while
+    # the exact line beside it keeps its report.  A truth 2e200 away from
+    # the data overflows d0, every member's measure.
+    xs = np.linspace(0.0, 1.0, 10)
+    big = Dataset(xs, np.linspace(1e160, 2e160, 10))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularSystem):
+            fit_linearized(Dataset(xs, np.full(10, 1e308)), FitConfig(2, 1))
+        with pytest.raises(SingularSystem):
+            fit_linearized(Dataset(np.linspace(0.0, 1.0, 64), np.resize([-1e308, 1e308], 64)), FitConfig(0, 0))
+        line, ridged = fitting._fit(big, [FitConfig(1, 0), FitConfig(1, 1, lam=1.0)], None)
+        assert line == fit_linearized(big, FitConfig(1, 0)) and math.isfinite(line.s)
+        assert isinstance(ridged, EvaluationOverflow) and "s0, s or d1" in str(ridged)
+        with pytest.raises(EvaluationOverflow):
+            fit_regularized(big, FitConfig(1, 1, lam=1.0))
+        far = Dataset([0.0, 1.0, 2.0], [1e200, -1e200, 1e200], underlying=lambda x: -np.array([1e200, -1e200, 1e200]))
+        for fit in fitting._fit(far, [FitConfig(0, 0), FitConfig(1, 0)], None):
+            assert isinstance(fit, EvaluationOverflow) and "RMS difference" in str(fit)
+
+
 def test_substituted_fit_recovers_sqrt_shape():
     xs = np.linspace(0.0, 2.0, 9)
     data = Dataset(xs, np.sqrt(xs))

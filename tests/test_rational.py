@@ -157,9 +157,10 @@ def test_eval_with_substitution_power():
 
 def test_eval_raises_on_vanishing_denominator():
     m = RationalModel(numer=(1.0,), denom=(-1.0,))  # 1/(1-x)
-    with pytest.raises(DenominatorZero) as exc:
-        m(1.0)
-    assert exc.value.x == 1.0
+    for call in (m, m.derivative):
+        with pytest.raises(DenominatorZero) as exc:
+            call(1.0)
+        assert exc.value.x == 1.0 and str(exc.value) == "denominator vanishes at x = 1.0"
 
 
 def test_eval_scalar_in_scalar_out_and_vectorized():
@@ -281,6 +282,16 @@ def test_taylor_of_sinusoid_interpolant():
     assert c[3] == pytest.approx(-40.64, rel=0.005)
 
 
+def test_taylor_coefficient_past_the_float_range_is_a_typed_error():
+    # 1 / (1 + 1e200 x) = sum (-1e200 x)**i: the x**2 coefficient overflows
+    m = RationalModel((1.0,), (1e200,))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert m.taylor_coefficients(2) == (1.0, -1e200)
+        with pytest.raises(EvaluationOverflow, match="Maclaurin coefficient 2 is out of float range"):
+            m.taylor_coefficients(5)
+
+
 def test_taylor_requires_unit_substitution_power():
     m = RationalModel(numer=(0.0, 1.0), x_power=0.5)
     with pytest.raises(UnsupportedSubstitution):
@@ -323,6 +334,18 @@ def test_add_of_a_model_and_its_negation_keeps_one_zero_numerator_entry():
     assert h.numer == (0.0,) and not math.copysign(1.0, h.numer[0]) < 0.0
     assert h.denom == (0.5, 6.0625, 1.5, 9.0)
     assert h(0.7) == 0.0
+
+
+def test_add_with_coefficients_past_the_float_range_is_a_typed_error():
+    # the sum's numerator 2e200 (1 + 1e200 x) and denominator (1 + 1e200 x)**2
+    # overflow: EvaluationOverflow, not the constructor's bare ValueError
+    big = RationalModel((1e200,), (1e200,))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EvaluationOverflow, match="coefficients of the sum are out of float range"):
+            add(big, big)
+        with pytest.raises(EvaluationOverflow):  # a numerator sum past the range, as well
+            add(RationalModel((1e308,)), RationalModel((1e308,)))
 
 
 def test_add_rejects_substitution_and_tails():
@@ -688,6 +711,9 @@ def test_overflowing_evaluation_is_a_typed_error():
                     call(x)
         assert m(1e300) == pytest.approx(4.0, rel=1e-15)
         assert (m(2.0), m.derivative(2.0)) == (2.5, 0.375)
+        # P and Q are finite next to the pole of 1e300 / (1 - x), their quotient is not
+        with pytest.raises(EvaluationOverflow, match=r"R\(x\) is out of float range"):
+            RationalModel((1e300,), (-1.0,))(1.0 - 1e-10)
     assert np.geterr() == errstate
 
 

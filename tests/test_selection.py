@@ -400,6 +400,20 @@ def test_q_search_rejects_negative_abscissae():
     assert q in (1.0, 2.0)
 
 
+def test_an_exponent_past_the_float_range_fails_its_candidates_alone():
+    # x**1e10 overflows on [0, 2]: its members fail before their solve,
+    # without a warning, and the plain coordinate still fits; a q_search
+    # with no other exponent has no fit left
+    data = Dataset([0.0, 1.0, 2.0], [1.0, 2.0, 3.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        best, rows = grid_search(data, SearchSpace(n_range=(0, 1), m_range=(0, 0), q_grid=(1.0, 1e10)))
+        with pytest.raises(NoFeasibleModel, match="every substitution exponent failed"):
+            q_search(data, FitConfig(n=1, m=0), [1e10])
+    assert [row.error for row in rows[:2]] == [None, None] and best == rows[1].report
+    assert all(row.error.startswith("x**1e+10 is out of float range") for row in rows[2:])
+
+
 # -- denominator-penalty tuning ---------------------------------------------
 
 

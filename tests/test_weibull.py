@@ -221,6 +221,18 @@ def test_mle_satisfies_profile_equation(table1):
     )
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(1e-3, 1e3), min_size=2, max_size=30))
+def test_mle_bisection_keeps_the_bits_of_a_product_sign_loop(times):
+    try:
+        want = oracle.mle_fit(times)
+    except NoBracket:
+        with pytest.raises(NoBracket):
+            mle_fit(times)
+        return
+    assert mle_fit(times) == want
+
+
 def test_mle_constructed_unit_shape_instance():
     # choose (1, t) so the profile equation's root is exactly shape = 1:
     # log(t) (t - 1) / (2 (t + 1)) = 1
