@@ -241,8 +241,8 @@ def cmd_interpolate(args) -> int:
     if (args.refs is None) == (args.group_size is None):
         raise UsageError("interpolate needs exactly one of --refs and --group-size")
     if args.refs == "every-second-point":
-        s = data.sorted_by_x()
-        refs = Dataset(s.x[::2], s.f[::2], underlying=s.underlying)
+        order = np.argsort(data.x, kind="stable")[::2]
+        refs = Dataset(data.x[order], data.f[order], underlying=data.underlying)
     elif args.refs is not None:
         rx, ry = read_points(args.refs)
         refs = Dataset(rx, ry, underlying=data.underlying)
@@ -273,7 +273,7 @@ def cmd_search(args) -> int:
             "q": q,
             "s": _num(cand.report.s) if cand.report else None,
             "d": _num(cand.report.d) if cand.report else None,
-            "pole_count": cand.pole_count if cand.report else None,
+            "pole_count": cand.report.poles.count if cand.report else None,
             "error": cand.error,
         }
         table.append(entry)

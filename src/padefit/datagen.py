@@ -87,26 +87,15 @@ def simulate_weibull_failures(
     params: WeibullParams,
     count: int,
     seed: int,
-    *,
-    uniforms: np.ndarray | None = None,
 ) -> np.ndarray:
     """Draw `count` failure times by inverting the Weibull CDF.
 
     Each time is theta * (-ln(1 - P))**(1/shape) for one uniform P; the
-    result is sorted ascending, ready to pair with median ranks.  Pass
-    `uniforms` to substitute a deterministic stream (testing hook); its
-    length must then be `count`.
+    result is sorted ascending, ready to pair with median ranks.
     """
     if count < 1:
         raise ValueError("count must be positive")
-    if uniforms is None:
-        u = _uniforms(seed, count)
-    else:
-        u = np.asarray(uniforms, dtype=float)
-        if u.shape != (count,):
-            raise ValueError("uniforms length must equal count")
-        if np.any((u < 0.0) | (u >= 1.0)):
-            raise ValueError("uniforms must lie in [0, 1)")
+    u = _uniforms(seed, count)
     x = params.theta * (-np.log1p(-u)) ** (1.0 / params.shape)
     return np.sort(x)
 

@@ -108,7 +108,9 @@ def _measures(c, exponents, grid: DerivativeGridSpec) -> list[float | PadefitErr
     # one stacked quotient-rule pass.  A model's outcome is the error its own
     # measure raises: DenominatorZero where its denominator vanishes on the grid,
     # NegativeAbscissa or SingularDerivative from _slopes, EvaluationOverflow where
-    # its slopes or their mean square overflow (a failed batch goes model by model).
+    # its slopes or their mean square overflow.  _slopes' errors depend only on the
+    # exponents and the grid, so under one exponent they are every model's; any
+    # other failed batch goes model by model.
     xs = grid._nodes
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
@@ -116,8 +118,9 @@ def _measures(c, exponents, grid: DerivativeGridSpec) -> list[float | PadefitErr
             vanishing = np.abs(den).min(axis=1) <= DENOM_TOL
             rms = iter(np.sqrt(np.mean(d[~vanishing] ** 2, axis=1)).tolist())
     except (FloatingPointError, PadefitError) as exc:
+        if isinstance(exc, PadefitError) and len(set(exponents)) == 1:
+            return [exc] * len(exponents)
         if len(exponents) == 1:
-            overflow = isinstance(exc, FloatingPointError)
-            return [EvaluationOverflow(f"the oscillation measure is out of float range ({exc})") if overflow else exc]
+            return [EvaluationOverflow(f"the oscillation measure is out of float range ({exc})")]
         return [out for k in range(len(exponents)) for out in _measures(c[:, :, k : k + 1], exponents[k : k + 1], grid)]
     return [denominator_zero(xs, q) if v else next(rms) for q, v in zip(den, vanishing.tolist())]

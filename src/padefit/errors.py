@@ -16,6 +16,9 @@ class DenominatorZero(PadefitError):
         self.x = x
         super().__init__(f"denominator vanishes at x = {x!r}")
 
+    def __reduce__(self):  # pickle and copy rebuild from x, not from the message
+        return type(self), (self.x,)
+
 
 class UnsupportedSubstitution(PadefitError):
     """Operation requires the plain coordinate (x_power == 1)."""

@@ -89,10 +89,6 @@ class Dataset:
         truth = np.asarray(self.underlying(self.x), dtype=float)
         return truth, rmse(self.f, truth)
 
-    def sorted_by_x(self) -> "Dataset":
-        order = np.argsort(self.x, kind="stable")
-        return Dataset(self.x[order], self.f[order], self.underlying)
-
 
 @dataclass(frozen=True)
 class FitConfig:
@@ -139,9 +135,6 @@ class FitConfig:
         """
         zp = frozenset(kwargs.pop("zero_powers", frozenset())) | {0}
         return cls(n=n, m=m, tail_power=tail_power, zero_powers=zp, **kwargs)
-
-    def free_count(self) -> int:
-        return len(linsys.free_columns(self.n, self.m, self.tail_power, self.zero_powers))
 
 
 @dataclass(frozen=True)
@@ -372,7 +365,7 @@ def interpolate_reference(
     if len(np.unique(x)) != len(x):
         raise DuplicateAbscissa("reference abscissae must be distinct")
     config = FitConfig(n=n, m=m, zero_powers=zero_powers)
-    free = config.free_count()
+    free = len(linsys.free_columns(n, m, None, config.zero_powers))
     if len(x) < free:
         raise CountMismatch(f"{len(x)} reference points for {free} free coefficients")
     return _one(_fit(refpoints, [config], None, evaluate_on))

@@ -13,7 +13,6 @@ cumulative distribution curves).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
@@ -272,13 +271,6 @@ class RationalModel:
             x_power=float(rec.get("x_power", 1.0)),
             zero_powers=frozenset(rec.get("zero_powers", ())),
         )
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
-    @classmethod
-    def loads(cls, text: str) -> "RationalModel":
-        return cls.from_dict(json.loads(text))
 
 
 def add(f: RationalModel, g: RationalModel) -> RationalModel:

@@ -74,10 +74,6 @@ class Candidate:
     report: FitReport | None
     error: str | None
 
-    @property
-    def pole_count(self) -> int:
-        return 0 if self.report is None else self.report.poles.count
-
 
 def _rank_key(candidate: Candidate):
     r = candidate.report

@@ -164,6 +164,27 @@ def test_interpolate_every_second_point(capsys, sin21):
     assert doc["metrics"]["d"] <= 1e-4
 
 
+def test_interpolate_every_second_point_sorts_the_rows_stably(capsys, tmp_path):
+    # the references are every second row in x order, whatever the file's
+    # row order, and of two rows with one x the earlier one in the file
+    x = uniform_grid(0.0, 1.0, 20)
+    order = np.random.default_rng(7).permutation(len(x))
+    xs = np.concatenate([[1.0], x[order]])
+    fs = np.concatenate([[0.0], sin2pi(x)[order]])
+    assert not np.all(np.diff(xs) >= 0.0)
+    argv = ["--n", "8", "--m", "2", "--zero-mask", "0,8", "--refs", "every-second-point"]
+    docs = []
+    for name, rows in (("shuffled.csv", slice(None)), ("sorted.csv", np.argsort(xs, kind="stable"))):
+        path = tmp_path / name
+        path.write_text(format_points(xs[rows], fs[rows]))
+        code, out, _ = run(capsys, ["interpolate", str(path)] + argv)
+        assert code == 0
+        docs.append(json.loads(out))
+    want = [[float(a), float(b)] for a, b in zip(x[0:20:2], sin2pi(x[0:20:2]))] + [[1.0, 0.0]]
+    assert docs[0]["reference_points"] == docs[1]["reference_points"] == want
+    assert docs[0]["model"] == docs[1]["model"]
+
+
 def test_interpolate_group_size_and_anchors(capsys, tmp_path):
     x = np.linspace(0.0, 1.0, 47)
     path = tmp_path / "sin47.csv"

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from padefit import datagen
 from padefit.datagen import (
     FUNCTIONS,
     NoiseSpec,
@@ -129,19 +130,15 @@ def test_failures_sorted_ascending():
     assert np.all(t > 0.0)
 
 
-def test_failures_inverse_cdf_hits_theta():
+def test_failures_inverse_cdf_hits_theta(monkeypatch):
     # P = 1 - 1/e maps to x = theta under the inverse CDF, exactly.
-    u = np.array([1.0 - math.exp(-1.0)])
-    t = simulate_weibull_failures(WeibullParams(3.7, 2.0), 1, 0, uniforms=u)
+    monkeypatch.setattr(datagen, "_uniforms", lambda seed, count: np.array([1.0 - math.exp(-1.0)]))
+    t = simulate_weibull_failures(WeibullParams(3.7, 2.0), 1, 0)
     assert t[0] == 3.7
 
 
 def test_failures_uniform_hook_validation():
     params = WeibullParams(1.0, 2.0)
-    with pytest.raises(ValueError):
-        simulate_weibull_failures(params, 3, 0, uniforms=np.array([0.1, 0.2]))
-    with pytest.raises(ValueError):
-        simulate_weibull_failures(params, 1, 0, uniforms=np.array([1.0]))
     with pytest.raises(ValueError):
         simulate_weibull_failures(params, 0, 0)
 

@@ -20,11 +20,13 @@ from padefit import (
     RationalModel,
     SearchSpace,
     SweepRow,
+    diagnostics,
     fit_linearized,
     fit_regularized,
     grid_search,
     lambda_sweep,
     mttf,
+    oscillation_measure,
     q_search,
     rational,
     sample_noisy,
@@ -588,6 +590,26 @@ def test_sweep_scan_failure_is_every_fitted_rows_error(counted_scans):
     sweep = lambda_sweep(Dataset(np.full(4, 1.0), np.arange(4.0)), FitConfig(n=5, m=0), (0.0, 0.1), (0.0, 2.0))
     assert all(row.error == "4 points for 6 free coefficients" for row in sweep.rows)
     assert len(counted_scans) == 1
+
+
+def test_sweep_measures_an_exponents_error_once(monkeypatch):
+    # x_power = 0.5 is undefined on the derivative grid's negative half: one
+    # _slopes pass gives that error to all four rows.  A batch of mixed
+    # exponents still measures each model alone after a failure.
+    calls = []
+    slopes = diagnostics._slopes
+    monkeypatch.setattr(diagnostics, "_slopes", lambda *args: calls.append(len(args[1])) or slopes(*args))
+    x = np.linspace(0.0, 1.0, 10)
+    sweep = lambda_sweep(Dataset(x, 1.0 + x), FitConfig(1, 1, x_power=0.5, lam1=0.1), (0.0, 0.1, 0.2, 0.3), (-1.0, 1.0))
+    assert [row.error for row in sweep.rows] == ["non-integer x_power needs x >= 0"] * 4
+    assert calls == [4]
+    calls.clear()
+    models = [RationalModel((1.0, 1.0), x_power=q) for q in (0.5, 1.0)]
+    grid = DerivativeGridSpec((-1.0, 1.0), 10)
+    measures = diagnostics._measures(*rational._stack(models), grid)
+    assert calls == [2, 1, 1]
+    assert isinstance(measures[0], NegativeAbscissa)
+    assert measures[1] == oscillation_measure(models[1], grid)
 
 
 def test_sweep_equals_per_lambda_loop(table1):
