@@ -50,6 +50,8 @@ for row in sweep.rows:
 lam = sweep.chosen_lam()
 print(f"chosen lambda: {lam}")
 
+# the sweep fitted this lambda on this data and grid already: this hands
+# back its row's report, with no second fit
 smooth = fit_regularized(data, FitConfig.cdf_form(6, 0, 12, lam=lam), grid)
 print(f"\nregularized fit: D = {smooth.d:.5f}, poles: {smooth.poles.count}")
 print(f"MTTF by integrating 1 - R: {mttf(smooth.model, x_max=100.0):.4f}")

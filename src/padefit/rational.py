@@ -18,7 +18,6 @@ from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .errors import (
     DenominatorZero,
@@ -292,9 +291,14 @@ def add(f: RationalModel, g: RationalModel) -> RationalModel:
             raise UnsupportedSubstitution("add needs plain-coordinate models without tails")
     pf, qf = f._rows
     pg, qg = g._rows
+    # numpy.polynomial's polymul and polyadd to the bit: operands and products lose
+    # trailing zeros but keep one coefficient; the shorter product adds onto the longer
+    trim = lambda c: c[: len(np.trim_zeros(c, "b")) or 1]
+    mul = lambda a, b: trim(np.convolve(trim(a), trim(b)))
     with np.errstate(all="ignore"):  # checked below
-        num = npoly.polyadd(npoly.polymul(pf, qg), npoly.polymul(pg, qf))
-        den = np.trim_zeros(npoly.polymul(qf, qg), "b")
+        num, other = sorted((mul(pf, qg), mul(pg, qf)), key=len, reverse=True)
+        num[: len(other)] += other
+        den = np.trim_zeros(mul(qf, qg), "b")
     if not (np.isfinite(num).all() and np.isfinite(den).all()):
         raise EvaluationOverflow("the coefficients of the sum are out of float range")
     # exact trailing zeros go; an all-zero numerator keeps its constant

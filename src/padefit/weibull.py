@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import (
     DegenerateAbscissae,
@@ -210,6 +209,7 @@ def _graded_gauss(fn, b: float) -> float:
 
 @lru_cache(maxsize=1)  # leggauss takes about 0.7 ms a call
 def _gauss_rules():
+    from numpy.polynomial.legendre import leggauss  # not at import: numpy.polynomial costs a cold start ~4 ms
     return leggauss(20), leggauss(10)
 
 

@@ -2,12 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import padefit
 from padefit import Dataset, DerivativeGridSpec, FitConfig, fit_regularized, rmse
 from padefit.cli import _num, format_points, main, read_points
 from padefit.datagen import sin2pi, uniform_grid
@@ -16,6 +20,16 @@ from padefit.weibull import WeibullParams, median_ranks, weibull_cdf
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 TABLE1 = str(DATA / "table1.csv")
+
+
+def test_importing_the_cli_leaves_numpy_polynomial_unloaded():
+    # a cold start skips numpy.polynomial: only the MTTF quadrature's Gauss
+    # rules import it, on first use
+    src = str(Path(padefit.__file__).resolve().parent.parent)
+    code = "import sys, padefit.cli; print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"
 
 
 def run(capsys, argv):

@@ -24,6 +24,7 @@ from padefit import (
     fitting,
     free_columns,
     interpolate_reference,
+    lambda_sweep,
     oscillation_measure,
     rmse,
     sample_noisy,
@@ -86,7 +87,7 @@ def test_dataset_evaluates_its_underlying_function_once():
     xs = np.linspace(0.5, 2.0, 10)
     data = Dataset(xs, GEN(xs) + 1e-3 * np.cos(7.0 * xs), lambda x: calls.append(len(x)) or GEN(x))
     batch = fitting._fit(data, [FitConfig(n=2, m=1), FitConfig(n=1, m=0, x_power=0.5)], None)
-    alone = fit_regularized(data, FitConfig(n=2, m=1))
+    (alone,) = fitting._fit(data, [FitConfig(n=2, m=1)], DerivativeGridSpec(data.interval(), 40))
     assert calls == [10]
     assert batch[0].d0 == batch[1].d0 == alone.d0 == rmse(data.f, GEN(xs))
     assert batch[0].d1 == alone.d1
@@ -315,7 +316,7 @@ def test_an_exponent_past_the_float_range_on_the_data_fails_before_its_solve(n):
         with pytest.raises(EvaluationOverflow, match=r"x\*\*2 is out of float range on the data interval"):
             fit_linearized(data, squared)
         failed, fitted = fitting._fit(data, [squared, plain], None)
-        assert isinstance(failed, EvaluationOverflow) and fitted == fit_linearized(data, plain)
+        assert isinstance(failed, EvaluationOverflow) and [fitted] == fitting._fit(data, [plain], None)
         (elsewhere,) = fitting._fit(Dataset([0.0, 1.0], [1.0, 2.0]), [squared], None, data)
         assert isinstance(elsewhere, EvaluationOverflow)
 
@@ -336,7 +337,7 @@ def test_ordinates_near_the_float_range_end_in_typed_errors():
         with pytest.raises(SingularSystem):
             fit_linearized(Dataset(np.linspace(0.0, 1.0, 64), np.resize([-1e308, 1e308], 64)), FitConfig(0, 0))
         line, ridged = fitting._fit(big, [FitConfig(1, 0), FitConfig(1, 1, lam=1.0)], None)
-        assert line == fit_linearized(big, FitConfig(1, 0)) and math.isfinite(line.s)
+        assert [line] == fitting._fit(big, [FitConfig(1, 0)], None) and math.isfinite(line.s)
         assert isinstance(ridged, EvaluationOverflow) and "s0, s or d1" in str(ridged)
         with pytest.raises(EvaluationOverflow):
             fit_regularized(big, FitConfig(1, 1, lam=1.0))
@@ -402,13 +403,11 @@ def test_failing_member_leaves_its_neighbours_alone(case):
     penalties = [(0.0, 0.0), (0.1, 0.1), (0.0, 0.0), (0.2, 0.3)]
     batch = fitting._fit(data, [replace(config, lam=lam, lam1=lam1) for lam, lam1 in penalties], der)
     for (lam, lam1), got in zip(penalties, batch):
-        cfg = FitConfig(config.n, config.m, lam=lam, lam1=lam1)
+        (alone,) = fitting._fit(data, [FitConfig(config.n, config.m, lam=lam, lam1=lam1)], der)
         if lam == lam1 == 0.0:
-            assert isinstance(got, SingularSystem)
-            with pytest.raises(SingularSystem, match=str(got)):
-                fit_regularized(data, cfg, der)
+            assert isinstance(got, SingularSystem) and type(alone) is SingularSystem and str(alone) == str(got)
         else:
-            assert got == fit_regularized(data, cfg, der)
+            assert got == alone
 
 
 #: Exponents of the mixed batches: numpy's scalar power has fast paths
@@ -588,7 +587,7 @@ def test_a_grid_substitutes_its_nodes_once_per_exponent(substitutions):
     assert _data_substitutions(substitutions, 7) == [1.0, 0.5, 0.0, -0.5]
     substitutions.clear()
     again = fitting._fit(data, configs + [FitConfig(n=2, m=0, x_power=0.5, lam=1e-3)], grid)
-    alone = fit_regularized(data, configs[1], grid)
+    (alone,) = fitting._fit(data, [configs[1]], grid)
     assert oscillation_measure(first[1].model, grid) == first[1].d_der
     assert _data_substitutions(substitutions, 7) == []
     assert [r.d_der for r in again[:2]] == [r.d_der for r in first] and alone.d_der == first[1].d_der
@@ -637,8 +636,139 @@ def test_a_batch_finishes_each_column_count_in_one_svd_and_one_solve(linalg_call
     batch = fitting._fit(data, configs, None)
     assert linalg_calls == {"qr": 5, "svd": 3, "solve": 3}
     for report, config in zip(batch, configs):
-        alone = fit_linearized(data, config)
+        (alone,) = fitting._fit(data, [config], None)
         assert report.model == alone.model and report.diagnostics == alone.diagnostics
+
+
+# -- lone fits after a batch -------------------------------------------------
+
+
+def test_a_refit_at_the_chosen_sweep_penalty_is_that_rows_report(table1, linalg_calls):
+    # the reliability route: the refit at the sweep's chosen lambda solves nothing
+    config = FitConfig.cdf_form(6, 0, 12)
+    sweep = lambda_sweep(table1, config, (0.0, 0.0005, 0.001, 0.002, 0.0025, 0.005, 0.01), (0.0, 2.0), 40)
+    linalg_calls.update(qr=0, svd=0, solve=0)
+    refit = fit_regularized(table1, replace(config, lam=sweep.chosen_lam()), DerivativeGridSpec((0.0, 2.0), 40))
+    assert linalg_calls == {"qr": 0, "svd": 0, "solve": 0}
+    assert refit is sweep.rows[sweep.chosen].report
+
+
+def test_each_lone_fit_serves_a_member_of_the_last_batch():
+    # a grid matches by its float ends and count, whatever holds its interval
+    data, full, refs = _exact_dataset(), _exact_dataset(count=25), _exact_dataset(count=3)
+    configs = [FitConfig(n=2, m=1), FitConfig(n=1, m=1, lam=1e-3)]
+    batch = fitting._fit(data, configs, None)
+    assert fit_linearized(data, configs[1]) is batch[1] and fit_linearized(data, configs[0]) is batch[0]
+    # an int exponent is stored as the float it equals, so the config that
+    # matches also fits to the same model
+    assert fit_linearized(data, FitConfig(n=2, m=1, x_power=1)) is batch[0]
+    assert repr(fitting._fit(data, [FitConfig(n=2, m=1, x_power=1)], None)) == repr(batch[:1])
+    batch = fitting._fit(data, configs, DerivativeGridSpec((0.5, 2.0), 7))
+    for interval in ([0.5, 2.0], np.array([0.5, 2.0]), (0.5, 2)):
+        assert fit_regularized(data, configs[1], DerivativeGridSpec(interval, 7)) is batch[1]
+    batch = fitting._fit(data, configs, DerivativeGridSpec(data.interval(), 40))
+    assert fit_regularized(data, configs[0]) is batch[0]
+    (interpolated,) = fitting._fit(refs, [FitConfig(n=2, m=0)], None, full)
+    assert interpolate_reference(refs, 2, 0, evaluate_on=full) is interpolated
+
+
+def _misses(fit, *args, **kwargs):
+    # fit(*args, **kwargs) runs a fresh one-member batch
+    before = fitting._last_batch
+    report = fit(*args, **kwargs)
+    assert fitting._last_batch is not before and fitting._last_batch[4] == [report]
+    return report
+
+
+def test_a_lone_fit_misses_unless_data_grid_evaluate_on_and_config_match():
+    data, full, refs = _exact_dataset(), _exact_dataset(count=25), _exact_dataset(count=3)
+    grid = DerivativeGridSpec((0.5, 2.0), 7)
+    configs = [FitConfig(n=2, m=1), FitConfig(n=1, m=1, lam=1e-3)]
+    cases = [
+        # an equal copy of the dataset
+        (lambda: fitting._fit(data, configs, grid), lambda: fit_regularized(Dataset(data.x, data.f), configs[1], grid)),
+        # another grid, or none
+        (lambda: fitting._fit(data, configs, grid), lambda: fit_regularized(data, configs[1], DerivativeGridSpec((0.5, 2.0), 8))),
+        (lambda: fitting._fit(data, configs, grid), lambda: fit_linearized(data, configs[1])),
+        # a list or array interval with other ends: compared without raising
+        (lambda: fitting._fit(data, configs, grid), lambda: fit_regularized(data, configs[1], DerivativeGridSpec([0.5, 1.5], 7))),
+        (
+            lambda: fitting._fit(data, configs, DerivativeGridSpec(np.array([0.5, 2.0]), 7)),
+            lambda: fit_regularized(data, configs[1], DerivativeGridSpec(np.array([0.5, 1.5]), 7)),
+        ),
+        # a config outside the batch
+        (lambda: fitting._fit(data, configs, None), lambda: fit_linearized(data, FitConfig(n=1, m=1, lam=2e-3))),
+        # another batch since
+        (
+            lambda: fitting._fit(data, configs, None) + fitting._fit(full, configs, None),
+            lambda: fit_linearized(data, configs[1]),
+        ),
+        # another evaluate_on, or none
+        (lambda: fitting._fit(refs, [FitConfig(n=2, m=0)], None, full), lambda: interpolate_reference(refs, 2, 0, evaluate_on=Dataset(full.x, full.f))),
+        (lambda: fitting._fit(refs, [FitConfig(n=2, m=0)], None, full), lambda: interpolate_reference(refs, 2, 0)),
+    ]
+    for batch, lone in cases:
+        members = batch()
+        report = _misses(lone)
+        assert all(report is not member for member in members)
+    # equal inputs still give equal reports
+    fitting._fit(data, configs, grid)
+    assert _misses(fit_regularized, Dataset(data.x, data.f), configs[1], grid) == fitting._fit(data, configs, grid)[1]
+
+
+def test_an_errored_member_is_refit_and_raised_afresh():
+    data, config, der = BATCH_CASES[2]
+    failed, ridged = fitting._fit(data, [config, replace(config, lam=0.1)], der)
+    assert isinstance(failed, SingularSystem)
+    with pytest.raises(SingularSystem, match=str(failed)) as raised:
+        fit_regularized(data, config, der)
+    assert raised.value is not failed and fitting._last_batch[4] == [raised.value]
+
+
+def _lone_outcome(fit, *args, **kwargs):
+    try:
+        return repr(fit(*args, **kwargs))
+    except PadefitError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    lo=st.sampled_from([0.0, 0.5, -1.0]),
+    count=st.integers(2, 12),
+    seed=st.integers(0, 2**16),
+    draws=st.lists(CONFIG_DRAW, min_size=1, max_size=6),
+    extra=CONFIG_DRAW,
+    der=DER_GRIDS,
+    refs=st.booleans(),
+)
+def test_a_lone_fit_after_a_batch_is_the_fit_of_a_fresh_state(lo, count, seed, draws, extra, der, refs):
+    # Right after a random batch, each member and one structure the batch may
+    # lack, fitted alone: the same repr, or the same error, as with no batch
+    # behind the fit.  With refs the batch is evaluated elsewhere and the lone
+    # fits are interpolations.
+    rng = np.random.default_rng(seed)
+    x = np.linspace(lo, lo + 2.0, count)
+    data = Dataset(x, np.cos(3.0 * x) + 0.1 * rng.normal(size=count), np.cos)
+    structures = [draws, [extra]]
+    if refs:  # interpolation takes degrees and pinned powers only
+        structures = [[(n, m, None, 1.0, 0.0, 0.0, pinned) for n, m, *_rest, pinned in d] for d in structures]
+    configs, outside = map(_configs, structures)
+    if refs:
+        full = Dataset(np.linspace(lo, lo + 2.0, 2 * count + 1), np.cos(np.linspace(lo, lo + 2.0, 2 * count + 1)))
+        batch = lambda: fitting._fit(data, configs, None, full)
+        lone = lambda c: interpolate_reference(data, c.n, c.m, c.zero_powers, evaluate_on=full)
+    else:
+        batch = lambda: fitting._fit(data, configs, der)
+        lone = lambda c: fit_linearized(data, c) if der is None else fit_regularized(data, c, der)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for cfg in configs + outside:
+            batch()
+            after = _lone_outcome(lone, cfg)
+            fitting._last_batch = (None, None, None, (), ())
+            assert _lone_outcome(lone, cfg) == after
+
 
 # -- exact interpolation ----------------------------------------------------
 

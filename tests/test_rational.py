@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from numpy.polynomial import polynomial as npoly
 
 import oracle
 from padefit import DerivativeGridSpec, PoleReport, RationalModel, Tail, add, pole_scan, uniform_grid
@@ -354,6 +355,34 @@ def test_add_with_coefficients_past_the_float_range_is_a_typed_error():
             add(big, big)
         with pytest.raises(EvaluationOverflow):  # a numerator sum past the range, as well
             add(RationalModel((1e308,)), RationalModel((1e308,)))
+
+
+# zeros of both signs, and magnitudes whose products underflow to zero or
+# whose sums overflow
+ADD_COEFFICIENTS = st.sampled_from([0.0, -0.0, 1.0, -2.5, 0.1, 3e-170, -1e-200, 1e154, -2e154])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(ADD_COEFFICIENTS, min_size=1, max_size=5),
+    st.lists(ADD_COEFFICIENTS, max_size=4),
+    st.lists(ADD_COEFFICIENTS, min_size=1, max_size=5),
+    st.lists(ADD_COEFFICIENTS, max_size=4),
+)
+def test_add_is_numpys_polyadd_of_polymuls_to_the_bit(pf, qf, pg, qg):
+    # the rows of both models end in zeros up to their common height
+    f, g = RationalModel(tuple(pf), tuple(qf)), RationalModel(tuple(pg), tuple(qg))
+    (p1, q1), (p2, q2) = f._rows, g._rows
+    with np.errstate(all="ignore"):
+        num = npoly.polyadd(npoly.polymul(p1, q2), npoly.polymul(p2, q1))
+        den = np.trim_zeros(npoly.polymul(q1, q2), "b")
+    if not (np.isfinite(num).all() and np.isfinite(den).all()):
+        with pytest.raises(EvaluationOverflow):
+            add(f, g)
+        return
+    h = add(f, g)
+    assert np.array(h.numer).tobytes() == num[: len(np.trim_zeros(num, "b")) or 1].tobytes()
+    assert np.array(h.denom).tobytes() == den[1:].tobytes()
 
 
 def test_add_rejects_substitution_and_tails():

@@ -22,6 +22,7 @@ from padefit import (
     SweepRow,
     diagnostics,
     fit_linearized,
+    fitting,
     fit_regularized,
     grid_search,
     lambda_sweep,
@@ -225,9 +226,7 @@ def test_sweep_rows_match_single_fits():
     sweep = lambda_sweep(data, FitConfig(n=2, m=1), grid)
     der = DerivativeGridSpec(data.interval(), 40)
     for row in sweep.rows:
-        single = fit_regularized(
-            data, FitConfig(n=2, m=1, lam=row.lam), der
-        )
+        (single,) = fitting._fit(data, [FitConfig(n=2, m=1, lam=row.lam)], der)
         assert row.d == single.d
         assert row.d_der == single.d_der
         assert row.pole_count == single.poles.count
@@ -258,10 +257,11 @@ def test_sweep_rows_carry_their_reports(table1):
     grid = (0.0, 0.0005, 0.001, 0.002, 0.0025, 0.005, 0.01)
     sweep = lambda_sweep(table1, config, grid, (0.0, 2.0), 40)
     chosen = sweep.rows[sweep.chosen]
+    # an equal copy of the data is fitted afresh, not served from the sweep
     fresh = fit_regularized(
-        table1, FitConfig.cdf_form(6, 0, 12, lam=chosen.lam), DerivativeGridSpec((0.0, 2.0), 40)
+        Dataset(table1.x, table1.f), FitConfig.cdf_form(6, 0, 12, lam=chosen.lam), DerivativeGridSpec((0.0, 2.0), 40)
     )
-    assert chosen.report == fresh
+    assert chosen.report is not fresh and chosen.report == fresh
     failing = lambda_sweep(
         Dataset(np.full(4, 1.0), np.array([1.0, 2.0, 3.0, 4.0])),
         FitConfig(n=2, m=0),
@@ -319,7 +319,7 @@ def test_sweep_needs_two_rows():
 def test_q_search_single_exponent_is_a_plain_fit():
     data = _exact_data()
     q, report = q_search(data, FitConfig(n=2, m=1), (1.0,))
-    single = fit_linearized(data, FitConfig(n=2, m=1))
+    single = oracle.fit(data, FitConfig(n=2, m=1))
     assert q == 1.0
     assert report.s == single.s
     assert report.model.numer == single.model.numer
