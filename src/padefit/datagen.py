@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fitting import Dataset
-from .rational import require_interval
+from .rational import require_count, require_interval
 from .weibull import WeibullParams
 
 TWO_PI = 2.0 * math.pi
@@ -65,8 +65,7 @@ def uniform_grid(a: float, b: float, subintervals: int) -> np.ndarray:
     """Endpoints of `subintervals` equal pieces of [a, b]; length is
     subintervals + 1."""
     require_interval(a, b)
-    if subintervals < 1:
-        raise ValueError("need at least one subinterval")
+    require_count(subintervals, 1, "need at least one subinterval")
     return np.linspace(a, b, subintervals + 1)
 
 

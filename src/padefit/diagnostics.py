@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import EmptyInput, EvaluationOverflow, LengthMismatch, PadefitError
-from .rational import DENOM_TOL, RationalModel, _slopes, _stack, denominator_zero, require_interval
+from .rational import DENOM_TOL, RationalModel, _slopes, _stack, denominator_zero, require_count, require_interval
 
 #: Relative step for the finite-difference fallback derivative.
 FD_STEP = 1e-6
@@ -41,12 +41,12 @@ class DerivativeGridSpec:
     count: int
 
     def __post_init__(self):
-        a, b = self.interval
+        a, b = map(float, self.interval)  # the ends the nodes are built from, so equal specs have equal nodes
         require_interval(a, b)
-        if self.count < 1:
-            raise ValueError("count must be positive")
-        if not math.isfinite(float(a) + self.count * (float(b) - float(a)) / self.count):  # _nodes' last, largest
+        require_count(self.count, 1, "count must be positive")
+        if not math.isfinite(a + self.count * (b - a) / self.count):  # _nodes' last, largest
             raise ValueError("interval and count put grid nodes out of float range")
+        object.__setattr__(self, "interval", (a, b))
         object.__setattr__(self, "_powers", {})  # exponent -> _nodes**exponent, filled by _slopes
 
     def grid(self) -> np.ndarray:

@@ -92,7 +92,8 @@ class Dataset:
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Model structure and penalty weights for one fit.
+    """Model structure and penalty weights for one fit.  A config keeps its
+    free columns (linsys.free_columns) as `_columns`, outside the fields.
 
     Parameters
     ----------
@@ -120,7 +121,7 @@ class FitConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "zero_powers", frozenset(map(int, self.zero_powers)))
-        linsys.free_columns(self.n, self.m, self.tail_power, self.zero_powers)  # validates the structure
+        object.__setattr__(self, "_columns", linsys.free_columns(self.n, self.m, self.tail_power, self.zero_powers))
         if not (0 < self.x_power < math.inf):
             raise ValueError("x_power must be positive and finite")
         object.__setattr__(self, "x_power", float(self.x_power))  # the model's, so equal configs fit alike
@@ -258,14 +259,14 @@ def _fit(
 ) -> list[FitReport | PadefitError]:
     """Fit each of `configs` on `data`: one x**q and one design matrix per
     exponent for the union of their columns, one stacked solve per column
-    count, and one stacked evaluation, deferred pole scan and derivative
-    pass.  Returns each config's report, or the PadefitError that ended its
-    fit alone."""
+    count, indexed per structure, and one stacked evaluation, deferred pole
+    scan and derivative pass.  Returns each config's report, or the
+    PadefitError that ended its fit alone."""
     if not configs:
         return []
-    columns = [linsys.free_columns(c.n, c.m, c.tail_power, c.zero_powers) for c in configs]
-    where = {col: i for i, col in enumerate(dict.fromkeys(col for cols in columns for col in cols))}
-    index = {cols: [where[col] for col in cols] for cols in dict.fromkeys(columns)}
+    structures = dict.fromkeys(c._columns for c in configs)  # each distinct column tuple once
+    where = {col: i for i, col in enumerate(dict.fromkeys(col for cols in structures for col in cols))}
+    denominator = np.array([kind == "denom" for kind, _power in where])  # per union column
     designs: dict = {}  # exponent -> slot in the design stack, or its error
     stack = []
     ts: dict = {}  # exponent -> data.x**q, for the designs and the reports at the data
@@ -278,21 +279,22 @@ def _fit(
         except PadefitError as exc:
             designs[q] = exc
     out: list = [designs[c.x_power] if isinstance(designs[c.x_power], PadefitError) else None for c in configs]
-    by_count: dict[int, list[int]] = {}
-    for k, cols in enumerate(columns):
+    by_count: dict[int, dict] = {}  # column count -> column tuple -> its members to solve
+    for k, config in enumerate(configs):
         if out[k] is None:
-            by_count.setdefault(len(cols), []).append(k)
+            by_count.setdefault(len(config._columns), {}).setdefault(config._columns, []).append(k)
     theta = np.zeros((len(configs), len(where)))  # coefficients on the union columns
     stack = np.array(stack)  # (exponents, union columns, rows)
-    for ks in by_count.values():
-        # (K, p, rows) from one gather, viewed as the (K, rows, p) stack
-        g = stack[[[designs[configs[k].x_power]] for k in ks], [index[columns[k]] for k in ks]]
-        ridges = [linsys.ridge_weights(columns[k], configs[k].lam, configs[k].lam1) for k in ks]
-        for k, result in zip(ks, linsys.solve_least_squares(g.transpose(0, 2, 1), data.f, ridges)):
-            if isinstance(result, PadefitError):
-                out[k] = result
-            else:
-                theta[k, index[columns[k]]], out[k] = result
+    for members in by_count.values():
+        ks, sizes = sum(members.values(), []), [len(group) for group in members.values()]
+        index = np.array([[where[col] for col in cols] for cols in members]).repeat(sizes, axis=0)  # (K, p)
+        g = stack[[[designs[configs[k].x_power]] for k in ks], index]  # (K, p, rows), solved as (K, rows, p)
+        penalties = np.array([(configs[k].lam, configs[k].lam1) for k in ks], dtype=float)
+        ridges = np.where(denominator[index], penalties[:, 1:], penalties[:, :1])  # lam1 on denominator columns
+        for k, u, result in zip(ks, index, linsys.solve_least_squares(g.transpose(0, 2, 1), data.f, ridges)):
+            if isinstance(result, tuple):  # theta on the union columns u, and the solve's diagnostics
+                theta[k, u], result = result
+            out[k] = result
     solved = [k for k, result in enumerate(out) if isinstance(result, SolveDiagnostics)]
     if solved:
         models, c = _models([configs[k] for k in solved], theta[solved], where)
@@ -306,11 +308,10 @@ def _fit(
 
 def _lone(data: Dataset, config: FitConfig, der_grid: DerivativeGridSpec | None, evaluate_on=None) -> FitReport:
     # The last batch's report of an equal config on this very data and
-    # evaluate_on, with a grid of equal float ends and count; else a one-member
-    # batch's.  An error is never reused: it is raised fresh.
+    # evaluate_on, with an equal grid; else a one-member batch's.  An error
+    # is never reused: it is raised fresh.
     last, grid, on, configs, results = _last_batch
-    key = lambda g: g and (float(g.interval[0]), float(g.interval[1]), g.count)
-    if last is data and on is evaluate_on and key(grid) == key(der_grid):
+    if last is data and on is evaluate_on and grid == der_grid:
         for member, result in zip(configs, results):
             if member == config and isinstance(result, FitReport):
                 return result
@@ -385,9 +386,8 @@ def interpolate_reference(
     if len(np.unique(x)) != len(x):
         raise DuplicateAbscissa("reference abscissae must be distinct")
     config = FitConfig(n=n, m=m, zero_powers=zero_powers)
-    free = len(linsys.free_columns(n, m, None, config.zero_powers))
-    if len(x) < free:
-        raise CountMismatch(f"{len(x)} reference points for {free} free coefficients")
+    if len(x) < len(config._columns):
+        raise CountMismatch(f"{len(x)} reference points for {len(config._columns)} free coefficients")
     return _lone(refpoints, config, None, evaluate_on)
 
 

@@ -23,7 +23,6 @@ Van Loan, Matrix Computations, section 5.3).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -51,9 +50,6 @@ class SolveDiagnostics:
     condition_flag: bool
 
 
-# Batches ask for the same few structures again and again.  typed: 2.0 and
-# True, equal to 2 and 1, must not find the entries of valid structures.
-@lru_cache(maxsize=64, typed=True)
 def free_columns(
     n: int,
     m: int,
@@ -63,7 +59,8 @@ def free_columns(
     """Ordered free-coefficient identities for the given model structure.
     Raises ValueError for a degree or tail power that is not an int (or is
     a bool), a negative degree, a tail power not above both degrees, or a
-    structure with no free coefficient."""
+    structure with no free coefficient.  A FitConfig keeps its structure's
+    columns from construction (FitConfig._columns)."""
     if any(isinstance(d, bool) or not isinstance(d, int) for d in (n, m)):
         raise ValueError("degrees must be integers")
     if n < 0 or m < 0:
@@ -96,12 +93,6 @@ def design_matrix(x: np.ndarray, f: np.ndarray, columns: tuple[Column, ...]) -> 
         else:
             g[:, c] = (1.0 - f) * xp
     return g
-
-
-def ridge_weights(columns: tuple[Column, ...], lam: float, lam1: float) -> np.ndarray:
-    """Per-column ridge weights: lam1 on denominator columns, lam on
-    numerator and tail columns."""
-    return np.array([lam1 if kind == "denom" else lam for kind, _power in columns])
 
 
 def solve_least_squares(

@@ -366,6 +366,15 @@ def require_interval(a, b, name: str = "interval") -> None:
         raise ValueError(f"{name} must be finite, and so must its length")
 
 
+def require_count(n, least: int, message: str) -> None:
+    """A count must be an int or a numpy integer, not a bool, and at least
+    `least`: else ValueError, with `message` when it is too small."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ValueError(f"a count must be an integer, not {n!r}")
+    if n < least:
+        raise ValueError(message)
+
+
 def require_nonnegative(x, x_power: float) -> None:
     """Non-integer substitution powers are defined only for x >= 0."""
     if not float(x_power).is_integer() and (np.asarray(x) < 0.0).any():
@@ -469,8 +478,7 @@ def _scans(c, exponents, interval, points) -> list[PoleReport]:
     # interval and, per exponent, the domain and range of t are checked now.
     a, b = float(interval[0]), float(interval[1])
     require_interval(a, b, "scan interval")
-    if points < 2:
-        raise ValueError("need at least two scan points")
+    require_count(points, 2, "need at least two scan points")
     for q in dict.fromkeys(exponents):
         require_power_range(a, b, q, "scan interval")
     memo: dict = {}  # the batch's one _scan, run on the first read of any member

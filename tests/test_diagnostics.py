@@ -13,8 +13,10 @@ from padefit import (
     RationalModel,
     WeibullParams,
     oscillation_measure,
+    pole_scan,
     rmse,
     sqrt_exp,
+    uniform_grid,
     weibull_cdf,
     weibull_pdf,
 )
@@ -50,6 +52,33 @@ def test_grid_whose_nodes_leave_the_float_range_is_rejected():
         nodes = DerivativeGridSpec((0.0, 5.9e307), 3).grid()
     np.testing.assert_array_equal(nodes, np.arange(1.0, 4.0) * 5.9e307 / 3)
     assert np.isfinite(nodes).all()
+
+
+def test_a_grid_keeps_its_ends_as_floats():
+    # the ends its nodes are built from: a spec from a list is hashable, and
+    # equal specs have equal nodes
+    spec = DerivativeGridSpec([0, 2], 40)
+    assert spec.interval == (0.0, 2.0) and [type(v) for v in spec.interval] == [float, float]
+    assert spec == DerivativeGridSpec((0.0, 2.0), 40) and hash(spec) == hash(DerivativeGridSpec((0.0, 2.0), 40))
+    assert DerivativeGridSpec(np.array([0.5, 2.0]), 7).interval == (0.5, 2.0)
+
+
+@pytest.mark.parametrize("count", [2.5, 3.0, np.float64(3.0), True, np.True_, "3"])
+def test_a_count_that_is_not_an_integer_is_refused(count):
+    # a grid's count, a pole scan's points and uniform_grid's subintervals;
+    # 2.5 used to put a grid node at 1.2, outside [0, 1]
+    model = RationalModel((1.0,), (0.5,))  # a pole at x = -2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for make in (
+            lambda n: DerivativeGridSpec((0.0, 1.0), n).grid(),
+            lambda n: pole_scan(model, (-3.0, 1.0), n).sign_changes,
+            lambda n: uniform_grid(0.0, 1.0, n),
+        ):
+            with pytest.raises(ValueError, match="must be an integer"):
+                make(count)
+            # numpy integers are counts
+            assert np.array_equal(make(np.int64(3)), make(3)) and np.array_equal(make(np.int32(5)), make(5))
 
 
 def test_grid_excludes_left_endpoint():

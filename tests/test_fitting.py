@@ -2,7 +2,7 @@
 
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import mpmath
@@ -29,6 +29,7 @@ from padefit import (
     rmse,
     sample_noisy,
     sin2pi,
+    solve_least_squares,
     sqrt_exp,
     uniform_grid,
 )
@@ -42,6 +43,8 @@ from padefit.errors import (
     SingularDerivative,
     SingularSystem,
 )
+from padefit.linsys import design_matrix
+from padefit.selection import COARSE_LAM1
 
 GEN = RationalModel(numer=(1.0, -0.4, 0.2), denom=(0.25,))
 
@@ -151,8 +154,7 @@ def test_config_rejects_a_tail_power_that_is_not_an_int(power):
     ],
 )
 def test_config_rejects_a_degree_that_is_not_an_int_after_a_valid_one(valid, bad):
-    # the structure cache must not answer for 2.0 or True with the entry
-    # of the equal 2 or 1 built just before
+    # an equal valid structure built just before must not let 2.0 or True pass
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         cfg = FitConfig(**valid)
@@ -161,6 +163,21 @@ def test_config_rejects_a_degree_that_is_not_an_int_after_a_valid_one(valid, bad
             FitConfig(**bad)
         with pytest.raises(ValueError, match="must be integers|must be an integer"):
             free_columns(bad["n"], bad["m"], bad.get("tail_power"))
+
+
+def test_a_config_keeps_its_columns_outside_its_fields():
+    cfg = FitConfig.cdf_form(6, 0, 12, lam=1e-3)
+    assert cfg._columns == free_columns(6, 0, 12, frozenset({0}))
+    # _members copies carry them, replace computes them again
+    for copy in (*fitting._members(cfg, "lam1", [0.0, 0.5]), replace(cfg, lam1=0.5), replace(cfg, n=7), replace(cfg, tail_power=None)):
+        assert copy._columns == free_columns(copy.n, copy.m, copy.tail_power, copy.zero_powers)
+    assert replace(cfg, n=7)._columns != cfg._columns
+    # equality, hash and repr ignore them
+    other = FitConfig.cdf_form(6, 0, 12, lam=1e-3)
+    object.__setattr__(other, "_columns", ())
+    assert other == cfg and hash(other) == hash(cfg) and repr(other) == repr(cfg)
+    assert "_columns" not in repr(cfg) and "_columns" not in [f.name for f in fields(FitConfig)]
+
 
 def test_cdf_form_pins_origin_and_sets_tail():
     cfg = FitConfig.cdf_form(6, 0, 12)
@@ -638,6 +655,84 @@ def test_a_batch_finishes_each_column_count_in_one_svd_and_one_solve(linalg_call
     for report, config in zip(batch, configs):
         (alone,) = fitting._fit(data, [config], None)
         assert report.model == alone.model and report.diagnostics == alone.diagnostics
+
+
+def _assert_members_are_lone_fits(data, configs, der):
+    # each member's repr, or its error's type and text, is its one-member batch's
+    for cfg, got in zip(configs, fitting._fit(data, configs, der), strict=True):
+        (lone,) = fitting._fit(data, [cfg], der)
+        if isinstance(lone, PadefitError):
+            _assert_same_outcome(got, lone)
+        else:
+            assert repr(got) == repr(lone)
+
+
+def test_a_tail_column_takes_the_numerator_weight():
+    # columns (numer 0, numer 1, denom 1, tail 3): lam on all but the denominator's
+    data = _exact_dataset(count=12)
+    (report,) = fitting._fit(data, [FitConfig(1, 1, tail_power=3, lam=0.25, lam1=0.75)], None)
+    g = design_matrix(data.x, data.f, free_columns(1, 1, 3))
+    ((theta, diagnostics),) = solve_least_squares(g, data.f, np.array([[0.25, 0.25, 0.75, 0.25]]))
+    model = report.model
+    assert [*model.numer, *model.denom, model.tail.coeff] == theta.tolist()
+    assert report.diagnostics == diagnostics
+
+
+def test_structures_sharing_a_column_count_solve_as_one_stack(linalg_calls):
+    # seven structures of four columns, one of three, plain and ridged members
+    # interleaved: one svd per column count, and every member the bits of its
+    # own solve with lam1 on its denominator columns and lam elsewhere
+    data = _exact_dataset(count=12)
+    structures = [
+        {"n": 3, "m": 0},
+        {"n": 2, "m": 1},
+        {"n": 1, "m": 2},
+        {"n": 0, "m": 3},
+        {"n": 3, "m": 1, "zero_powers": frozenset({0})},
+        {"n": 1, "m": 1, "tail_power": 3},
+        {"n": 2, "m": 0, "tail_power": 3},
+        {"n": 1, "m": 1},
+    ]
+    penalties = [(0.0, 0.0), (1e-3, 0.0), (0.0, 0.5), (1e-2, 0.1)]
+    configs = [FitConfig(**s, lam=lam, lam1=lam1) for lam, lam1 in penalties for s in structures]
+    batch = fitting._fit(data, configs, None)
+    assert linalg_calls["svd"] == 2
+    for cfg, report in zip(configs, batch):
+        cols = free_columns(cfg.n, cfg.m, cfg.tail_power, cfg.zero_powers)
+        ridges = np.array([[cfg.lam1 if kind == "denom" else cfg.lam for kind, _power in cols]])
+        ((theta, diagnostics),) = solve_least_squares(design_matrix(data.x, data.f, cols), data.f, ridges)
+        model = report.model
+        values = {("numer", i): v for i, v in enumerate(model.numer)} | {("denom", j + 1): v for j, v in enumerate(model.denom)}
+        if model.tail is not None:
+            values["tail", model.tail.power] = model.tail.coeff
+        assert [values[col] for col in cols] == theta.tolist()
+        assert report.diagnostics == diagnostics
+    _assert_members_are_lone_fits(data, configs + [replace(c, x_power=0.5) for c in configs[::3]], None)
+
+
+def test_a_121_member_tuning_grid_is_its_members_lone_fits():
+    # the sqrt-decay study's (3, 6, {0}) structure at its 11 exponents times
+    # the coarse lambda1 grid, as one batch
+    data = sample_noisy(sqrt_exp, uniform_grid(0.0, 2.0, 10), NoiseSpec(0.1, 5))
+    qs = [round(0.5 + 0.05 * i, 2) for i in range(11)]
+    configs = [FitConfig(3, 6, x_power=q, lam1=lam1, zero_powers=frozenset({0})) for q in qs for lam1 in COARSE_LAM1]
+    assert len(configs) == 121
+    _assert_members_are_lone_fits(data, configs, DerivativeGridSpec((0.0, 2.0), 100))
+
+
+def test_a_lone_fit_served_by_an_equal_grid_has_the_bits_of_a_fresh_fit():
+    # int ends past 2**53 round to the float ends of an equal spec: both
+    # build their nodes from those floats, so serving one for the other
+    # changes no bit
+    x = np.linspace(0.0, 1.0, 11)
+    data = Dataset(x, x**2 + 0.1 * x)
+    ints = DerivativeGridSpec((2**53 + 1, 2**54 + 3), 3)
+    floats = DerivativeGridSpec((float(2**53 + 1), float(2**54 + 3)), 3)
+    (batch,) = fitting._fit(data, [FitConfig(2, 0)], floats)
+    served = fit_regularized(data, FitConfig(2, 0), ints)
+    (fresh,) = fitting._fit(data, [FitConfig(2, 0)], ints)
+    assert served is batch and repr(served) == repr(fresh)
+    assert ints == floats and hash(ints) == hash(floats) and ints._nodes.tobytes() == floats._nodes.tobytes()
 
 
 # -- lone fits after a batch -------------------------------------------------

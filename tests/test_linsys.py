@@ -1,4 +1,4 @@
-"""Design columns, ridge weights, and the least-squares solve, checked
+"""Design columns and the least-squares solve with its ridge rows, checked
 against exact (Fraction) and 50-digit (mpmath) oracles."""
 
 from fractions import Fraction
@@ -11,7 +11,7 @@ import oracle
 from padefit import free_columns, solve_least_squares
 from padefit.datagen import sin2pi, uniform_grid
 from padefit.errors import InsufficientData, NegativeWeight, SingularSystem
-from padefit.linsys import design_matrix, ridge_weights
+from padefit.linsys import design_matrix
 
 
 # -- column layout ----------------------------------------------------------
@@ -252,16 +252,10 @@ def test_diagonal_increments_are_exact():
     rng = np.random.default_rng(8)
     x = rng.uniform(0.1, 2.0, 25)
     f = rng.normal(size=25)
-    cols = free_columns(4, 2, tail_power=6, zero_powers=frozenset({0}))
-    g = design_matrix(x, f, cols)
-    ridge = ridge_weights(cols, 1e-3, 0.5)
+    g = design_matrix(x, f, free_columns(4, 2, tail_power=6, zero_powers=frozenset({0})))
+    ridge = np.array([1e-3] * 4 + [0.5] * 2 + [1e-3])  # numerator 1..4, denominator 1..2, tail 6
     theta, _ = _solve(g, f, ridge)
     np.testing.assert_allclose(theta, _oracle_solve(g, f, ridge), rtol=1e-10)
-
-
-def test_tail_column_uses_numerator_weight():
-    cols = free_columns(1, 1, tail_power=3)
-    np.testing.assert_array_equal(ridge_weights(cols, 0.25, 0.75), [0.25, 0.25, 0.75, 0.25])
 
 
 def test_negative_weight_rejected():
