@@ -34,7 +34,7 @@ from .fitting import (
     fit_regularized,
     interpolate_reference,
 )
-from .rational import RationalModel
+from .rational import RationalModel, require_count
 from .selection import SearchSpace, grid_search, lambda_sweep
 from .weibull import WeibullParams, median_ranks, weibull_cdf
 
@@ -332,8 +332,7 @@ def cmd_eval(args) -> int:
         raise UsageError("eval needs exactly one of --points and --points-file")
     if args.points is not None:
         a, b, count = args.points
-        if count < 1:
-            raise UsageError("--points: COUNT must be positive")
+        require_count(count, 1, "--points: COUNT must be positive")
         if not math.isfinite(b - a):  # inf or NaN for a non-finite end too
             raise UsageError("--points: B - A must be finite")
         xs = np.linspace(a, b, count)

@@ -42,8 +42,9 @@ class NoiseSpec:
     seed: int
 
     def __post_init__(self):
-        if self.sigma < 0.0:
-            raise ValueError("sigma must be nonnegative")
+        if not 0.0 <= self.sigma < math.inf:
+            raise ValueError("sigma must be nonnegative" + ("" if self.sigma < 0.0 else " and finite"))
+        require_count(self.seed, 0, "seed must be nonnegative")
 
 
 def _uniforms(seed: int, count: int) -> np.ndarray:
@@ -51,9 +52,9 @@ def _uniforms(seed: int, count: int) -> np.ndarray:
 
 
 def normal_deviates(count: int, spec: NoiseSpec) -> np.ndarray:
-    """`count` Box-Muller normals with mean 0 and deviation sigma."""
-    if count < 0:
-        raise ValueError("count must be nonnegative")
+    """`count` Box-Muller normals with mean 0 and deviation sigma.
+    Raises ValueError unless count is a nonnegative integer."""
+    require_count(count, 0, "count must be nonnegative")
     u = _uniforms(spec.seed, 2 * count)
     u1 = u[0::2]
     u2 = u[1::2]
@@ -90,10 +91,10 @@ def simulate_weibull_failures(
     """Draw `count` failure times by inverting the Weibull CDF.
 
     Each time is theta * (-ln(1 - P))**(1/shape) for one uniform P; the
-    result is sorted ascending, ready to pair with median ranks.
+    result is sorted ascending, ready to pair with median ranks.  Raises
+    ValueError unless count is a positive integer.
     """
-    if count < 1:
-        raise ValueError("count must be positive")
+    require_count(count, 1, "count must be positive")
     u = _uniforms(seed, count)
     x = params.theta * (-np.log1p(-u)) ** (1.0 / params.shape)
     return np.sort(x)

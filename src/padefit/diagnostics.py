@@ -84,10 +84,11 @@ def oscillation_measure(
 ) -> float:
     """RMS of the first derivative of `fn` over the grid.
 
-    Rational models use their analytic quotient-rule derivative, and raise
-    EvaluationOverflow where it or its mean square leaves the float range.
-    For a plain callable, pass its derivative explicitly or fall back to
-    central finite differences with a relative step of FD_STEP.
+    Rational models use their analytic quotient-rule derivative.  For a
+    plain callable, pass its derivative explicitly or fall back to central
+    finite differences with a relative step of FD_STEP.  Raises
+    EvaluationOverflow where the derivative is not finite on the grid or
+    its mean square leaves the float range.
     """
     if isinstance(fn, RationalModel):
         (measure,) = _measures(*_stack((fn,)), grid)
@@ -99,8 +100,12 @@ def oscillation_measure(
         d = np.asarray(derivative(xs), dtype=float)
     else:
         h = FD_STEP * np.maximum(1.0, np.abs(xs))
-        d = (np.asarray(fn(xs + h), dtype=float) - np.asarray(fn(xs - h), dtype=float)) / (2.0 * h)
-    return float(np.sqrt(np.mean(d * d)))
+        up, down = np.asarray(fn(xs + h), dtype=float), np.asarray(fn(xs - h), dtype=float)
+        with np.errstate(all="ignore"):  # a slope out of float range is checked below
+            d = (up - down) / (2.0 * h)
+    if not np.isfinite(d).all():
+        raise EvaluationOverflow("the derivative is not finite on the grid")
+    return rmse(d, np.zeros_like(d))
 
 
 def _measures(c, exponents, grid: DerivativeGridSpec) -> list[float | PadefitError]:

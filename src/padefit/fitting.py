@@ -34,7 +34,7 @@ from .diagnostics import DerivativeGridSpec, _measures, rmse
 from .errors import CountMismatch, DuplicateAbscissa, EvaluationOverflow, PadefitError
 from .linsys import SolveDiagnostics
 from .rational import DENOM_TOL, SCAN_POINTS, PoleReport, RationalModel, Tail, _horner, _scans, _substitutions
-from .rational import require_power_range
+from .rational import require_count, require_power_range
 
 
 @dataclass(frozen=True)
@@ -403,10 +403,10 @@ def build_reference_points(
     of each group.  Anchor points, exact values known in advance such as
     fixed roots, are appended as-is; any data point sharing an anchor's
     abscissa is dropped in favor of the anchor.  The result is sorted
-    by x and keeps the dataset's underlying function.
+    by x and keeps the dataset's underlying function.  Raises ValueError
+    unless group_size is a positive integer.
     """
-    if group_size < 1:
-        raise ValueError("group_size must be positive")
+    require_count(group_size, 1, "group_size must be positive")
     anchor_x = {float(ax) for ax, _ay in anchors}
     keep = ~np.isin(data.x, sorted(anchor_x))
     xs = data.x[keep]

@@ -139,16 +139,17 @@ def solve_least_squares(
     out: list = [NegativeWeight("penalty weights must be nonnegative") if kind == "negative" else None for kind in kinds]
     plain = [k for k, kind in enumerate(kinds) if kind == "plain"]
     ridged = [k for k, kind in enumerate(kinds) if kind == "ridged"]
-    systems = [_triangularize(plain, g[plain], f, out) if plain else None]
-    if ridged:  # each G with the diagonal rows sqrt(ridge) under it
-        stack = np.zeros((len(ridged), rows + p, p))
-        stack[:, :rows] = g[ridged]
-        stack[:, rows + np.arange(p), np.arange(p)] = np.sqrt(ridges[ridged])
-        systems.append(_triangularize(ridged, stack, np.concatenate([f, np.zeros(p)]), out))
-    if systems := [system for system in systems if system is not None]:
-        ks, *parts = zip(*systems)  # both stacks finished by one SVD and one solve
-        for k, result in zip(sum(ks, []), _finish(*map(np.concatenate, parts))):
-            out[k] = result
+    with np.errstate(all="ignore"):  # a Q'F or theta out of float range: no finite theta, SingularSystem
+        systems = [_triangularize(plain, g[plain], f, out) if plain else None]
+        if ridged:  # each G with the diagonal rows sqrt(ridge) under it
+            stack = np.zeros((len(ridged), rows + p, p))
+            stack[:, :rows] = g[ridged]
+            stack[:, rows + np.arange(p), np.arange(p)] = np.sqrt(ridges[ridged])
+            systems.append(_triangularize(ridged, stack, np.concatenate([f, np.zeros(p)]), out))
+        if systems := [system for system in systems if system is not None]:
+            ks, *parts = zip(*systems)  # both stacks finished by one SVD and one solve
+            for k, result in zip(sum(ks, []), _finish(*map(np.concatenate, parts))):
+                out[k] = result
     return out
 
 
@@ -172,8 +173,7 @@ def _triangularize(ks: list, g: np.ndarray, f: np.ndarray, out: list):
     if rows == p:
         return ks, a, np.broadcast_to(f[:, None], (k, p, 1)), scale
     q, r = np.linalg.qr(a)
-    with np.errstate(all="ignore"):  # a Q'F out of float range solves to no finite theta: SingularSystem
-        return ks, r, np.swapaxes(q, 1, 2) @ f[:, None], scale
+    return ks, r, np.swapaxes(q, 1, 2) @ f[:, None], scale
 
 
 def _finish(r: np.ndarray, rhs: np.ndarray, scale: np.ndarray) -> list[tuple[np.ndarray, SolveDiagnostics] | SingularSystem]:
@@ -190,8 +190,7 @@ def _finish(r: np.ndarray, rhs: np.ndarray, scale: np.ndarray) -> list[tuple[np.
             return [SingularSystem(str(exc))]
         # A failure in a batched call: find its problem, keep the others.
         return [_finish(r[i : i + 1], rhs[i : i + 1], scale[i : i + 1])[0] for i in range(k)]
-    with np.errstate(over="ignore"):
-        theta = y / scale[full]
+    theta = y / scale[full]
     solved = zip(theta, (sv[full, 0] / sv[full, -1]).tolist(), np.isfinite(theta).all(axis=1).tolist())
     out = []
     for ok, rk in zip(full.tolist(), rank.tolist()):

@@ -213,13 +213,13 @@ class RationalModel:
             c_i = a_i - sum_{j=1..i} b_j * c_{i-j}.
 
         Requires x_power == 1, since for other powers the model is not a
-        power series in x.  Raises EvaluationOverflow where a coefficient
-        leaves the float range.
+        power series in x.  Raises UnsupportedSubstitution for another
+        x_power, ValueError unless count is a nonnegative integer, and
+        EvaluationOverflow where a coefficient leaves the float range.
         """
         if self.x_power != 1.0:
             raise UnsupportedSubstitution("Maclaurin expansion needs x_power == 1")
-        if count < 0:
-            raise ValueError("count must be nonnegative")
+        require_count(count, 0, "count must be nonnegative")
         p, q = self._rows.tolist()  # Python floats: an overflow is an inf, checked below, not a warning
         c = []
         for i in range(count):
@@ -286,23 +286,18 @@ def add(f: RationalModel, g: RationalModel) -> RationalModel:
     EvaluationOverflow
         If a coefficient of the sum leaves the float range.
     """
+    from numpy.polynomial.polynomial import polyadd, polymul  # not at import: numpy.polynomial costs a cold start ~4 ms
     for operand in (f, g):
         if operand.x_power != 1.0 or operand.tail is not None:
             raise UnsupportedSubstitution("add needs plain-coordinate models without tails")
     pf, qf = f._rows
     pg, qg = g._rows
-    # numpy.polynomial's polymul and polyadd to the bit: operands and products lose
-    # trailing zeros but keep one coefficient; the shorter product adds onto the longer
-    trim = lambda c: c[: len(np.trim_zeros(c, "b")) or 1]
-    mul = lambda a, b: trim(np.convolve(trim(a), trim(b)))
     with np.errstate(all="ignore"):  # checked below
-        num, other = sorted((mul(pf, qg), mul(pg, qf)), key=len, reverse=True)
-        num[: len(other)] += other
-        den = np.trim_zeros(mul(qf, qg), "b")
+        num = polyadd(polymul(pf, qg), polymul(pg, qf))  # exact trailing zeros go, the constant stays
+        den = polymul(qf, qg)
     if not (np.isfinite(num).all() and np.isfinite(den).all()):
         raise EvaluationOverflow("the coefficients of the sum are out of float range")
-    # exact trailing zeros go; an all-zero numerator keeps its constant
-    return RationalModel(numer=tuple(np.trim_zeros(num, "b")) or (num[0],), denom=tuple(den[1:]))
+    return RationalModel(numer=tuple(num), denom=tuple(den[1:]))
 
 
 @dataclass(frozen=True)
@@ -366,13 +361,13 @@ def require_interval(a, b, name: str = "interval") -> None:
         raise ValueError(f"{name} must be finite, and so must its length")
 
 
-def require_count(n, least: int, message: str) -> None:
-    """A count must be an int or a numpy integer, not a bool, and at least
-    `least`: else ValueError, with `message` when it is too small."""
+def require_count(n, least: int, message: str, too_small: type[Exception] = ValueError) -> None:
+    """A count must be an int or a numpy integer, not a bool, else
+    ValueError; and at least `least`, else `too_small` with `message`."""
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
         raise ValueError(f"a count must be an integer, not {n!r}")
     if n < least:
-        raise ValueError(message)
+        raise too_small(message)
 
 
 def require_nonnegative(x, x_power: float) -> None:

@@ -28,7 +28,7 @@ from .errors import (
     PoleOnRange,
     SingularSystem,
 )
-from .rational import RationalModel, _bisect, _horner, _scan_grid, _stack, _substitutions, pole_scan
+from .rational import RationalModel, _bisect, _horner, _scan_grid, _stack, _substitutions, pole_scan, require_count
 
 #: Bisection bracket for the MLE shape parameter.
 SHAPE_BRACKET = (0.01, 100.0)
@@ -89,10 +89,10 @@ def median_ranks(m: int, a: float = 0.3) -> np.ndarray:
 
     a = 0.3 gives the usual median-rank approximation; a = 0.5 gives
     Hazen positions, a = 0 the expected ranks k/(m + 1).  Positions are
-    strictly increasing and symmetric: F_k + F_{m+1-k} = 1.
+    strictly increasing and symmetric: F_k + F_{m+1-k} = 1.  Raises
+    EmptyInput for an integer m < 1, ValueError for any other bad m or a.
     """
-    if m < 1:
-        raise EmptyInput("need at least one rank")
+    require_count(m, 1, "need at least one rank", EmptyInput)
     if not (0.0 <= a <= 0.5):
         raise ValueError("a must lie in [0, 0.5]")
     k = np.arange(1, m + 1, dtype=float)

@@ -21,9 +21,13 @@ from padefit.datagen import (
 from padefit.weibull import WeibullParams, weibull_cdf
 
 
-def test_noise_spec_rejects_negative_sigma():
-    with pytest.raises(ValueError):
-        NoiseSpec(sigma=-0.1, seed=0)
+def test_noise_spec_rejects_a_bad_sigma_or_seed():
+    # a non-finite sigma used to give NaN or infinite deviates
+    for sigma in (-0.1, -math.inf, math.inf, math.nan):
+        with pytest.raises(ValueError, match="sigma must be nonnegative"):
+            NoiseSpec(sigma=sigma, seed=0)
+    with pytest.raises(ValueError, match="seed must be nonnegative"):
+        NoiseSpec(sigma=0.1, seed=-1)
 
 
 # -- uniform_grid -----------------------------------------------------------

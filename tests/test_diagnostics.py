@@ -9,12 +9,18 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from padefit import (
+    Dataset,
     DerivativeGridSpec,
+    NoiseSpec,
     RationalModel,
     WeibullParams,
+    build_reference_points,
+    median_ranks,
+    normal_deviates,
     oscillation_measure,
     pole_scan,
     rmse,
+    simulate_weibull_failures,
     sqrt_exp,
     uniform_grid,
     weibull_cdf,
@@ -65,15 +71,23 @@ def test_a_grid_keeps_its_ends_as_floats():
 
 @pytest.mark.parametrize("count", [2.5, 3.0, np.float64(3.0), True, np.True_, "3"])
 def test_a_count_that_is_not_an_integer_is_refused(count):
-    # a grid's count, a pole scan's points and uniform_grid's subintervals;
-    # 2.5 used to put a grid node at 1.2, outside [0, 1]
+    # every public entry point that takes a count; 2.5 used to put a grid
+    # node at 1.2, outside [0, 1], give 3 median ranks, or end in a bare
+    # TypeError from numpy, and True used to count as 1
     model = RationalModel((1.0,), (0.5,))  # a pole at x = -2
+    data = Dataset(np.linspace(0.0, 1.0, 7), np.linspace(1.0, 2.0, 7))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for make in (
             lambda n: DerivativeGridSpec((0.0, 1.0), n).grid(),
             lambda n: pole_scan(model, (-3.0, 1.0), n).sign_changes,
             lambda n: uniform_grid(0.0, 1.0, n),
+            lambda n: normal_deviates(n, NoiseSpec(0.1, 1)),
+            lambda n: normal_deviates(4, NoiseSpec(0.1, n)),  # the seed
+            lambda n: simulate_weibull_failures(WeibullParams(2.0, 1.5), n, 1),
+            lambda n: median_ranks(n),
+            lambda n: build_reference_points(data, n).f,
+            lambda n: model.taylor_coefficients(n),
         ):
             with pytest.raises(ValueError, match="must be an integer"):
                 make(count)
@@ -184,6 +198,22 @@ def test_analytic_and_difference_derivatives_agree():
     analytic = oscillation_measure(model, grid)
     finite = oscillation_measure(lambda x: model(x), grid)
     assert finite == pytest.approx(analytic, rel=1e-4)
+
+
+def test_a_callable_whose_slope_is_not_finite_is_an_overflow():
+    # the squares of 1e200 overflow, a NaN slope used to give a NaN measure, and
+    # the difference quotient of a jump of 2e305 at x = 1 overflows
+    grid = DerivativeGridSpec((0.0, 2.0), 40)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fn, derivative in (
+            (lambda x: 1e200 * x, None),
+            (lambda x: x, lambda x: 1e200 + 0 * x),
+            (lambda x: x, lambda x: np.full_like(x, np.nan)),
+            (lambda x: np.where(x > 1.0, 1e305, -1e305), None),
+        ):
+            with pytest.raises(EvaluationOverflow):
+                oscillation_measure(fn, grid, derivative)
 
 
 def test_pole_on_grid_raises():
