@@ -92,9 +92,10 @@ def simulate_weibull_failures(
 
     Each time is theta * (-ln(1 - P))**(1/shape) for one uniform P; the
     result is sorted ascending, ready to pair with median ranks.  Raises
-    ValueError unless count is a positive integer.
+    ValueError unless count is a positive integer and seed a nonnegative one.
     """
     require_count(count, 1, "count must be positive")
+    require_count(seed, 0, "seed must be nonnegative")
     u = _uniforms(seed, count)
     x = params.theta * (-np.log1p(-u)) ** (1.0 / params.shape)
     return np.sort(x)

@@ -62,19 +62,19 @@ class DerivativeGridSpec:
 
 def rmse(values: np.ndarray, targets: np.ndarray) -> float:
     """Root mean square difference between two equal-length sequences.
-    Raises EvaluationOverflow where a difference, a square or their mean
-    leaves the float range."""
+    Raises EvaluationOverflow where the result is not finite: a value is
+    not, or a difference, a square or their mean leaves the float range."""
     v = np.asarray(values, dtype=float)
     t = np.asarray(targets, dtype=float)
     if v.shape != t.shape:
         raise LengthMismatch(f"shape {v.shape} vs {t.shape}")
     if v.size == 0:
         raise EmptyInput("rmse of empty sequences")
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            return float(np.sqrt(np.mean((v - t) ** 2)))
-    except FloatingPointError as exc:
-        raise EvaluationOverflow(f"the RMS difference is out of float range ({exc})") from None
+    with np.errstate(all="ignore"):  # checked below
+        out = float(np.sqrt(np.mean((v - t) ** 2)))
+    if not math.isfinite(out):
+        raise EvaluationOverflow("the RMS difference is out of float range")
+    return out
 
 
 def oscillation_measure(
@@ -86,9 +86,10 @@ def oscillation_measure(
 
     Rational models use their analytic quotient-rule derivative.  For a
     plain callable, pass its derivative explicitly or fall back to central
-    finite differences with a relative step of FD_STEP.  Raises
-    EvaluationOverflow where the derivative is not finite on the grid or
-    its mean square leaves the float range.
+    finite differences with a relative step of FD_STEP.  Raises what
+    RationalModel.derivative raises on the grid, in its order, and
+    EvaluationOverflow where a slope is not finite or their mean square is
+    out of float range.
     """
     if isinstance(fn, RationalModel):
         (measure,) = _measures(*_stack((fn,)), grid)
@@ -101,31 +102,33 @@ def oscillation_measure(
     else:
         h = FD_STEP * np.maximum(1.0, np.abs(xs))
         up, down = np.asarray(fn(xs + h), dtype=float), np.asarray(fn(xs - h), dtype=float)
-        with np.errstate(all="ignore"):  # a slope out of float range is checked below
+        with np.errstate(all="ignore"):  # a slope out of float range: rmse raises
             d = (up - down) / (2.0 * h)
-    if not np.isfinite(d).all():
-        raise EvaluationOverflow("the derivative is not finite on the grid")
     return rmse(d, np.zeros_like(d))
 
 
 def _measures(c, exponents, grid: DerivativeGridSpec) -> list[float | PadefitError]:
-    # oscillation_measure of each model of the (top, 2, K) stack c, from
-    # one stacked quotient-rule pass.  A model's outcome is the error its own
-    # measure raises: DenominatorZero where its denominator vanishes on the grid,
-    # NegativeAbscissa or SingularDerivative from _slopes, EvaluationOverflow where
-    # its slopes or their mean square overflow.  _slopes' errors depend only on the
-    # exponents and the grid, so under one exponent they are every model's; any
-    # other failed batch goes model by model.
+    # oscillation_measure of each model of the (top, 2, K) stack c, from one
+    # stacked quotient-rule pass whatever overflows.  A model's outcome is the
+    # error its own measure raises, in derivative's order: NegativeAbscissa or
+    # SingularDerivative from _slopes (every model's under one exponent, else
+    # model by model), EvaluationOverflow where a slope is not finite,
+    # DenominatorZero where its denominator vanishes on the grid, EvaluationOverflow
+    # where the mean square is not finite (as it is where a slope is not).
     xs = grid._nodes
     try:
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
+        with np.errstate(all="ignore"):  # checked below
             d, den = _slopes(c, exponents, xs, grid._powers)
-            vanishing = np.abs(den).min(axis=1) <= DENOM_TOL
-            rms = iter(np.sqrt(np.mean(d[~vanishing] ** 2, axis=1)).tolist())
-    except (FloatingPointError, PadefitError) as exc:
-        if isinstance(exc, PadefitError) and len(set(exponents)) == 1:
+            rms = np.sqrt(np.mean(d**2, axis=1))
+    except PadefitError as exc:
+        if len(set(exponents)) == 1:
             return [exc] * len(exponents)
-        if len(exponents) == 1:
-            return [EvaluationOverflow(f"the oscillation measure is out of float range ({exc})")]
         return [out for k in range(len(exponents)) for out in _measures(c[:, :, k : k + 1], exponents[k : k + 1], grid)]
-    return [denominator_zero(xs, q) if v else next(rms) for q, v in zip(den, vanishing.tolist())]
+    out = []
+    for k, (v, vanishes) in enumerate(zip(rms.tolist(), (np.abs(den).min(axis=1) <= DENOM_TOL).tolist())):
+        if vanishes and np.isfinite(d[k]).all():
+            v = denominator_zero(xs, den[k])
+        elif vanishes or not math.isfinite(v):
+            v = EvaluationOverflow("the oscillation measure is out of float range")
+        out.append(v)
+    return out

@@ -28,10 +28,6 @@ class InsufficientData(PadefitError):
     """Fewer data points than free coefficients."""
 
 
-class NegativeWeight(PadefitError):
-    """A penalty weight was negative."""
-
-
 class SingularSystem(PadefitError):
     """The least-squares system is numerically rank deficient or cannot be factored."""
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientData, NegativeWeight, PadefitError, SingularSystem
+from .errors import InsufficientData, PadefitError, SingularSystem
 
 #: A condition estimate above this sets the ill-conditioning flag: the
 #: coefficients then carry fewer than about eight significant digits.
@@ -114,13 +114,12 @@ def solve_least_squares(
     and one batched solve.  The batched calls factor each matrix alone,
     so a problem's solution does not depend on the others in its batch.
 
-    Returns, per row of `ridges`, theta and its SolveDiagnostics, or the
-    PadefitError that problem raised:
+    Raises ValueError for ridges of the wrong shape or a weight that is
+    negative or not finite.  Returns, per row of `ridges`, theta and its
+    SolveDiagnostics, or the PadefitError that problem raised:
 
     InsufficientData
         If G has fewer rows than columns.
-    NegativeWeight
-        If a ridge weight is negative.
     SingularSystem
         If a column is zero or not finite, the system is numerically rank
         deficient, or a coefficient overflows.
@@ -131,14 +130,15 @@ def solve_least_squares(
     rows, p = g.shape[-2:]
     if ridges.shape[1:] != (p,) or g.shape[:-2] not in ((), ridges.shape[:1]):
         raise ValueError(f"ridges must be a (K, {p}) stack of weights, one per matrix of G")
+    if not ((ridges >= 0.0) & (ridges < np.inf)).all():  # NaN fails both
+        raise ValueError("penalty weights must be nonnegative and finite")
     if rows < p:
         return [InsufficientData(f"{rows} points for {p} free coefficients") for _ in ridges]
-    signs = zip((ridges < 0.0).any(axis=1).tolist(), (ridges > 0.0).any(axis=1).tolist())
-    kinds = ["negative" if negative else "ridged" if positive else "plain" for negative, positive in signs]
+    positive = (ridges > 0.0).any(axis=1).tolist()
     g = np.broadcast_to(g, (len(ridges), rows, p))
-    out: list = [NegativeWeight("penalty weights must be nonnegative") if kind == "negative" else None for kind in kinds]
-    plain = [k for k, kind in enumerate(kinds) if kind == "plain"]
-    ridged = [k for k, kind in enumerate(kinds) if kind == "ridged"]
+    out: list = [None] * len(ridges)
+    plain = [k for k, some in enumerate(positive) if not some]
+    ridged = [k for k, some in enumerate(positive) if some]
     with np.errstate(all="ignore"):  # a Q'F or theta out of float range: no finite theta, SingularSystem
         systems = [_triangularize(plain, g[plain], f, out) if plain else None]
         if ridged:  # each G with the diagonal rows sqrt(ridge) under it

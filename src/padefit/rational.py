@@ -145,34 +145,29 @@ class RationalModel:
         """Numerator and denominator values P(t), Q(t) at t = x**x_power.
 
         Raises NegativeAbscissa for x < 0 with a non-integer x_power, and
-        EvaluationOverflow where x is not finite or a value, or a step on
-        the way to it, overflows.
+        EvaluationOverflow where x is not finite or a value overflows.
         """
         c, exponents = _stack((self,))
-        try:
-            with np.errstate(over="raise", invalid="raise"):
-                values = _horner(c, _substitutions(x, exponents))[:, 0]
-        except FloatingPointError as exc:
-            raise EvaluationOverflow(f"P(t) and Q(t) are out of float range ({exc})") from None
+        with np.errstate(all="ignore"):  # an overflow stays inf or NaN through Horner: checked below
+            values = _horner(c, _substitutions(x, exponents))[:, 0]
         if not np.isfinite(values).all():
-            raise EvaluationOverflow("P(t) and Q(t) at a non-finite x")
+            raise EvaluationOverflow("P(t) and Q(t) are out of float range")
         return tuple(values)
 
     def __call__(self, x):
         """Evaluate the model; scalar in, scalar out; array in, array out.
 
         Raises DenominatorZero where |Q| <= DENOM_TOL, and
-        EvaluationOverflow where x is not finite or the value, or a step
-        on the way to it, overflows.
+        EvaluationOverflow where x is not finite or P, Q or their quotient
+        overflows.
         """
         num, den = self.parts(x)
         if (err := denominator_zero(x, den)) is not None:
             raise err
-        try:
-            with np.errstate(over="raise"):
-                out = num / den
-        except FloatingPointError as exc:
-            raise EvaluationOverflow(f"R(x) is out of float range ({exc})") from None
+        with np.errstate(all="ignore"):  # checked below
+            out = num / den
+        if not np.isfinite(out).all():
+            raise EvaluationOverflow("R(x) is out of float range")
         return out if np.ndim(x) else float(out)
 
     def derivative(self, x):
@@ -183,25 +178,22 @@ class RationalModel:
 
         Raises
         ------
-        DenominatorZero
-            Where |Q| <= DENOM_TOL.
         NegativeAbscissa
             For x < 0 with a non-integer x_power.
         SingularDerivative
             For x = 0 with x_power < 1, where the chain-rule factor is infinite.
         EvaluationOverflow
             Where x is not finite or the slope, or a step on the way to it,
-            overflows.
+            overflows; checked before the denominator.
+        DenominatorZero
+            Where |Q| <= DENOM_TOL.
         """
-        try:
-            with np.errstate(over="raise", divide="raise", invalid="raise"):
-                (out,), (den,) = _slopes(*_stack((self,)), x)
-        except FloatingPointError as exc:
-            raise EvaluationOverflow(f"dR/dx is out of float range ({exc})") from None
+        with np.errstate(all="ignore"):  # _slopes leaves every overflow non-finite: checked below
+            (out,), (den,) = _slopes(*_stack((self,)), x)
+        if not np.isfinite(out).all():
+            raise EvaluationOverflow("dR/dx is out of float range")
         if (err := denominator_zero(x, den)) is not None:
             raise err
-        if not np.isfinite(out).all():
-            raise EvaluationOverflow("dR/dx at a non-finite x")
         return out if np.ndim(x) else float(out)
 
     def taylor_coefficients(self, count: int) -> tuple[float, ...]:
@@ -429,9 +421,10 @@ def _slopes(c, exponents, x, ts=None):
     # rule, and its denominator values, one row per model.  P' and Q' in t, read
     # nowhere else, are built here with a top zero (Horner's values unchanged).
     # Entries where |Q| <= DENOM_TOL hold no slope: callers check the denominator
-    # row before using a slope row.  `ts` keeps x**q and the chain-rule factor's
-    # x**(q - 1), as for _substitutions; the factor is taken only past the x = 0
-    # check, where it would divide by 0.
+    # row before using a slope row.  An overflow leaves its entry inf or NaN, and
+    # so does Q*Q's, whose quotient would come out near 0.  `ts` keeps x**q and
+    # the chain-rule factor's x**(q - 1), as for _substitutions; the factor is
+    # taken only past the x = 0 check, where it would divide by 0.
     xs = np.asarray(x, dtype=float)
     t = _substitutions(xs, exponents, ts)
     if np.any(xs == 0.0) and (low := min(exponents)) < 1.0:
@@ -440,7 +433,10 @@ def _slopes(c, exponents, x, ts=None):
     rows[:, :2] = c
     rows[:-1, 2:] = c[1:] * np.arange(1.0, len(c))[:, None, None]
     num, den, dnum, dden = _horner(rows, t)
-    out = (dnum * den - num * dden) / np.where(np.abs(den) <= DENOM_TOL, 1.0, den * den)
+    square = den * den
+    out = (dnum * den - num * dden) / np.where(np.abs(den) <= DENOM_TOL, 1.0, square)
+    if np.isinf(square).any():
+        out[np.isinf(square)] = np.nan
     if any(q != 1.0 for q in exponents):
         factors = _substitutions(xs, [q - 1.0 for q in exponents], ts)
         out = out * np.reshape(exponents, (-1,) + (1,) * xs.ndim) * factors

@@ -350,6 +350,7 @@ def test_nonfinite_flags_are_usage_errors(capsys, argv):
         (["generate", "--fn", "sin", "--grid", "0:1:4", "--sigma", "-1"], "sigma must be nonnegative"),
         (["generate", "--fn", "sin", "--grid", "0:1:4", "--sigma", "inf"], "sigma must be nonnegative and finite"),
         (["generate", "--fn", "sin", "--grid", "0:1:4", "--seed", "-1"], "seed must be nonnegative"),
+        (["generate", "--fn", "weibull", "--count", "5", "--seed", "-1"], "seed must be nonnegative"),
         (["fit", TABLE1, "--n", "2", "--m", "1", "--der-interval", "0:1.7e308", "--der-points", "3"],
          "interval and count put grid nodes out of float range"),
     ],

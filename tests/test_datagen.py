@@ -145,6 +145,13 @@ def test_failures_uniform_hook_validation():
     params = WeibullParams(1.0, 2.0)
     with pytest.raises(ValueError):
         simulate_weibull_failures(params, 0, 0)
+    # the seed follows NoiseSpec's rule: -1 passed to numpy's SeedSequence,
+    # 2.5 ended there in a bare TypeError, and True counted as 1
+    with pytest.raises(ValueError, match="seed must be nonnegative"):
+        simulate_weibull_failures(params, 5, -1)
+    for seed in (2.5, True):
+        with pytest.raises(ValueError, match="must be an integer"):
+            simulate_weibull_failures(params, 5, seed)
 
 
 def test_failures_sample_mean_near_mttf():

@@ -1,6 +1,7 @@
 """RMS error metrics and the derivative-based oscillation measure."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -15,10 +16,12 @@ from padefit import (
     RationalModel,
     WeibullParams,
     build_reference_points,
+    diagnostics,
     median_ranks,
     normal_deviates,
     oscillation_measure,
     pole_scan,
+    rational,
     rmse,
     simulate_weibull_failures,
     sqrt_exp,
@@ -85,6 +88,7 @@ def test_a_count_that_is_not_an_integer_is_refused(count):
             lambda n: normal_deviates(n, NoiseSpec(0.1, 1)),
             lambda n: normal_deviates(4, NoiseSpec(0.1, n)),  # the seed
             lambda n: simulate_weibull_failures(WeibullParams(2.0, 1.5), n, 1),
+            lambda n: simulate_weibull_failures(WeibullParams(2.0, 1.5), 4, n),  # the seed
             lambda n: median_ranks(n),
             lambda n: build_reference_points(data, n).f,
             lambda n: model.taylor_coefficients(n),
@@ -120,8 +124,9 @@ def test_rmse_errors():
         rmse([], [])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        # the square of the difference 2e200 overflows; inf - inf is invalid
-        for values, targets in (([1e200, 0.0], [-1e200, 0.0]), ([math.inf], [math.inf])):
+        # the square of the difference 2e200 overflows; inf - inf is invalid;
+        # a NaN value used to give a NaN
+        for values, targets in (([1e200, 0.0], [-1e200, 0.0]), ([math.inf], [math.inf]), ([math.nan], [0.0])):
             with pytest.raises(EvaluationOverflow, match="out of float range"):
                 rmse(values, targets)
 
@@ -214,6 +219,57 @@ def test_a_callable_whose_slope_is_not_finite_is_an_overflow():
         ):
             with pytest.raises(EvaluationOverflow):
                 oscillation_measure(fn, grid, derivative)
+
+
+def test_a_batch_is_measured_in_one_pass_whatever_overflows(monkeypatch):
+    # one _slopes pass for the batch, where an overflow in one member used to
+    # re-run the pass model by model; each row's outcome is its lone measure's
+    slopes = diagnostics._slopes
+    calls = []
+    monkeypatch.setattr(diagnostics, "_slopes", lambda *args: calls.append(len(args[1])) or slopes(*args))
+    models = [RationalModel((1.0, 1.0)), RationalModel((1e300, 1e300)), RationalModel((2.0,), (0.5,))]
+    grid = DerivativeGridSpec((0.0, 1e10), 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        measures = diagnostics._measures(*rational._stack(models), grid)
+    assert calls == [3]
+    assert measures[0] == 1.0 and measures[2] == oscillation_measure(models[2], grid)
+    assert isinstance(measures[1], EvaluationOverflow)  # the squares of 1e300 overflow
+
+
+def test_each_row_of_a_batch_keeps_the_order_of_its_errors():
+    # on the nodes 1, 2, 3, 4: Q = 1 + 1e200 x, whose Q*Q overflows and whose
+    # quotient-rule slope would come out as -0.0; Q = 1 - x/2 vanishing at
+    # 2; Q = 1 - x vanishing at 1 with slopes near 1e300, whose squares
+    # overflow (DenominatorZero first) and with P = 1e308 x**3 overflowing
+    # at 4 (EvaluationOverflow first); the squares of 1e300 overflowing.  The
+    # neighbours keep the bits of their lone measures.
+    models = [
+        RationalModel((1.0, 2.0), (0.5,)),
+        RationalModel((1.0,), (1e200,)),
+        RationalModel((1.0,), (-0.5,)),
+        RationalModel((0.0, 0.0, 1e300), (-1.0,)),
+        RationalModel((0.0, 0.0, 0.0, 1e308), (-1.0,)),
+        RationalModel((1e300, 1e300)),
+        RationalModel((3.0, 1.0, 2.0), (0.3,)),
+    ]
+    grid = DerivativeGridSpec((0.0, 4.0), 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        measures = diagnostics._measures(*rational._stack(models), grid)
+        for model, measure in zip(models, measures):
+            if isinstance(measure, Exception):
+                with pytest.raises(type(measure), match=re.escape(str(measure))):
+                    oscillation_measure(model, grid)
+            else:
+                assert measure == oscillation_measure(model, grid)
+    kinds = [type(m) for m in measures]
+    assert kinds == [float, EvaluationOverflow, DenominatorZero, DenominatorZero, EvaluationOverflow, EvaluationOverflow, float]
+    assert [m.x for m in measures[2:4]] == [2.0, 1.0]
+    assert all(str(m) == "the oscillation measure is out of float range" for m in measures if isinstance(m, EvaluationOverflow))
+    # Q*Q overflows on the way to the slope -1e-200 of 1/(1 + 1e200 x) at 1
+    with pytest.raises(EvaluationOverflow, match="out of float range"):
+        models[1].derivative(1.0)
 
 
 def test_pole_on_grid_raises():

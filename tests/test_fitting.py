@@ -64,6 +64,8 @@ def test_dataset_validation():
         Dataset(np.array([1.0, math.nan]), np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
         Dataset(np.array([]), np.array([]))
+    with pytest.raises(ValueError, match="one-dimensional"):
+        Dataset([[0.0, 1.0]], [[1.0, 2.0]])
 
 
 def test_dataset_rejects_an_x_span_beyond_the_float_range():

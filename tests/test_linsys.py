@@ -1,6 +1,7 @@
 """Design columns and the least-squares solve with its ridge rows, checked
 against exact (Fraction) and 50-digit (mpmath) oracles."""
 
+import math
 from fractions import Fraction
 
 import mpmath
@@ -10,7 +11,7 @@ import pytest
 import oracle
 from padefit import free_columns, solve_least_squares
 from padefit.datagen import sin2pi, uniform_grid
-from padefit.errors import InsufficientData, NegativeWeight, SingularSystem
+from padefit.errors import InsufficientData, SingularSystem
 from padefit.linsys import design_matrix
 
 
@@ -259,11 +260,20 @@ def test_diagonal_increments_are_exact():
 
 
 def test_negative_weight_rejected():
+    # the FitConfig rule: a negative or non-finite weight fails the whole
+    # call, next to the shape check, whatever the other rows hold (a NaN
+    # weight solved unpenalized, an inf one gave SingularSystem)
     g, f = _toy_problem()
-    with pytest.raises(NegativeWeight):
+    with pytest.raises(ValueError, match="penalty weights must be nonnegative and finite"):
         _solve(g, f, np.array([-0.1, 0.0]))
-    with pytest.raises(NegativeWeight):
+    with pytest.raises(ValueError, match="penalty weights must be nonnegative and finite"):
         _solve(g, f, np.array([0.0, -1e-9]))
+    x = np.linspace(0.0, 1.0, 6)
+    g = np.vander(x, 3)
+    for bad in (math.nan, math.inf, -1.0):
+        for ridges in ([[bad, 0.0, 0.0]], [[0.0, 0.0, 0.0], [0.0, bad, 1e-3]]):
+            with pytest.raises(ValueError, match="penalty weights must be nonnegative and finite"):
+                solve_least_squares(g, x**2, np.array(ridges))
 
 
 # -- square systems and conditioning ----------------------------------------

@@ -114,6 +114,11 @@ def test_tail_power_must_be_a_positive_int(power):
         Tail(power, 1.0)
 
 
+def test_tail_coefficient_must_be_finite():
+    with pytest.raises(ValueError, match="tail coefficient must be finite"):
+        Tail(3, math.inf)
+
+
 def test_masked_coefficient_must_be_zero():
     with pytest.raises(ValueError):
         RationalModel(numer=(1.0, 2.0), zero_powers=frozenset({0}))
@@ -746,6 +751,11 @@ def test_overflowing_evaluation_is_a_typed_error():
             for call in (m, m.derivative):
                 with pytest.raises(EvaluationOverflow):
                     call(x)
+        # a NaN beside a zero of Q: the non-finite slope is checked first
+        pole = RationalModel((1.0,), (-1.0,))
+        for call in (pole, pole.derivative):
+            with pytest.raises(EvaluationOverflow, match="out of float range"):
+                call(np.array([math.nan, 1.0]))
         assert m(1e300) == pytest.approx(4.0, rel=1e-15)
         assert (m(2.0), m.derivative(2.0)) == (2.5, 0.375)
         # P and Q are finite next to the pole of 1e300 / (1 - x), their quotient is not

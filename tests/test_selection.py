@@ -56,6 +56,10 @@ def test_search_space_validation():
         SearchSpace(n_range=(0, 2), m_range=(0, 2), q_grid=())
     with pytest.raises(ValueError):
         SearchSpace(n_range=(0, 2), m_range=(0, 2), q_grid=(0.0,))
+    with pytest.raises(ValueError, match="degrees must be nonnegative"):
+        SearchSpace(n_range=(-1, 2), m_range=(0, 1))
+    with pytest.raises(ValueError, match="q_grid must be nonempty"):
+        q_search(_exact_data(), FitConfig(1, 0), [])
 
 
 

@@ -133,6 +133,10 @@ def test_transform_fit_matches_regression_oracle(table1):
 
 
 def test_transform_fit_validation():
+    with pytest.raises(EmptyInput):
+        transform_fit([1.0], [0.5])
+    with pytest.raises(EmptyInput):
+        mle_fit([1.0])
     with pytest.raises(LengthMismatch):
         transform_fit(np.array([1.0, 2.0]), np.array([0.5]))
     with pytest.raises(DegenerateAbscissae):
