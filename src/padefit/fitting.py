@@ -222,18 +222,17 @@ def _build_reports(
         return [exc] * len(models)
     poles = _scans(c, exponents, (lo, hi), SCAN_POINTS) if hi > lo else None
     d_ders = _measures(c, exponents, der_grid) if der_grid is not None else [None] * len(models)
-    with np.errstate(all="ignore"):  # a non-finite measure is checked below
-        num, den = _horner(c, _substitutions(data.x, exponents, ts))
-        lowest = np.abs(den).min(axis=1)
-        vanishes = lowest <= DENOM_TOL
-        rho = num - data.f * den
-        s0 = (rho[:, None] @ rho[..., None])[:, 0, 0]  # BLAS ddot per row, the bits of np.dot
-        s, d1 = np.full(len(models), math.inf), np.full(len(models), math.inf)
-        r = num[~vanishes] / den[~vanishes]
-        res = r - data.f
-        s[~vanishes] = (res[:, None] @ res[..., None])[:, 0, 0]
-        if truth is not None:
-            d1[~vanishes] = np.sqrt(np.mean((r - truth) ** 2, axis=1))  # rmse, row by row
+    num, den = _horner(c, _substitutions(data.x, exponents, ts))
+    lowest = np.abs(den).min(axis=1)
+    vanishes = lowest <= DENOM_TOL
+    rho = num - data.f * den
+    s0 = (rho[:, None] @ rho[..., None])[:, 0, 0]  # BLAS ddot per row, the bits of np.dot
+    s, d1 = np.full(len(models), math.inf), np.full(len(models), math.inf)
+    r = num[~vanishes] / den[~vanishes]
+    res = r - data.f
+    s[~vanishes] = (res[:, None] @ res[..., None])[:, 0, 0]
+    if truth is not None:
+        d1[~vanishes] = np.sqrt(np.mean((r - truth) ** 2, axis=1))  # rmse, row by row
     # s and d1 are +inf where the denominator vanishes; elsewhere they, and s0, must be finite
     finite = (np.isfinite(s0) & (vanishes | np.isfinite(s) & (truth is None or np.isfinite(d1)))).tolist()
     if poles is None:  # single-abscissa data has nothing to scan: a clean empty record
@@ -251,6 +250,7 @@ def _build_reports(
 _last_batch: tuple = (None, None, None, (), ())
 
 
+@np.errstate(all="ignore")  # a batch's one float-trap context: its results are judged by finiteness
 def _fit(
     data: Dataset,
     configs: list[FitConfig],
@@ -288,10 +288,11 @@ def _fit(
     for members in by_count.values():
         ks, sizes = sum(members.values(), []), [len(group) for group in members.values()]
         index = np.array([[where[col] for col in cols] for cols in members]).repeat(sizes, axis=0)  # (K, p)
-        g = stack[[[designs[configs[k].x_power]] for k in ks], index]  # (K, p, rows), solved as (K, rows, p)
+        g = stack[[[designs[configs[k].x_power]] for k in ks] if len(stack) > 1 else 0, index]  # (K, p, rows), solved as (K, rows, p)
         penalties = np.array([(configs[k].lam, configs[k].lam1) for k in ks], dtype=float)
         ridges = np.where(denominator[index], penalties[:, 1:], penalties[:, :1])  # lam1 on denominator columns
-        for k, u, result in zip(ks, index, linsys.solve_least_squares(g.transpose(0, 2, 1), data.f, ridges)):
+        # FitConfig has checked the weights; Dataset.f is C-contiguous, as Q'F needs for its bits
+        for k, u, result in zip(ks, index, linsys._solve(g.transpose(0, 2, 1), data.f, ridges)):
             if isinstance(result, tuple):  # theta on the union columns u, and the solve's diagnostics
                 theta[k, u], result = result
             out[k] = result
@@ -404,10 +405,13 @@ def build_reference_points(
     fixed roots, are appended as-is; any data point sharing an anchor's
     abscissa is dropped in favor of the anchor.  The result is sorted
     by x and keeps the dataset's underlying function.  Raises ValueError
-    unless group_size is a positive integer.
+    unless group_size is a positive integer, and DuplicateAbscissa if two
+    anchors share an abscissa.
     """
     require_count(group_size, 1, "group_size must be positive")
     anchor_x = {float(ax) for ax, _ay in anchors}
+    if len(anchor_x) < len(anchors):
+        raise DuplicateAbscissa("anchor abscissae must be distinct")
     keep = ~np.isin(data.x, sorted(anchor_x))
     xs = data.x[keep]
     fs = data.f[keep]

@@ -132,32 +132,41 @@ def solve_least_squares(
         raise ValueError(f"ridges must be a (K, {p}) stack of weights, one per matrix of G")
     if not ((ridges >= 0.0) & (ridges < np.inf)).all():  # NaN fails both
         raise ValueError("penalty weights must be nonnegative and finite")
-    if rows < p:
-        return [InsufficientData(f"{rows} points for {p} free coefficients") for _ in ridges]
-    positive = (ridges > 0.0).any(axis=1).tolist()
-    g = np.broadcast_to(g, (len(ridges), rows, p))
-    out: list = [None] * len(ridges)
-    plain = [k for k, some in enumerate(positive) if not some]
-    ridged = [k for k, some in enumerate(positive) if some]
     with np.errstate(all="ignore"):  # a Q'F or theta out of float range: no finite theta, SingularSystem
-        systems = [_triangularize(plain, g[plain], f, out) if plain else None]
-        if ridged:  # each G with the diagonal rows sqrt(ridge) under it
-            stack = np.zeros((len(ridged), rows + p, p))
-            stack[:, :rows] = g[ridged]
-            stack[:, rows + np.arange(p), np.arange(p)] = np.sqrt(ridges[ridged])
-            systems.append(_triangularize(ridged, stack, np.concatenate([f, np.zeros(p)]), out))
-        if systems := [system for system in systems if system is not None]:
-            ks, *parts = zip(*systems)  # both stacks finished by one SVD and one solve
-            for k, result in zip(sum(ks, []), _finish(*map(np.concatenate, parts))):
-                out[k] = result
+        return _solve(np.broadcast_to(g, (len(ridges), rows, p)), f, ridges)
+
+
+def _solve(g: np.ndarray, f: np.ndarray, ridges: np.ndarray) -> list:
+    # solve_least_squares past its checks, under the caller's float-trap context, of a
+    # (K, rows, p) stack g and a C-contiguous F; one stack is neither gathered nor joined.
+    k, rows, p = g.shape
+    if rows < p:
+        return [InsufficientData(f"{rows} points for {p} free coefficients") for _ in range(k)]
+    some = (ridges > 0.0).any(axis=1)
+    out: list = [None] * k
+    if some.all() or not some.any():
+        systems = [_triangularize(range(k), g, f, ridges if some.any() else None, out)]
+    else:  # the zero-penalty stack first
+        plain, ridged = np.flatnonzero(~some), np.flatnonzero(some)
+        systems = [_triangularize(plain.tolist(), g[plain], f, None, out)]
+        systems.append(_triangularize(ridged.tolist(), g[ridged], f, ridges[ridged], out))
+    systems = [system for system in systems if system is not None]
+    if len(systems) == 2:  # both stacks finished by one SVD and one solve
+        systems = [(systems[0][0] + systems[1][0], *map(np.concatenate, zip(*(system[1:] for system in systems))))]
+    for ks, *parts in systems:
+        for i, result in zip(ks, _finish(*parts)):
+            out[i] = result
     return out
 
 
-def _triangularize(ks: list, g: np.ndarray, f: np.ndarray, out: list):
+def _triangularize(ks, g: np.ndarray, f: np.ndarray, ridges: np.ndarray | None, out: list):
     # Problems ks, the (K, rows, p) stack g sharing F, as square systems
     # R y = Q'F (by QR, or as they are when square) of the equilibrated
     # columns, with their column scales; a problem with a zero or non-finite
     # column gets its SingularSystem in `out` instead (None if all do).
+    if ridges is not None:  # each G with the rows sqrt(ridge_c) e_c under it, F with zeros
+        g = np.concatenate([g, np.sqrt(ridges)[:, :, None] * np.eye(g.shape[2])], axis=1)
+        f = np.concatenate([f, np.zeros(g.shape[2])])
     # max-abs rather than 2-norm: squaring entries would underflow for tiny x
     peaks = np.abs(g).max(axis=1)
     usable = ((peaks > 0.0) & (peaks < np.inf)).all(axis=1).tolist()
@@ -190,8 +199,9 @@ def _finish(r: np.ndarray, rhs: np.ndarray, scale: np.ndarray) -> list[tuple[np.
             return [SingularSystem(str(exc))]
         # A failure in a batched call: find its problem, keep the others.
         return [_finish(r[i : i + 1], rhs[i : i + 1], scale[i : i + 1])[0] for i in range(k)]
-    theta = y / scale[full]
-    solved = zip(theta, (sv[full, 0] / sv[full, -1]).tolist(), np.isfinite(theta).all(axis=1).tolist())
+    scale, sv = (scale, sv) if full.all() else (scale[full], sv[full])  # the full-rank problems
+    theta = y / scale
+    solved = zip(theta, (sv[:, 0] / sv[:, -1]).tolist(), np.isfinite(theta).all(axis=1).tolist())
     out = []
     for ok, rk in zip(full.tolist(), rank.tolist()):
         if not ok:

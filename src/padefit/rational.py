@@ -397,7 +397,7 @@ def _substitutions(x, exponents, ts=None) -> np.ndarray:
 def _stack(models) -> tuple[np.ndarray, list]:
     # The models' _rows as one (top, 2, K) stack of P and Q, coefficient first for
     # _horner and padded with top zeros (Horner's values unchanged); their exponents.
-    c = np.zeros((max(m._rows.shape[1] for m in models), 2, len(models)))
+    c = np.zeros((max((m._rows.shape[1] for m in models), default=1), 2, len(models)))
     for k, m in enumerate(models):
         c[: m._rows.shape[1], :, k] = m._rows.T
     return c, [m.x_power for m in models]
@@ -457,10 +457,10 @@ def pole_scan(model: RationalModel, interval: tuple[float, float], points: int =
 
 
 def pole_scans(models, interval: tuple[float, float], points: int = SCAN_POINTS) -> list[PoleReport]:
-    """pole_scan of each model: one stacked evaluation of the denominators
-    on the grid, run on the first read of any report's values; each report
-    bisects its own brackets, in grid order, when its sign_changes are first
-    read."""
+    """pole_scan of each model, [] for none: one stacked evaluation of the
+    denominators on the grid, run on the first read of any report's values;
+    each report bisects its own brackets, in grid order, when its
+    sign_changes are first read."""
     return _scans(*_stack(models), interval, points)
 
 
@@ -483,16 +483,22 @@ def _scan(c, exponents, a, b, points) -> tuple[list, list]:
     # changes (never at a zero node) and the first nodes of zero runs among
     # nodes 0..points-2, as (lo, hi, Q(lo)), then a zero last node as (x, x, 0.0).
     # With every t finite (checked by _scans) a value may overflow to +-inf,
-    # which keeps its sign, but never becomes NaN.
+    # which keeps its sign, but never becomes NaN.  Each Q runs to its last nonzero
+    # coefficient, one _horner per length: the zero rows above only add +-0 to it.
     xs = _scan_grid(a, b, points)
+    q, t = c[:, 1], _substitutions(xs, exponents)
+    lengths = (len(q) - (q[::-1] != 0.0).argmax(axis=0)).tolist()
     with np.errstate(over="ignore"):
-        vals = _horner(c[:, 1], _substitutions(xs, exponents))
+        vals = np.empty((len(lengths), points))
+        for n in (distinct := set(lengths)):
+            ks = [k for k, length in enumerate(lengths) if length == n] if len(distinct) > 1 else slice(None)
+            vals[ks] = _horner(q[:n, ks], t if len(t) == 1 else t[ks])
     zero = vals == 0.0
     opens = zero.copy()
     opens[:, 1:-1] &= ~zero[:, :-2]
     neg, pos = vals < 0.0, vals > 0.0  # signs, not a product that can underflow to 0 or overflow
     opens[:, :-1] |= (neg[:, :-1] & pos[:, 1:]) | (pos[:, :-1] & neg[:, 1:])
-    ks, nodes = np.nonzero(opens)
+    ks, nodes = np.divmod(np.flatnonzero(opens), points)  # np.nonzero of a 2-d mask is several times slower
     ends = zip(xs[nodes].tolist(), xs[np.minimum(nodes + 1, points - 1)].tolist(), vals[ks, nodes].tolist())
     brackets: list = [[] for _ in exponents]
     for k, bracket in zip(ks.tolist(), ends):

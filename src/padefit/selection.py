@@ -207,7 +207,7 @@ def lambda_sweep(
     fits = _fit(data, _members(config, "lam", lams), der_grid)
     models = [r.model for r in fits if isinstance(r, FitReport)]
     try:  # one stacked scan counts every fit's poles; its failure is every fit's error
-        counts = iter([p.count for p in pole_scans(models, interval, SCAN_POINTS)] if models else [])
+        counts = iter([p.count for p in pole_scans(models, interval, SCAN_POINTS)])
     except PadefitError as exc:
         fits = [r if isinstance(r, PadefitError) else exc for r in fits]
     rows = []

@@ -986,6 +986,17 @@ def test_anchor_replaces_matching_abscissa():
     assert refs.f[0] == 0.0 and refs.f[-1] == 0.0
 
 
+def test_anchors_sharing_an_abscissa_are_rejected():
+    # two anchors at x = 0.5 would give reference abscissae [0, 0.5, 0.5, 1],
+    # an error that interpolate_reference would raise only later
+    data = Dataset(np.array([0.0, 0.5, 1.0]), np.array([0.0, 1.0, 0.0]))
+    for anchors in (((0.5, 0.0), (0.5, 1.0)), ((0.5, 0.0), (0.5, 0.0)), ((0.0, 0.0), (-0.0, 0.0))):
+        with pytest.raises(DuplicateAbscissa, match="anchor abscissae must be distinct"):
+            build_reference_points(data, 2, anchors=anchors)
+    refs = build_reference_points(data, 2, anchors=((0.5, 0.0), (1.0, 0.0)))
+    np.testing.assert_array_equal(refs.x, [0.0, 0.5, 1.0])
+
+
 def test_grouping_is_permutation_invariant():
     rng = np.random.default_rng(12)
     xs = rng.uniform(0.0, 1.0, 20)

@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 import oracle
-from padefit import free_columns, solve_least_squares
+from padefit import Dataset, FitConfig, free_columns, linsys, solve_least_squares
 from padefit.datagen import sin2pi, uniform_grid
 from padefit.errors import InsufficientData, SingularSystem
+from padefit.fitting import _fit
 from padefit.linsys import design_matrix
 
 
@@ -230,6 +231,65 @@ def test_a_failed_batched_solve_falls_back_to_each_problem(monkeypatch):
     assert type(got[2]) is SingularSystem and str(got[2]) == "Singular matrix"
     for k in (0, 1, 3):
         _assert_same_outcome(got[k], alone[k])
+
+
+# ridges of five problems: all plain, all ridged (one with a zero weight on
+# a column), mixed, a lone problem, none
+PRIVATE_RIDGES = {
+    "plain": np.zeros((5, 3)),
+    "ridged": np.array([[0.1, 0.2, 0.3], [1e-2] * 3, [0.5, 0.0, 0.5], [0.1] * 3, [2.0] * 3]),
+    "mixed": np.array([[0.0] * 3, [0.1, 0.2, 0.3], [0.0] * 3, [0.5, 0.0, 0.5], [0.0] * 3]),
+    "lone": np.array([[0.0, 0.3, 0.0]]),
+    "none": np.zeros((0, 3)),
+}
+
+
+@pytest.mark.parametrize("rows", [8, 3, 2])
+@pytest.mark.parametrize("kind", PRIVATE_RIDGES)
+def test_the_private_solve_entry_matches_the_public_one(linalg_calls, rows, kind):
+    # linsys._solve, the entry a fit batch calls with its checked weights and
+    # a C-contiguous F, gives the theta bytes, diagnostics and errors of
+    # solve_least_squares, batched and problem by problem, here with a strided
+    # F; one qr per non-square, nonempty stack, one svd and one solve
+    ridges = PRIVATE_RIDGES[kind]
+    rng = np.random.default_rng(5)
+    g = rng.normal(size=(len(ridges), rows, 3))
+    if len(ridges) > 1:
+        g[1, :, 2] = g[1, :, 0] + g[1, :, 1]  # rank deficient
+        g[3, :, 1] = 0.0  # a zero column
+    f = rng.normal(size=2 * rows)[::2]
+    assert not f.flags.c_contiguous
+    batched = solve_least_squares(g, f, ridges)
+    alone = [solve_least_squares(gk, f, ridge[None])[0] for gk, ridge in zip(g, ridges)]
+    for name in linalg_calls:
+        linalg_calls[name] = 0
+    got = linsys._solve(g, np.ascontiguousarray(f), ridges)
+    assert len(got) == len(batched) == len(ridges)
+    for result, want, lone in zip(got, batched, alone):
+        if isinstance(want, InsufficientData):
+            assert type(result) is InsufficientData and str(result) == str(want) == str(lone)
+            continue
+        _assert_same_outcome(result, want)
+        _assert_same_outcome(result, lone)
+    some = (ridges > 0.0).any(axis=1)
+    stacks = [(rows, ~some), (rows + 3, some)]  # (row count, members) of the plain and the ridged stack
+    qr = sum(n > 3 and bool(members.any()) for n, members in stacks) if rows >= 3 else 0
+    solved = int(rows >= 3 and len(ridges) > 0)
+    assert linalg_calls == {"qr": qr, "svd": solved, "solve": solved}
+
+
+def test_a_fit_batch_solves_once_per_column_count(monkeypatch):
+    # _fit takes the private entry, one stacked call per column count, and
+    # never the public solve
+    calls = []
+    solve = linsys._solve
+    monkeypatch.setattr(linsys, "_solve", lambda g, f, ridges: calls.append(g.shape) or solve(g, f, ridges))
+    monkeypatch.setattr(linsys, "solve_least_squares", None)
+    x = uniform_grid(0.0, 1.0, 20)
+    configs = [FitConfig(2, 1), FitConfig(1, 2), FitConfig(3, 1, lam=0.1), FitConfig(1, 0), FitConfig(2, 1, lam1=0.5)]
+    reports = _fit(Dataset(x, sin2pi(x)), configs, None)
+    assert calls == [(3, len(x), 4), (1, len(x), 5), (1, len(x), 2)]
+    assert all(not isinstance(report, Exception) for report in reports)
 
 
 def test_strided_rhs_solves_like_a_contiguous_copy():

@@ -17,7 +17,8 @@ from numpy.polynomial import polynomial as npoly
 
 import oracle
 from padefit import DerivativeGridSpec, PoleReport, RationalModel, Tail, add, pole_scan, uniform_grid
-from padefit.rational import _horner, _scan, pole_scans
+from padefit import rational
+from padefit.rational import _horner, _scan, _scan_grid, _stack, _substitutions, pole_scans
 from padefit.errors import (
     DenominatorZero,
     EvaluationOverflow,
@@ -586,6 +587,75 @@ def test_pole_scans_of_mixed_degrees_match_single_scans(denominators, x_power, l
     for model, report, want in zip(models, reports, wants):
         assert report == pole_scan(model, interval, points)
         assert report == want
+
+
+# one denominator of a stack that mixes lengths: 0..6 coefficients with exact
+# zeros among them, its top one set to exactly 0.0 (a fitted zero) or not,
+# and a tail (Q zero between its degree and the tail power) or none
+MIXED_DENOMINATOR = st.tuples(
+    st.lists(st.one_of(st.just(0.0), st.floats(-8.0, 8.0)), max_size=6),
+    st.booleans(),
+    st.one_of(st.none(), st.tuples(st.integers(1, 4), st.one_of(st.just(0.0), st.floats(-8.0, 8.0)))),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    denominators=st.lists(MIXED_DENOMINATOR, min_size=1, max_size=6),
+    negative=st.booleans(),
+    root_zeros=st.one_of(st.none(), st.integers(0, 3)),
+    k=st.integers(2, 9),
+    data=st.data(),
+)
+def test_one_scan_of_mixed_lengths_gives_each_model_its_lone_scan(denominators, negative, root_zeros, k, data):
+    # A stack's scan runs each Q only up to its last nonzero coefficient.  Each
+    # model must keep the count, smallest |Q| and sign changes of its lone
+    # scan, and the smallest |Q| of one Horner pass over the zero-padded stack.
+    # Integer exponents on [-1, 1], fractional ones on [0, 1]; with 2**k + 1
+    # points, x0 = -0.5 or 0.25 is a node where Q(t) = 1 - t / x0**q is
+    # exactly 0 (every factor a power of two), padded with exact zeros on top.
+    interval, powers, x0 = ((-1.0, 1.0), (1.0, 2.0, 3.0), -0.5) if negative else ((0.0, 1.0), (0.5, 0.75, 1.0, 2.0), 0.25)
+    models = []
+    for denom, zero_top, tail in denominators:
+        denom = denom[:-1] + [0.0] if zero_top and denom else denom
+        tail = None if tail is None else Tail(len(denom) + tail[0], tail[1])
+        models.append(RationalModel((1.0,), tuple(denom), tail=tail, x_power=data.draw(st.sampled_from(powers))))
+    if root_zeros is not None:
+        q = data.draw(st.sampled_from(powers if negative else (0.5, 1.0, 2.0)))
+        models.insert(data.draw(st.integers(0, len(models))), RationalModel((1.0,), (-1.0 / x0**q,) + (0.0,) * root_zeros, x_power=q))
+    points = 2**k + 1
+    reports = pole_scans(models, interval, points)
+    c, exponents = _stack(models)
+    padded = np.abs(_horner(c[:, 1], _substitutions(_scan_grid(*interval, points), exponents))).min(axis=1)
+    hexes = lambda report: [tuple(map(float.hex, bracket)) for bracket in report.sign_changes]
+    for model, report, low in zip(models, reports, padded.tolist()):
+        lone = pole_scan(model, interval, points)
+        assert report.count == lone.count
+        assert report.min_abs_denominator.hex() == lone.min_abs_denominator.hex() == low.hex()
+        assert hexes(report) == hexes(lone)
+    if root_zeros is not None:
+        assert min(report.min_abs_denominator for report in reports) == 0.0
+
+
+def test_a_scan_runs_one_horner_per_denominator_length(monkeypatch):
+    calls = []
+    horner = rational._horner
+    monkeypatch.setattr(rational, "_horner", lambda c, t: calls.append(c.shape) or horner(c, t))
+    # Q of lengths 3 and 2 under a numerator of length 4; then one structure
+    two = RationalModel((1.0, 0.0, 0.0, 1.0), (-2.3, 1.0))
+    one = RationalModel((1.0, 2.0, 3.0, 4.0), (-1.0,))
+    assert [r.count for r in pole_scans([one, two, one], (0.0, 2.0), 3)] == [1, 2, 1]
+    assert sorted(calls) == [(2, 2), (3, 1)]
+    calls.clear()
+    assert [r.count for r in pole_scans([one, one], (0.0, 2.0), 3)] == [1, 1]
+    assert calls == [(2, 2)]
+
+
+def test_pole_scans_of_no_models_is_empty(scan_evaluations):
+    assert pole_scans([], (0.0, 1.0)) == []
+    assert scan_evaluations == []
+    with pytest.raises(ValueError):
+        pole_scans([], (1.0, 0.0))
 
 
 @settings(max_examples=150, deadline=None)

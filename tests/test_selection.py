@@ -584,16 +584,17 @@ def test_sweep_scans_each_fit_once(scan_evaluations, counted_scans, table1, der_
     assert sweep.rows == oracle.sweep_rows(table1, config, grid, der_interval)
 
 
-def test_sweep_scan_failure_is_every_fitted_rows_error(counted_scans):
+def test_sweep_scan_failure_is_every_fitted_rows_error(counted_scans, scan_evaluations):
     # The one-node derivative grid, x = 2, measures both fits, but their scan
     # of [-0.05, 2] starts where x**0.5 is undefined.  A sweep whose fits
-    # all fail makes no scan.
+    # all fail hands pole_scans no model, and nothing is evaluated.
     sweep = lambda_sweep(_exact_data(), FitConfig(n=1, m=1, x_power=0.5), (0.0, 0.1), (-0.05, 2.0), 1)
     assert [row.error for row in sweep.rows] == ["non-integer x_power needs x >= 0"] * 2
     assert counted_scans == [((-0.05, 2.0), 2)]
     sweep = lambda_sweep(Dataset(np.full(4, 1.0), np.arange(4.0)), FitConfig(n=5, m=0), (0.0, 0.1), (0.0, 2.0))
     assert all(row.error == "4 points for 6 free coefficients" for row in sweep.rows)
-    assert len(counted_scans) == 1
+    assert counted_scans[1:] == [((0.0, 2.0), 0)]
+    assert scan_evaluations == []
 
 
 def test_sweep_measures_an_exponents_error_once(monkeypatch):
