@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import EmptyInput, EvaluationOverflow, LengthMismatch, PadefitError
-from .rational import DENOM_TOL, RationalModel, _slopes, _stack, denominator_zero, require_count, require_interval
+from .rational import DENOM_TOL, RationalModel, _slopes, denominator_zero, require_count, require_interval
 
 #: Relative step for the finite-difference fallback derivative.
 FD_STEP = 1e-6
@@ -60,10 +60,23 @@ class DerivativeGridSpec:
         return xs
 
 
+def _rms(v: np.ndarray) -> np.ndarray:
+    # The root mean square of each row of v; the caller turns the float traps
+    # off.  A row whose mean square is not finite though every entry is, is
+    # scaled by its largest |entry| first, as BLAS dnrm2 does: its RMS, at most
+    # that entry, is then finite.  Every other row keeps the plain formula's bits.
+    out = np.sqrt(np.add.reduce(v * v, axis=-1) / v.shape[-1])  # np.mean's bits, without its Python-level cost
+    if (redo := ~np.isfinite(out)).any():
+        redo &= np.isfinite(v).all(axis=-1)
+        big = np.abs(v[redo]).max(axis=-1, keepdims=True)
+        out[redo] = big[:, 0] * np.sqrt(np.mean((v[redo] / big) ** 2, axis=-1))
+    return out
+
+
 def rmse(values: np.ndarray, targets: np.ndarray) -> float:
     """Root mean square difference between two equal-length sequences.
-    Raises EvaluationOverflow where the result is not finite: a value is
-    not, or a difference, a square or their mean leaves the float range."""
+    Raises EvaluationOverflow where a value or a difference is not finite;
+    the RMS of finite differences is, even where their squares overflow."""
     v = np.asarray(values, dtype=float)
     t = np.asarray(targets, dtype=float)
     if v.shape != t.shape:
@@ -71,7 +84,7 @@ def rmse(values: np.ndarray, targets: np.ndarray) -> float:
     if v.size == 0:
         raise EmptyInput("rmse of empty sequences")
     with np.errstate(all="ignore"):  # checked below
-        out = float(np.sqrt(np.mean((v - t) ** 2)))
+        out = float(_rms((v - t).reshape(1, -1))[0])
     if not math.isfinite(out):
         raise EvaluationOverflow("the RMS difference is out of float range")
     return out
@@ -82,20 +95,16 @@ def oscillation_measure(
     grid: DerivativeGridSpec,
     derivative: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> float:
-    """RMS of the first derivative of `fn` over the grid.
+    """RMS of the first derivative of `fn` over the grid, as rmse against 0.
 
-    Rational models use their analytic quotient-rule derivative.  For a
-    plain callable, pass its derivative explicitly or fall back to central
-    finite differences with a relative step of FD_STEP.  Raises what
-    RationalModel.derivative raises on the grid, in its order, and
-    EvaluationOverflow where a slope is not finite or their mean square is
-    out of float range.
+    A rational model given no `derivative` uses RationalModel.derivative and
+    raises what that raises on the grid.  For a plain callable, pass its
+    derivative explicitly or fall back to central finite differences with a
+    relative step of FD_STEP.  Raises EvaluationOverflow where a slope is not
+    finite.
     """
-    if isinstance(fn, RationalModel):
-        (measure,) = _measures(*_stack((fn,)), grid)
-        if isinstance(measure, PadefitError):
-            raise measure
-        return measure
+    if isinstance(fn, RationalModel) and derivative is None:
+        derivative = fn.derivative
     xs = grid.grid()
     if derivative is not None:
         d = np.asarray(derivative(xs), dtype=float)
@@ -110,25 +119,25 @@ def oscillation_measure(
 def _measures(c, exponents, grid: DerivativeGridSpec) -> list[float | PadefitError]:
     # oscillation_measure of each model of the (top, 2, K) stack c, from one
     # stacked quotient-rule pass whatever overflows.  A model's outcome is the
-    # error its own measure raises, in derivative's order: NegativeAbscissa or
-    # SingularDerivative from _slopes (every model's under one exponent, else
-    # model by model), EvaluationOverflow where a slope is not finite,
-    # DenominatorZero where its denominator vanishes on the grid, EvaluationOverflow
-    # where the mean square is not finite (as it is where a slope is not).
+    # error its own measure raises, message included, in derivative's order:
+    # NegativeAbscissa or SingularDerivative from _slopes (every model's under
+    # one exponent, else model by model), EvaluationOverflow where a slope is
+    # not finite, DenominatorZero where its denominator vanishes on the grid.
+    # The RMS is not finite exactly where a slope is not (see _rms).
     xs = grid._nodes
     try:
         with np.errstate(all="ignore"):  # checked below
             d, den = _slopes(c, exponents, xs, grid._powers)
-            rms = np.sqrt(np.mean(d**2, axis=1))
+            rms = _rms(d)
     except PadefitError as exc:
         if len(set(exponents)) == 1:
             return [exc] * len(exponents)
         return [out for k in range(len(exponents)) for out in _measures(c[:, :, k : k + 1], exponents[k : k + 1], grid)]
     out = []
     for k, (v, vanishes) in enumerate(zip(rms.tolist(), (np.abs(den).min(axis=1) <= DENOM_TOL).tolist())):
-        if vanishes and np.isfinite(d[k]).all():
+        if not math.isfinite(v):
+            v = EvaluationOverflow("dR/dx is out of float range")
+        elif vanishes:
             v = denominator_zero(xs, den[k])
-        elif vanishes or not math.isfinite(v):
-            v = EvaluationOverflow("the oscillation measure is out of float range")
         out.append(v)
     return out

@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from . import linsys
-from .diagnostics import DerivativeGridSpec, _measures, rmse
+from .diagnostics import DerivativeGridSpec, _measures, _rms, rmse
 from .errors import CountMismatch, DuplicateAbscissa, EvaluationOverflow, PadefitError
 from .linsys import SolveDiagnostics
 from .rational import DENOM_TOL, SCAN_POINTS, PoleReport, RationalModel, Tail, _horner, _scans, _substitutions
@@ -232,7 +232,7 @@ def _build_reports(
     res = r - data.f
     s[~vanishes] = (res[:, None] @ res[..., None])[:, 0, 0]
     if truth is not None:
-        d1[~vanishes] = np.sqrt(np.mean((r - truth) ** 2, axis=1))  # rmse, row by row
+        d1[~vanishes] = _rms(r - truth)  # rmse, row by row
     # s and d1 are +inf where the denominator vanishes; elsewhere they, and s0, must be finite
     finite = (np.isfinite(s0) & (vanishes | np.isfinite(s) & (truth is None or np.isfinite(d1)))).tolist()
     if poles is None:  # single-abscissa data has nothing to scan: a clean empty record

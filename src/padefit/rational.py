@@ -141,31 +141,21 @@ class RationalModel:
         model.__dict__.update(numer=numer, denom=denom, tail=tail, x_power=x_power, zero_powers=zero_powers, _rows=rows)
         return model
 
-    def parts(self, x):
-        """Numerator and denominator values P(t), Q(t) at t = x**x_power.
+    def __call__(self, x):
+        """Evaluate the model; scalar in, scalar out; array in, array out.
 
-        Raises NegativeAbscissa for x < 0 with a non-integer x_power, and
-        EvaluationOverflow where x is not finite or a value overflows.
+        Raises NegativeAbscissa for x < 0 with a non-integer x_power, then in
+        this order EvaluationOverflow where x is not finite or P or Q overflows,
+        DenominatorZero where |Q| <= DENOM_TOL, EvaluationOverflow where P/Q does.
         """
         c, exponents = _stack((self,))
         with np.errstate(all="ignore"):  # an overflow stays inf or NaN through Horner: checked below
             values = _horner(c, _substitutions(x, exponents))[:, 0]
+            out = values[0] / values[1]
         if not np.isfinite(values).all():
             raise EvaluationOverflow("P(t) and Q(t) are out of float range")
-        return tuple(values)
-
-    def __call__(self, x):
-        """Evaluate the model; scalar in, scalar out; array in, array out.
-
-        Raises DenominatorZero where |Q| <= DENOM_TOL, and
-        EvaluationOverflow where x is not finite or P, Q or their quotient
-        overflows.
-        """
-        num, den = self.parts(x)
-        if (err := denominator_zero(x, den)) is not None:
+        if (err := denominator_zero(x, values[1])) is not None:
             raise err
-        with np.errstate(all="ignore"):  # checked below
-            out = num / den
         if not np.isfinite(out).all():
             raise EvaluationOverflow("R(x) is out of float range")
         return out if np.ndim(x) else float(out)
@@ -183,8 +173,8 @@ class RationalModel:
         SingularDerivative
             For x = 0 with x_power < 1, where the chain-rule factor is infinite.
         EvaluationOverflow
-            Where x is not finite or the slope, or a step on the way to it,
-            overflows; checked before the denominator.
+            Where x is not finite or the slope overflows (not Q*Q alone);
+            checked before the denominator.
         DenominatorZero
             Where |Q| <= DENOM_TOL.
         """
@@ -421,10 +411,11 @@ def _slopes(c, exponents, x, ts=None):
     # rule, and its denominator values, one row per model.  P' and Q' in t, read
     # nowhere else, are built here with a top zero (Horner's values unchanged).
     # Entries where |Q| <= DENOM_TOL hold no slope: callers check the denominator
-    # row before using a slope row.  An overflow leaves its entry inf or NaN, and
-    # so does Q*Q's, whose quotient would come out near 0.  `ts` keeps x**q and
-    # the chain-rule factor's x**(q - 1), as for _substitutions; the factor is
-    # taken only past the x = 0 check, where it would divide by 0.
+    # row before using a slope row.  Where Q*Q overflows and Q does not, the slope
+    # is (P' - R*Q')/Q, R = P/Q; any other overflow leaves its entry inf or NaN
+    # (with Q not finite, P'/Q would be 0).  `ts` keeps x**q and the chain-rule
+    # factor's x**(q - 1), as for _substitutions; the factor is taken only past
+    # the x = 0 check, where it would divide by 0.
     xs = np.asarray(x, dtype=float)
     t = _substitutions(xs, exponents, ts)
     if np.any(xs == 0.0) and (low := min(exponents)) < 1.0:
@@ -435,8 +426,9 @@ def _slopes(c, exponents, x, ts=None):
     num, den, dnum, dden = _horner(rows, t)
     square = den * den
     out = (dnum * den - num * dden) / np.where(np.abs(den) <= DENOM_TOL, 1.0, square)
-    if np.isinf(square).any():
-        out[np.isinf(square)] = np.nan
+    if (big := np.isinf(square)).any():
+        big &= np.isfinite(den)
+        out[big] = (dnum[big] - num[big] / den[big] * dden[big]) / den[big]
     if any(q != 1.0 for q in exponents):
         factors = _substitutions(xs, [q - 1.0 for q in exponents], ts)
         out = out * np.reshape(exponents, (-1,) + (1,) * xs.ndim) * factors

@@ -230,8 +230,8 @@ def _tail_power_law(model: RationalModel) -> tuple[float, float]:
 # Far enough out both polynomials overflow and R = P / Q is inf/inf: the
 # cutoff search passes over that NaN and the quadrature turns it into
 # NonconvergentQuadrature, so the warnings are noise.  R is therefore taken
-# from the stacked evaluation of P and Q: the model and its parts would
-# raise EvaluationOverflow.
+# from the stacked evaluation of P and Q: the model would raise
+# EvaluationOverflow.
 @np.errstate(over="ignore", invalid="ignore")
 def mttf(obj: WeibullParams | RationalModel, *, x_max: float | None = None) -> float:
     """Mean time to failure of a CDF.
@@ -273,7 +273,7 @@ def mttf(obj: WeibullParams | RationalModel, *, x_max: float | None = None) -> f
     model = obj
     if x_max is None or not (x_max > 0):
         raise ValueError("rational MTTF needs a positive x_max search cap")
-    if abs(model(0.0)) > 1e-12:
+    if abs(model.numer[0]) > 1e-12:  # R(0) = P(0) / Q(0) = numer[0] / 1, bit for bit
         raise ValueError("model CDF must start at R(0) = 0")
     if model.tail is None:
         raise ValueError("model CDF must carry a tail term so R -> 1 at infinity")

@@ -5,12 +5,12 @@ The least-squares oracle solves the normal equations
 the caller (mpmath.workdps), so squaring the condition number costs it
 nothing at 50 digits and more.  The pole-scan oracle is the plain
 per-interval loop that padefit.rational.pole_scan vectorizes; the report
-oracle recomputes a fit report's fields for one model through the public
-single-model API, as padefit.fitting._fit does for a whole batch at once;
-and the search, sweep, tuning and substitution oracles are the
-per-candidate, per-penalty and per-exponent loops of single fits that
+oracle recomputes a fit report's fields for one model, from numpy's polyval
+and the public single-model API, as padefit.fitting._fit does for a whole
+batch at once; and the search, sweep, tuning and substitution oracles are
+the per-candidate, per-penalty and per-exponent loops of single fits that
 padefit.selection runs as batches; the stacked Horner oracle is numpy's
-polyval model by model.  The MTTF
+polyval model by model.  The slope and RMS oracles work in mpmath.  The MTTF
 oracle integrates 1 - R in mpmath to the cutoff padefit.weibull.mttf
 chooses and adds the same closed-form tail.  The maximum-likelihood oracle
 is padefit.weibull.mle_fit's profile equation bisected by a loop of its own.
@@ -81,6 +81,30 @@ def model_values(theta, columns, x):
     return out
 
 
+def slopes(model, x, dps=1000):
+    """dR/dx of `model` at each float of x, by the quotient and chain rules
+    in mpmath at `dps` digits from the exact binary coefficients: enough
+    that P'Q - PQ' keeps its digits where its terms near 1e400 cancel."""
+    p, q = ([mp.mpf(float(c)) for c in row] for row in model._rows)
+    dp, dq = ([k * c for k, c in enumerate(row)][1:] or [mp.mpf(0)] for row in (p, q))
+    out = []
+    with mp.workdps(dps):
+        power = mp.mpf(model.x_power)
+        for xk in np.atleast_1d(x):
+            xk = mp.mpf(float(xk))
+            t = xk**power
+            value, den, dvalue, dden = (mp.polyval(c[::-1], t) for c in (p, q, dp, dq))
+            out.append((dvalue * den - value * dden) / den**2 * power * xk ** (power - 1))
+    return out
+
+
+def rms(values, dps=50):
+    """The root mean square of `values` (floats or mpf) in mpmath at `dps`
+    digits, rounded once to a float."""
+    with mp.workdps(dps):
+        return float(mp.sqrt(mp.fsum(mp.mpf(v) ** 2 for v in values) / len(values)))
+
+
 def horner(c, t):
     """padefit.rational._horner as one npoly.polyval per model: column k of
     the (top, ..., K) coefficient stack c at row k of t, or at its only row
@@ -139,10 +163,11 @@ def pole_scan(model, interval, points=1001):
 def report(model, data, der_grid=None):
     """Every field of the FitReport that padefit.fitting._fit gives `model`
     on `data`, except the solve's diagnostics, as a dict: one model at a
-    time, from the public single-model API on a model rebuilt from its
-    fields.  Raises the PadefitError that ends such a fit."""
+    time, on a model rebuilt from its fields, with P and Q from np.polyval
+    at t = x**x_power and the rest from the public single-model API.
+    Raises the PadefitError that ends such a fit."""
     model = RationalModel(model.numer, model.denom, model.tail, model.x_power, model.zero_powers)
-    num, den = model.parts(data.x)
+    num, den = (np.polyval(row[::-1], data.x**model.x_power) for row in model._rows)
     rho = num - data.f * den
     lowest = float(np.min(np.abs(den)))
     truth = None if data.underlying is None else np.asarray(data.underlying(data.x), dtype=float)

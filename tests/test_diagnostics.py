@@ -6,14 +6,16 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracle
 from padefit import (
     Dataset,
     DerivativeGridSpec,
     NoiseSpec,
     RationalModel,
+    Tail,
     WeibullParams,
     build_reference_points,
     diagnostics,
@@ -29,7 +31,9 @@ from padefit import (
     weibull_cdf,
     weibull_pdf,
 )
-from padefit.errors import DenominatorZero, EmptyInput, EvaluationOverflow, LengthMismatch
+from padefit.errors import DenominatorZero, EmptyInput, EvaluationOverflow, LengthMismatch, PadefitError
+
+EPS = np.finfo(float).eps
 
 
 # -- derivative grids -------------------------------------------------------
@@ -124,11 +128,14 @@ def test_rmse_errors():
         rmse([], [])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        # the square of the difference 2e200 overflows; inf - inf is invalid;
-        # a NaN value used to give a NaN
-        for values, targets in (([1e200, 0.0], [-1e200, 0.0]), ([math.inf], [math.inf]), ([math.nan], [0.0])):
+        # inf - inf is invalid; a NaN value used to give a NaN; the difference
+        # 2e308 overflows
+        for values, targets in (([math.inf], [math.inf]), ([math.nan], [0.0]), ([1e308], [-1e308])):
             with pytest.raises(EvaluationOverflow, match="out of float range"):
                 rmse(values, targets)
+        # the square of the difference 2e200 overflows, its RMS does not
+        assert rmse([1e200, 0.0], [-1e200, 0.0]) == pytest.approx(oracle.rms([2e200, 0.0]), rel=2 * EPS)
+        assert rmse([1e200], [0.0]) == 1e200
 
 
 @given(
@@ -206,19 +213,23 @@ def test_analytic_and_difference_derivatives_agree():
 
 
 def test_a_callable_whose_slope_is_not_finite_is_an_overflow():
-    # the squares of 1e200 overflow, a NaN slope used to give a NaN measure, and
-    # the difference quotient of a jump of 2e305 at x = 1 overflows
+    # a NaN slope used to give a NaN measure, and the difference quotient of
+    # a jump of 2e305 at x = 1 overflows; slopes of 1e200, whose squares
+    # overflow, have the RMS 1e200
     grid = DerivativeGridSpec((0.0, 2.0), 40)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for fn, derivative in (
-            (lambda x: 1e200 * x, None),
-            (lambda x: x, lambda x: 1e200 + 0 * x),
             (lambda x: x, lambda x: np.full_like(x, np.nan)),
             (lambda x: np.where(x > 1.0, 1e305, -1e305), None),
         ):
             with pytest.raises(EvaluationOverflow):
                 oscillation_measure(fn, grid, derivative)
+        assert oscillation_measure(lambda x: x, grid, lambda x: 1e200 + 0 * x) == oracle.rms([1e200] * 40) == 1e200
+        xs = grid.grid()
+        h = diagnostics.FD_STEP * np.maximum(1.0, xs)
+        quotients = (1e200 * (xs + h) - 1e200 * (xs - h)) / (2.0 * h)
+        assert oscillation_measure(lambda x: 1e200 * x, grid) == pytest.approx(oracle.rms(quotients), rel=2 * EPS)
 
 
 def test_a_batch_is_measured_in_one_pass_whatever_overflows(monkeypatch):
@@ -234,16 +245,16 @@ def test_a_batch_is_measured_in_one_pass_whatever_overflows(monkeypatch):
         measures = diagnostics._measures(*rational._stack(models), grid)
     assert calls == [3]
     assert measures[0] == 1.0 and measures[2] == oscillation_measure(models[2], grid)
-    assert isinstance(measures[1], EvaluationOverflow)  # the squares of 1e300 overflow
+    assert isinstance(measures[1], EvaluationOverflow)  # P = 1e300 (1 + x) overflows on the grid
 
 
 def test_each_row_of_a_batch_keeps_the_order_of_its_errors():
-    # on the nodes 1, 2, 3, 4: Q = 1 + 1e200 x, whose Q*Q overflows and whose
-    # quotient-rule slope would come out as -0.0; Q = 1 - x/2 vanishing at
-    # 2; Q = 1 - x vanishing at 1 with slopes near 1e300, whose squares
-    # overflow (DenominatorZero first) and with P = 1e308 x**3 overflowing
-    # at 4 (EvaluationOverflow first); the squares of 1e300 overflowing.  The
-    # neighbours keep the bits of their lone measures.
+    # on the nodes 1, 2, 3, 4: Q = 1 + 1e200 x, whose Q*Q overflows on the way
+    # to slopes near -1e-200; Q = 1 - x/2 vanishing at 2; Q = 1 - x vanishing
+    # at 1 with slopes near 1e300, whose squares overflow (DenominatorZero
+    # first) and with P = 1e308 x**3 overflowing at 4 (EvaluationOverflow
+    # first); slopes of 1e300, whose squares overflow.  The neighbours keep
+    # the bits of their lone measures.
     models = [
         RationalModel((1.0, 2.0), (0.5,)),
         RationalModel((1.0,), (1e200,)),
@@ -264,12 +275,61 @@ def test_each_row_of_a_batch_keeps_the_order_of_its_errors():
             else:
                 assert measure == oscillation_measure(model, grid)
     kinds = [type(m) for m in measures]
-    assert kinds == [float, EvaluationOverflow, DenominatorZero, DenominatorZero, EvaluationOverflow, EvaluationOverflow, float]
+    assert kinds == [float, float, DenominatorZero, DenominatorZero, EvaluationOverflow, float, float]
     assert [m.x for m in measures[2:4]] == [2.0, 1.0]
-    assert all(str(m) == "the oscillation measure is out of float range" for m in measures if isinstance(m, EvaluationOverflow))
-    # Q*Q overflows on the way to the slope -1e-200 of 1/(1 + 1e200 x) at 1
-    with pytest.raises(EvaluationOverflow, match="out of float range"):
-        models[1].derivative(1.0)
+    assert str(measures[4]) == "dR/dx is out of float range"
+    # the slopes of row 1 are mpmath's to 2 ulps, but their squares, near
+    # 1e-400, underflow to 0: its measure is 0.0, not mpmath's 5.19e-201
+    want = [float(v) for v in oracle.slopes(models[1], grid.grid())]
+    np.testing.assert_allclose(models[1].derivative(grid.grid()), want, rtol=2 * EPS, atol=0.0)
+    assert measures[1] == 0.0 and oracle.rms(want) == pytest.approx(5.19e-201, rel=1e-3, abs=0.0)
+    assert measures[5] == oracle.rms(oracle.slopes(models[5], grid.grid())) == 1e300
+
+
+#: Coefficients of every size: Q*Q, P or a square of a slope overflows on
+#: the larger ones, the smaller ones keep ordinary measures.
+MEASURE_COEFFICIENT = st.floats(-1e3, 1e3) | st.sampled_from([0.0, 1.0, -1.0, 1e150, -1e200, 1e300])
+
+
+@st.composite
+def _measured_models(draw):
+    n, m = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    numer = draw(st.lists(MEASURE_COEFFICIENT, min_size=n + 1, max_size=n + 1))
+    denom = draw(st.lists(MEASURE_COEFFICIENT, min_size=m, max_size=m))
+    tail = draw(st.none() | st.builds(Tail, st.integers(max(n, m) + 1, 8), st.floats(-10.0, 10.0)))
+    return RationalModel(tuple(numer), tuple(denom), tail, draw(st.sampled_from([0.5, 0.65, 1.0, 2.0])))
+
+
+def _outcome(measure):
+    # a measure's bits, or its error's class and message
+    return (type(measure), str(measure)) if isinstance(measure, Exception) else float.hex(measure)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    models=st.lists(_measured_models(), min_size=1, max_size=5),
+    # a negative end; a node at 0 for an even count on (-1, 1), and for 2 or
+    # more on (0, 5e-324), whose first node rounds to 0; ends near 1e300
+    interval=st.sampled_from(
+        [(-1.0, 1.0), (-2.0, 1.0), (0.0, 5e-324), (0.0, 2.0), (0.5, 4.0), (0.0, 1e300), (1e299, 1e300), (-1e300, 1e300)]
+    ),
+    count=st.integers(1, 12),
+)
+# Q vanishes at the node 1, P overflows at 2: the overflow comes first
+@example(models=[RationalModel((0.0, 1e308), (-1.0,))], interval=(0.0, 2.0), count=2)
+def test_each_row_of_a_batch_is_its_lone_measure(models, interval, count):
+    # one stacked pass gives each model the bits of oscillation_measure, or
+    # the class and message of the error that it raises
+    grid = DerivativeGridSpec(interval, count)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        measures = diagnostics._measures(*rational._stack(models), grid)
+        for model, measure in zip(models, measures, strict=True):
+            try:
+                lone = oscillation_measure(model, grid)
+            except PadefitError as exc:
+                lone = exc
+            assert _outcome(measure) == _outcome(lone)
 
 
 def test_pole_on_grid_raises():

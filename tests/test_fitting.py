@@ -346,7 +346,8 @@ def test_ordinates_near_the_float_range_end_in_typed_errors():
     # but a member whose residuals stay near 1e160 overflows its sums of
     # squares (and here its oscillation measure): EvaluationOverflow, while
     # the exact line beside it keeps its report.  A truth 2e200 away from
-    # the data overflows d0, every member's measure.
+    # the data has d0 = 2e200, though its squares overflow, and residuals
+    # near 1e200 overflow every member's s.
     xs = np.linspace(0.0, 1.0, 10)
     big = Dataset(xs, np.linspace(1e160, 2e160, 10))
     with warnings.catch_warnings():
@@ -361,8 +362,9 @@ def test_ordinates_near_the_float_range_end_in_typed_errors():
         with pytest.raises(EvaluationOverflow):
             fit_regularized(big, FitConfig(1, 1, lam=1.0))
         far = Dataset([0.0, 1.0, 2.0], [1e200, -1e200, 1e200], underlying=lambda x: -np.array([1e200, -1e200, 1e200]))
+        assert far._truth[1] == oracle.rms(2.0 * far.f) == 2e200
         for fit in fitting._fit(far, [FitConfig(0, 0), FitConfig(1, 0)], None):
-            assert isinstance(fit, EvaluationOverflow) and "RMS difference" in str(fit)
+            assert isinstance(fit, EvaluationOverflow) and "s0, s or d1" in str(fit)
 
 
 def test_substituted_fit_recovers_sqrt_shape():
@@ -607,7 +609,6 @@ def test_a_grid_substitutes_its_nodes_once_per_exponent(substitutions):
     substitutions.clear()
     again = fitting._fit(data, configs + [FitConfig(n=2, m=0, x_power=0.5, lam=1e-3)], grid)
     (alone,) = fitting._fit(data, [configs[1]], grid)
-    assert oscillation_measure(first[1].model, grid) == first[1].d_der
     assert _data_substitutions(substitutions, 7) == []
     assert [r.d_der for r in again[:2]] == [r.d_der for r in first] and alone.d_der == first[1].d_der
     fit_regularized(data, FitConfig(n=2, m=1, x_power=0.75), grid)
@@ -618,6 +619,10 @@ def test_a_grid_substitutes_its_nodes_once_per_exponent(substitutions):
     assert grid.grid() is not grid.grid()
     np.testing.assert_array_equal(grid.grid(), 0.5 + np.arange(1.0, 8.0) * 1.5 / 7)
     assert fit_regularized(data, configs[1], grid).d_der == first[1].d_der
+    # the public measure, a model's derivative on the grid, takes x**q itself
+    substitutions.clear()
+    assert oscillation_measure(first[1].model, grid) == first[1].d_der
+    assert _data_substitutions(substitutions, 7) == [0.5, -0.5]
 
 
 @pytest.mark.parametrize("interval, count", [((0.0, 5e-324), 2), ((-0.5, 1.5), 4)])

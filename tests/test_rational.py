@@ -234,8 +234,6 @@ def test_negative_abscissa_with_fractional_power_raises():
             with pytest.raises(NegativeAbscissa):
                 m(x)
             with pytest.raises(NegativeAbscissa):
-                m.parts(x)
-            with pytest.raises(NegativeAbscissa):
                 m.derivative(x)
         # integer powers are defined everywhere
         squared = RationalModel(numer=(1.0, 2.0), denom=(0.5,), x_power=2.0)
@@ -808,15 +806,25 @@ def test_deferred_report_read_for_its_smallest_denominator_behaves_as_an_eager_o
 
 
 def test_overflowing_evaluation_is_a_typed_error():
-    # R = (1 + 2x)/(1 + 0.5x) is about 4 at x = 1e308, where 2x overflows;
-    # at 1e200 the quotient rule's Q*Q overflows.  A non-finite x has no value.
+    # R = (1 + 2x)/(1 + 0.5x) is about 4 at x = 1e308, where 2x overflows.
+    # A non-finite x has no value.  Q*Q overflowing is no error: at 1e200 the
+    # slope is 6e-400 by mpmath, 0.0 in floats, and 1/(1 + 1e200 x) has the
+    # slopes -1e-200 and -2.5e-201 at 1 and 2.
     m = RationalModel((1.0, 2.0), (0.5,))
     errstate = np.geterr()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for call, x in ((m, 1e308), (m, [2.0, 1e308]), (m.derivative, 1e200), (m.derivative, np.array([1e200]))):
+        for x in (1e308, [2.0, 1e308]):
             with pytest.raises(EvaluationOverflow, match="out of float range"):
-                call(x)
+                m(x)
+        for model, x in ((m, 1e200), (m, np.array([1e200])), (RationalModel((1.0,), (1e200,)), np.array([1.0, 2.0]))):
+            want = [float(v) for v in oracle.slopes(model, x)]
+            assert np.atleast_1d(model.derivative(x)).tolist() == want
+        assert want == [-1e-200, -2.5e-201]
+        # where Q itself overflows, P'/Q would come out 0: the slope near 1e-8
+        # of 1e300 x**2 / (1 + 1e308 x) at 10 is out of reach
+        with pytest.raises(EvaluationOverflow, match="out of float range"):
+            RationalModel((0.0, 0.0, 1e300), (1e308,)).derivative(10.0)
         for x in (math.inf, -math.inf, math.nan):
             for call in (m, m.derivative):
                 with pytest.raises(EvaluationOverflow):
@@ -835,20 +843,19 @@ def test_overflowing_evaluation_is_a_typed_error():
 
 
 
-def test_overflowing_parts_are_a_typed_error():
+def test_overflowing_p_or_q_is_a_typed_error():
     # P = 1 + 2x overflows at x = 1e308 while Q = 1 + 0.5x does not; a
-    # non-finite x has no parts either
+    # non-finite x has no P or Q either; either is checked before a zero of Q
     m = RationalModel((1.0, 2.0), (0.5,))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for x in (1e308, [2.0, 1e308], np.array([[1e308]])):
-            with pytest.raises(EvaluationOverflow, match="out of float range"):
-                m.parts(x)
-        for x in (math.inf, -math.inf, math.nan, [2.0, math.nan]):
-            with pytest.raises(EvaluationOverflow):
-                m.parts(x)
-        assert m.parts(2.0) == (5.0, 2.0)
-        assert m.parts(1e300) == (2e300 + 1.0, 5e299 + 1.0)
+        for x in (1e308, [2.0, 1e308], np.array([[1e308]]), math.inf, -math.inf, math.nan, [2.0, math.nan]):
+            with pytest.raises(EvaluationOverflow, match=r"P\(t\) and Q\(t\) are out of float range"):
+                m(x)
+        with pytest.raises(EvaluationOverflow, match=r"P\(t\) and Q\(t\)"):
+            RationalModel((0.0, 2.0), (-1.0,))([1.0, 1e308])
+        assert m(2.0) == 5.0 / 2.0
+        assert m(1e300) == (2e300 + 1.0) / (5e299 + 1.0)
 
 
 def test_pole_scan_of_huge_values_decides_sign_changes_by_sign():
