@@ -21,6 +21,9 @@ from .rational import DENOM_TOL, RationalModel, _slopes, denominator_zero, requi
 #: Relative step for the finite-difference fallback derivative.
 FD_STEP = 1e-6
 
+# The smallest positive normal float: a mean square below it has lost bits.
+_SMALLEST_NORMAL = float(np.finfo(float).smallest_normal)
+
 
 @dataclass(frozen=True)
 class DerivativeGridSpec:
@@ -62,12 +65,15 @@ class DerivativeGridSpec:
 
 def _rms(v: np.ndarray) -> np.ndarray:
     # The root mean square of each row of v; the caller turns the float traps
-    # off.  A row whose mean square is not finite though every entry is, is
-    # scaled by its largest |entry| first, as BLAS dnrm2 does: its RMS, at most
-    # that entry, is then finite.  Every other row keeps the plain formula's bits.
-    out = np.sqrt(np.add.reduce(v * v, axis=-1) / v.shape[-1])  # np.mean's bits, without its Python-level cost
-    if (redo := ~np.isfinite(out)).any():
-        redo &= np.isfinite(v).all(axis=-1)
+    # off.  A row of finite entries whose mean square is not finite, or below
+    # the smallest normal float though an entry is nonzero, is scaled by its
+    # largest |entry| first, as BLAS dnrm2 does: its RMS, at most that entry,
+    # is then finite and not lost to underflow.  Every other row keeps the
+    # plain formula's bits.
+    ms = np.add.reduce(v * v, axis=-1) / v.shape[-1]  # np.mean's bits, without its Python-level cost
+    out = np.sqrt(ms)
+    if (redo := ~(np.isfinite(ms) & (ms >= _SMALLEST_NORMAL))).any():
+        redo &= np.isfinite(v).all(axis=-1) & (v != 0.0).any(axis=-1)
         big = np.abs(v[redo]).max(axis=-1, keepdims=True)
         out[redo] = big[:, 0] * np.sqrt(np.mean((v[redo] / big) ** 2, axis=-1))
     return out

@@ -39,9 +39,10 @@ SCAN_POINTS = 1001
 
 def denominator_zero(x, den) -> DenominatorZero | None:
     """The DenominatorZero at the first x where |Q| <= DENOM_TOL, or None
-    when the denominator values `den` at `x`, of x's shape, do not vanish."""
+    when the denominator values `den` at `x`, of x's shape, do not vanish
+    (as for an empty x)."""
     ds = np.atleast_1d(den)
-    if not np.min(np.abs(ds)) <= DENOM_TOL:
+    if not (ds.size and np.min(np.abs(ds)) <= DENOM_TOL):
         return None
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     return DenominatorZero(float(xs[np.abs(ds) <= DENOM_TOL][0]))
@@ -398,11 +399,21 @@ def _horner(c, t) -> np.ndarray:
     # row of t, a (K, ...) or shared (1, ...) stack of substituted abscissae.
     # numpy's polyval in place, where it makes two stack-sized temporaries per
     # coefficient: IEEE products and sums commute, so every value keeps its bits.
+    # A row that is zero across the stack is not added, except the constant:
+    # adding +-0 can only turn a -0.0 into +0.0, and the next nonzero add, or
+    # the constant's, gives the same value from either zero.  A -0.0 constant
+    # keeps the sign of a zero before it, so such a stack adds every row.
     c = c.reshape(c.shape + (1,) * (t.ndim - 1))
+    rows = c.reshape(len(c), -1)
+    adds = rows.any(axis=1).tolist()
+    adds[0] = True
+    if not all(adds) and any(x == 0.0 and math.copysign(1.0, x) < 0.0 for x in rows[0].tolist()):
+        adds = [True] * len(c)
     v = c[-1] + t * 0.0
-    for ci in c[-2::-1]:
+    for i in range(len(c) - 2, -1, -1):
         v *= t
-        v += ci
+        if adds[i]:
+            v += c[i]
     return v
 
 
@@ -511,13 +522,14 @@ def _denominator(q: np.ndarray, x_power: float):
     # Q(x**x_power) of a Python float, Q's coefficients q, for _bisect: Horner in
     # _horner's operation order and bits, and numpy's power (Python's ** and
     # math.pow differ from it in the last bit for some x; x**1.0 is x exactly).
+    # Zero coefficients are not added, as in _horner: Q's constant is 1.
     top, *rest = q.tolist()[::-1]
 
     def value(x: float) -> float:
         t = x if x_power == 1.0 else float(np.asarray(x, dtype=float) ** x_power)
         v = top + t * 0.0
         for c in rest:
-            v = c + v * t
+            v = c + v * t if c else v * t
         return v
 
     return value

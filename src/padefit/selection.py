@@ -35,7 +35,8 @@ D_DER_WINDOW = 0.10
 class SearchSpace:
     """Inclusive degree ranges and optional tail/substitution grids.
 
-    l_candidates lists tail powers to try (None entry = no tail).
+    l_candidates lists tail powers to try (None entry = no tail): a
+    nonempty tuple of ints and None.
     q_grid lists substitution exponents; the default tries only the plain
     coordinate.
     """
@@ -52,6 +53,11 @@ class SearchSpace:
             raise ValueError("degree ranges must be nondecreasing")
         if self.n_range[0] < 0 or self.m_range[0] < 0:
             raise ValueError("degrees must be nonnegative")
+        if self.l_candidates is not None:
+            if not self.l_candidates:
+                raise ValueError("l_candidates must be nonempty")
+            if any(l is not None and (isinstance(l, bool) or not isinstance(l, int)) for l in self.l_candidates):
+                raise ValueError("tail powers must be None or integers")
         if not self.q_grid:
             raise ValueError("q_grid must be nonempty")
         if not all(0 < q < math.inf for q in self.q_grid):

@@ -119,6 +119,9 @@ def test_rmse_examples():
     assert rmse([1.0, 2.0, 3.0], [0.0, 0.0, 0.0]) == pytest.approx(
         math.sqrt(14 / 3), rel=1e-15
     )
+    # differences whose squares underflow: the RMS is mpmath's, not 0.0
+    assert rmse([1e-170, 0.0], [0.0, 0.0]) == pytest.approx(oracle.rms([1e-170, 0.0]), rel=2 * EPS, abs=0.0)
+    assert rmse([5e-324], [0.0]) == 5e-324 and rmse([0.0, -0.0], [0.0, 0.0]) == 0.0
 
 
 def test_rmse_errors():
@@ -136,6 +139,29 @@ def test_rmse_errors():
         # the square of the difference 2e200 overflows, its RMS does not
         assert rmse([1e200, 0.0], [-1e200, 0.0]) == pytest.approx(oracle.rms([2e200, 0.0]), rel=2 * EPS)
         assert rmse([1e200], [0.0]) == 1e200
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=st.lists(st.lists(st.floats(-1e3, 1e3), min_size=4, max_size=4), min_size=1, max_size=5),
+    scales=st.lists(st.sampled_from([1.0, 1e-150, 1e-160, 1e-200, 1e-300, 2.0**-1074, 0.0]), min_size=5, max_size=5),
+)
+def test_rms_rescales_only_rows_that_lose_bits(rows, scales):
+    # a row whose mean square is below the smallest normal float, and which
+    # has a nonzero entry, gets mpmath's RMS of its entries to 4 ulps (or to
+    # 4 subnormal steps, where that RMS is itself subnormal); every other row
+    # keeps the plain formula's bits, and an all-zero row is 0.0
+    v = np.array(rows) * np.array(scales[: len(rows)])[:, None]
+    with np.errstate(all="ignore"):
+        got = diagnostics._rms(v)
+        squares = np.add.reduce(v * v, axis=-1) / v.shape[-1]
+    for row, g, ms in zip(v.tolist(), got.tolist(), squares.tolist()):
+        if ms >= np.finfo(float).smallest_normal:
+            assert float.hex(g) == float.hex(math.sqrt(ms))
+        elif not any(row):
+            assert float.hex(g) == float.hex(0.0)
+        else:
+            assert g == pytest.approx(oracle.rms(row), rel=4 * EPS, abs=4 * 2.0**-1074)
 
 
 @given(
@@ -278,11 +304,13 @@ def test_each_row_of_a_batch_keeps_the_order_of_its_errors():
     assert kinds == [float, float, DenominatorZero, DenominatorZero, EvaluationOverflow, float, float]
     assert [m.x for m in measures[2:4]] == [2.0, 1.0]
     assert str(measures[4]) == "dR/dx is out of float range"
-    # the slopes of row 1 are mpmath's to 2 ulps, but their squares, near
-    # 1e-400, underflow to 0: its measure is 0.0, not mpmath's 5.19e-201
+    # the slopes of row 1 are mpmath's to 2 ulps, and their squares, near
+    # 1e-400, underflow: the row is rescaled, so its measure is mpmath's
+    # 5.19e-201, not 0.0
     want = [float(v) for v in oracle.slopes(models[1], grid.grid())]
     np.testing.assert_allclose(models[1].derivative(grid.grid()), want, rtol=2 * EPS, atol=0.0)
-    assert measures[1] == 0.0 and oracle.rms(want) == pytest.approx(5.19e-201, rel=1e-3, abs=0.0)
+    assert measures[1] == pytest.approx(oracle.rms(want), rel=4 * EPS, abs=0.0)
+    assert oracle.rms(want) == pytest.approx(5.19e-201, rel=1e-3, abs=0.0)
     assert measures[5] == oracle.rms(oracle.slopes(models[5], grid.grid())) == 1e300
 
 

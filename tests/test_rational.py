@@ -183,6 +183,16 @@ def test_eval_scalar_in_scalar_out_and_vectorized():
     assert isinstance(m(0.5), float)
     xs = np.array([0.0, 1.0, 2.0])
     np.testing.assert_allclose(m(xs), [m(0.0), m(1.0), m(2.0)], rtol=1e-15)
+    # an empty x gives an empty array of its shape, as np.polyval does
+    tailed = RationalModel(numer=(0.0, 1.0), denom=(0.5,), tail=Tail(3, 2.0), x_power=0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for model in (m, tailed):
+            for empty in ([], np.zeros(0), np.zeros((0, 3)), np.zeros((2, 0))):
+                for f in (model, model.derivative):
+                    got = f(empty)
+                    assert isinstance(got, np.ndarray) and got.dtype == float
+                    assert got.shape == np.shape(empty) == np.polyval([1.0, 2.0], np.asarray(empty, dtype=float)).shape
 
 
 # -- derivative -------------------------------------------------------------
@@ -687,9 +697,14 @@ def test_pole_scan_matches_per_interval_loop_on_zero_nodes(root, x_power, where,
         assert root in new.sign_changes[0] or new.min_abs_denominator == 0.0
 
 
-# finite coefficients, exact zeros among them; abscissae of any kind
+# finite coefficients, exact zeros among them; abscissae of any kind, the
+# signed zeros, infinities and NaN often
 COEFFICIENT = st.one_of(st.just(0.0), st.floats(-1e3, 1e3), st.floats(allow_nan=False, allow_infinity=False))
-ABSCISSA = st.one_of(st.floats(-4.0, 4.0), st.floats(allow_nan=True, allow_infinity=True))
+ABSCISSA = st.one_of(
+    st.floats(-4.0, 4.0),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
 
 
 @settings(max_examples=300, deadline=None)
@@ -703,13 +718,59 @@ ABSCISSA = st.one_of(st.floats(-4.0, 4.0), st.floats(allow_nan=True, allow_infin
 )
 def test_horner_is_polyval_to_the_bit(top, parts, k, shared, x_shape, data):
     # (top, K), (top, 2, K) and (top, 4, K) stacks, at a shared or a
-    # per-model row of scalar, 1-D or 2-D substituted abscissae
+    # per-model row of scalar, 1-D or 2-D substituted abscissae.  _horner
+    # skips a row that is zero across the stack, so rows, the constant one
+    # included, are often zero in every polynomial, and constants often -0.0.
     c = data.draw(arrays(np.float64, (top,) + parts + (k,), elements=COEFFICIENT))
+    c[data.draw(arrays(bool, top))] = 0.0
+    c[0][data.draw(arrays(bool, parts + (k,)))] = -0.0
     t = data.draw(arrays(np.float64, (1 if shared else k,) + x_shape, elements=ABSCISSA))
     with np.errstate(all="ignore"):
         got, want = _horner(c, t), oracle.horner(c, t)
     assert got.shape == want.shape == parts + (k,) + x_shape
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("coefficients", [(0.0, 5.0), (-0.0, 0.0, 5.0)])
+def test_horner_keeps_polyvals_signed_zeros(coefficients):
+    # ascending; at t = -0.0 the value before the constant is -0.0 or +0.0, and
+    # a +0.0 constant makes it +0.0 (so it is added though its row is zero)
+    # where a -0.0 one keeps it (so a stack with one adds every row)
+    c = np.array(coefficients)[:, None]
+    t = np.array([[-0.0, 0.0, 1.0, -math.inf, math.nan]])
+    with np.errstate(all="ignore"):
+        assert _horner(c, t).tobytes() == oracle.horner(c, t).tobytes()
+
+
+# a tail-form Q: 1, then up to 5 coefficients with exact zeros among them,
+# then zeros up to a tail power of up to 14
+SPARSE_Q = st.tuples(
+    st.lists(st.one_of(st.just(0.0), st.just(-0.0), st.floats(-8.0, 8.0)), max_size=5),
+    st.one_of(st.none(), st.tuples(st.integers(1, 9), st.floats(-8.0, 8.0))),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    q=SPARSE_Q,
+    x_power=st.sampled_from((0.5, 0.65, 1.0, 2.0, 3.0)),
+    xs=st.lists(st.one_of(st.floats(-3.0, 3.0), st.floats(-1e30, 1e30), st.sampled_from([0.0, -0.0])), min_size=1, max_size=8),
+)
+def test_scalar_denominator_is_horner_to_the_bit(q, x_power, xs):
+    # pole bisection's scalar Q, which skips zero coefficients, against one
+    # _horner pass of the same Q at the same x, x = 0 included
+    denom, tail = q
+    tail = None if tail is None else Tail(len(denom) + tail[0], tail[1])
+    model = RationalModel((1.0,), tuple(denom), tail=tail, x_power=x_power)
+    if not float(x_power).is_integer():
+        xs = [abs(x) for x in xs]
+    xs = [0.0] + xs
+    c, exponents = _stack((model,))
+    with np.errstate(all="ignore"):
+        want = _horner(c[:, 1], _substitutions(np.array(xs), exponents))[0].tolist()
+        value = rational._denominator(c[:, 1, 0], x_power)
+        got = [value(x) for x in xs]
+    assert list(map(float.hex, got)) == list(map(float.hex, want))
 
 
 @pytest.mark.parametrize("x_power, root", [(0.65, 1.1875), (0.85, 1.1328125), (1.5, 1.04296875)])

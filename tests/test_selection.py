@@ -60,6 +60,14 @@ def test_search_space_validation():
         SearchSpace(n_range=(-1, 2), m_range=(0, 1))
     with pytest.raises(ValueError, match="q_grid must be nonempty"):
         q_search(_exact_data(), FitConfig(1, 0), [])
+    # no tail power to try, or one that is not an int: every candidate would
+    # fail, and grid_search would end in NoFeasibleModel
+    with pytest.raises(ValueError, match="l_candidates must be nonempty"):
+        SearchSpace(n_range=(0, 2), m_range=(0, 1), l_candidates=())
+    for bad in ((True,), (2.5,), (np.int64(3),), (3, 3.5, True), (None, 4.0)):
+        with pytest.raises(ValueError, match="tail powers must be None or integers"):
+            SearchSpace(n_range=(0, 2), m_range=(0, 1), l_candidates=bad)
+    assert SearchSpace(n_range=(0, 2), m_range=(0, 1), l_candidates=(None, 3)).l_candidates == (None, 3)
 
 
 
@@ -208,17 +216,6 @@ def test_search_records_structure_without_free_coefficients():
     assert rows[0].attempt == (0, 0, None, 1.0)
     assert rows[0].config is None and rows[0].error == "model has no free coefficients"
     assert all(c.report is not None for c in rows[1:])
-
-
-def test_search_records_a_tail_power_that_is_not_an_int():
-    data = _exact_data()
-    _, rows = grid_search(data, SearchSpace(n_range=(1, 1), m_range=(0, 1), l_candidates=(3, 3.5, True)))
-    assert [c.attempt[2] for c in rows] == [3, 3.5, True] * 2
-    for c in rows:
-        if c.attempt[2] == 3:
-            assert c.report is not None
-        else:
-            assert c.config is None and c.error == "tail power must be an integer"
 
 
 # -- penalty sweep ----------------------------------------------------------
