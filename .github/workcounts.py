@@ -5,10 +5,15 @@
 For each library workload of the benchmark, a fresh process per tree runs
 the first 20 tasks of pool seed 1 (``perfbench/workloads.py``, imported
 read-only, with padefit from the tree's ``src/``) under one cProfile pass
-and counts the calls of each function in LAYERS.  Counts are exact and do
-not depend on the host.  The script prints a Markdown table, one cell per
-layer and workload: the count where both trees agree, ``parent -> head``
-where they do not, and ``absent`` for a function that a tree does not have.
+and counts the calls of each function in LAYERS.  For numpy's ``qr``,
+``svd`` and ``solve`` it also counts the matrices they factor, the sum of
+the leading stack sizes of their first arguments (1 for a lone matrix): a
+batched call factors each matrix alone, so a call count alone hides work
+that moves from one routine's calls into another's stacks.  Counts are
+exact and do not depend on the host.  The script prints a Markdown table,
+one cell per layer and workload: the count where both trees agree,
+``parent -> head`` where they do not, and ``absent`` for a function that a
+tree does not have.
 """
 
 from __future__ import annotations
@@ -42,6 +47,9 @@ LAYERS = (
     ("numpy", "errstate.__enter__"),
 )
 
+#: numpy.linalg functions whose matrices are counted too, as "<name> matrices"
+FACTORED = ("qr", "svd", "solve")
+
 
 def count(root: Path, workload: str) -> dict[str, float]:
     """Calls per task of each layer that `root` has, in one profiled pass;
@@ -57,6 +65,11 @@ def count(root: Path, workload: str) -> dict[str, float]:
         except AttributeError:
             continue
         codes[(code.co_filename, code.co_firstlineno, code.co_name)] = (module, function)
+    import numpy as np
+
+    matrices = dict.fromkeys(FACTORED, 0)
+    for name in FACTORED:
+        setattr(np.linalg, name, factoring(name, getattr(np.linalg, name), matrices))
     pool = workloads.build_pool(workload, SEED)[:TASKS]
     task = workloads.TASKS[workload]
     profile = cProfile.Profile()
@@ -69,7 +82,18 @@ def count(root: Path, workload: str) -> dict[str, float]:
         finally:
             profile.disable()
     stats = pstats.Stats(profile).stats
-    return {label(*layer): stats[key][1] / TASKS if key in stats else 0.0 for key, layer in codes.items()}
+    out = {label(*layer): stats[key][1] / TASKS if key in stats else 0.0 for key, layer in codes.items()}
+    return out | {f"linalg.{name} matrices": matrices[name] / TASKS for name in FACTORED}
+
+
+def factoring(name: str, call, matrices: dict):
+    # `call`, adding the leading stack size of its first argument to matrices[name]
+    @functools.wraps(call)
+    def counting(a, *args, **kwargs):
+        matrices[name] += a.shape[0] if a.ndim > 2 else 1
+        return call(a, *args, **kwargs)
+
+    return counting
 
 
 def label(module: str, function: str) -> str:
@@ -101,8 +125,11 @@ def main(argv: list[str]) -> None:
     print(f"Calls per task, {TASKS} tasks of pool seed {SEED} (parent -> head where they differ)\n")
     print("| layer | " + " | ".join(WORKLOADS) + " |")
     print("| --- |" + " --- |" * len(WORKLOADS))
-    for layer in LAYERS:
-        print(f"| {label(*layer)} | " + " | ".join(cell(head[w], parent[w], label(*layer)) for w in WORKLOADS) + " |")
+    rows = [label(*layer) for layer in LAYERS]
+    for name in reversed(FACTORED):  # each beside its call count
+        rows.insert(rows.index(f"numpy.linalg.{name}") + 1, f"linalg.{name} matrices")
+    for row in rows:
+        print(f"| {row} | " + " | ".join(cell(head[w], parent[w], row) for w in WORKLOADS) + " |")
 
 
 if __name__ == "__main__":

@@ -16,13 +16,10 @@ from typing import Callable
 import numpy as np
 
 from .errors import EmptyInput, EvaluationOverflow, LengthMismatch, PadefitError
-from .rational import DENOM_TOL, RationalModel, _slopes, denominator_zero, require_count, require_interval
+from .rational import _SMALLEST_NORMAL, DENOM_TOL, RationalModel, _slopes, denominator_zero, require_count, require_interval
 
 #: Relative step for the finite-difference fallback derivative.
 FD_STEP = 1e-6
-
-# The smallest positive normal float: a mean square below it has lost bits.
-_SMALLEST_NORMAL = float(np.finfo(float).smallest_normal)
 
 
 @dataclass(frozen=True)

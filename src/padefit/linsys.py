@@ -18,11 +18,21 @@ is solved directly (Householder QR, or LU when square) rather than
 through the normal equations G'G theta = G'F, which have the same
 minimizer in exact arithmetic but square the condition number (Golub &
 Van Loan, Matrix Computations, section 5.3).
+
+The numerical rank rule is s_min > p * EPS * s_max on the singular values
+of the p x p system.  A triangular factor R from the QR can be certified
+full rank without them: for its comparison matrix M(R), |R^-1| <= M(R)^-1
+entrywise, so one more triangular solve bounds cond2(R) (Higham, Accuracy
+and Stability of Numerical Algorithms, 2nd ed., section 8.3).  The
+singular values of a certified problem are taken only when its condition
+is read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
+from functools import lru_cache
 
 import numpy as np
 
@@ -35,6 +45,8 @@ CONDITION_FLAG_LIMIT = 1e8
 #: Machine epsilon; the rank tolerance is p * EPS * (largest singular value).
 EPS = np.finfo(float).eps
 
+_OVERFLOW = "coefficients overflow at this abscissa scale"
+
 #: Column identities: ("numer", power), ("denom", power) or ("tail", power).
 Column = tuple[str, int]
 
@@ -43,11 +55,37 @@ Column = tuple[str, int]
 class SolveDiagnostics:
     """Conditioning of one solve, read from the singular values of the
     column-equilibrated system: their ratio (condition), the numerical
-    rank, and a flag set when the condition exceeds CONDITION_FLAG_LIMIT."""
+    rank, and a flag set when the condition exceeds CONDITION_FLAG_LIMIT.
+    A problem certified full rank without its singular values takes them
+    on the first read of condition or condition_flag, from its own p x p
+    factor (the same bits as a batched call)."""
 
     condition: float
     rank: int
     condition_flag: bool
+
+    @classmethod
+    def _deferred(cls, r: np.ndarray) -> "SolveDiagnostics":
+        # A problem certified full rank: its rank is set, and its (p, p)
+        # triangular factor stands in for the condition and the flag.
+        diagnostics = object.__new__(cls)
+        diagnostics.__dict__.update(rank=r.shape[-1], _pending=r)
+        return diagnostics
+
+    def __getattr__(self, name):
+        # Only a name missing from __dict__ lands here: the condition and its
+        # flag of a deferred instance, from the singular values of its R on
+        # the first read of either, stored.
+        r = self.__dict__.get("_pending")
+        if name not in ("condition", "condition_flag") or r is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        sv = np.linalg.svd(r, compute_uv=False)
+        condition = (sv[0] / sv[-1]).item()
+        self.__dict__.update(condition=condition, condition_flag=condition > CONDITION_FLAG_LIMIT)
+        return self.__dict__[name]
+
+    def __getstate__(self):
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def free_columns(
@@ -110,9 +148,14 @@ def solve_least_squares(
     their G; the others are solved without them, in their own stack.  A
     system with more rows than columns is reduced to a triangular one by
     Householder QR, one batched call per stack; a square one goes to LU as
-    it is.  Both stacks then share one batched SVD (condition and rank)
-    and one batched solve.  The batched calls factor each matrix alone,
-    so a problem's solution does not depend on the others in its batch.
+    it is.  Both stacks then share one batched solve.  When every system
+    is triangular, the same call solves M(R) z = 1 for each R's comparison
+    matrix, whose solution bounds the condition of R and so certifies full
+    rank; the problems it does not certify, and all of them when a system
+    is square, share one batched SVD for the rank (a certified problem's
+    condition waits for a read; see SolveDiagnostics).  The batched calls
+    factor each matrix alone, so a problem's solution does not depend on
+    the others in its batch.
 
     Raises ValueError for ridges of the wrong shape or a weight that is
     negative or not finite.  Returns, per row of `ridges`, theta and its
@@ -151,10 +194,11 @@ def _solve(g: np.ndarray, f: np.ndarray, ridges: np.ndarray) -> list:
         systems = [_triangularize(plain.tolist(), g[plain], f, None, out)]
         systems.append(_triangularize(ridged.tolist(), g[ridged], f, ridges[ridged], out))
     systems = [system for system in systems if system is not None]
-    if len(systems) == 2:  # both stacks finished by one SVD and one solve
+    if len(systems) == 2:  # both stacks finished by one solve and at most one SVD
         systems = [(systems[0][0] + systems[1][0], *map(np.concatenate, zip(*(system[1:] for system in systems))))]
+    triangular = rows > p or bool(some.all())  # no square plain stack: every R from a QR
     for ks, *parts in systems:
-        for i, result in zip(ks, _finish(*parts)):
+        for i, result in zip(ks, _finish(*parts, triangular)):
             out[i] = result
     return out
 
@@ -185,20 +229,31 @@ def _triangularize(ks, g: np.ndarray, f: np.ndarray, ridges: np.ndarray | None, 
     return ks, r, np.swapaxes(q, 1, 2) @ f[:, None], scale
 
 
-def _finish(r: np.ndarray, rhs: np.ndarray, scale: np.ndarray) -> list[tuple[np.ndarray, SolveDiagnostics] | SingularSystem]:
-    # Singular values, rank and theta = y / scale of the (K, p, p) systems
-    # R y = rhs, one batched call each: the gufuncs factor each matrix alone.
+def _finish(r: np.ndarray, rhs: np.ndarray, scale: np.ndarray, triangular: bool, y: np.ndarray | None = None) -> list[tuple[np.ndarray, SolveDiagnostics] | SingularSystem]:
+    # Rank and theta = y / scale of the (K, p, p) systems R y = rhs, one
+    # batched call each: the gufuncs factor each matrix alone.  A triangular
+    # stack first tries to certify full rank from its solve (_certify); the
+    # problems it leaves come back with their y, and a square stack, or one
+    # whose solve meets an exact zero pivot, takes the singular values of all.
+    if triangular:
+        try:
+            return _certify(r, rhs, scale)
+        except np.linalg.LinAlgError:
+            pass
     k, p = scale.shape
     try:
         sv = np.linalg.svd(r, compute_uv=False)
         rank = (sv > sv[:, :1] * p * EPS).sum(axis=1)
         full = rank == p
-        y = np.linalg.solve(*((r, rhs) if full.all() else (r[full], rhs[full])))[..., 0]  # the full-rank problems
+        if y is None:
+            y = np.linalg.solve(*((r, rhs) if full.all() else (r[full], rhs[full])))[..., 0]  # the full-rank problems
+        elif not full.all():
+            y = y[full]
     except np.linalg.LinAlgError as exc:
         if k == 1:
             return [SingularSystem(str(exc))]
         # A failure in a batched call: find its problem, keep the others.
-        return [_finish(r[i : i + 1], rhs[i : i + 1], scale[i : i + 1])[0] for i in range(k)]
+        return [_finish(r[i : i + 1], rhs[i : i + 1], scale[i : i + 1], False)[0] for i in range(k)]
     scale, sv = (scale, sv) if full.all() else (scale[full], sv[full])  # the full-rank problems
     theta = y / scale
     solved = zip(theta, (sv[:, 0] / sv[:, -1]).tolist(), np.isfinite(theta).all(axis=1).tolist())
@@ -209,7 +264,45 @@ def _finish(r: np.ndarray, rhs: np.ndarray, scale: np.ndarray) -> list[tuple[np.
             continue
         coefficients, condition, finite = next(solved)
         if not finite:
-            out.append(SingularSystem("coefficients overflow at this abscissa scale"))
+            out.append(SingularSystem(_OVERFLOW))
             continue
         out.append((coefficients, SolveDiagnostics(condition, p, condition > CONDITION_FLAG_LIMIT)))
     return out
+
+
+def _certify(r: np.ndarray, rhs: np.ndarray, scale: np.ndarray) -> list:
+    # _finish of upper-triangular R.  One solve takes R y = rhs and, stacked
+    # under it, M(R) z = 1 for R's comparison matrix M(R) (|r_ii| on the
+    # diagonal, -|r_ij| above it).  Then |R^-1| <= M(R)^-1 entrywise, so
+    # cond2(R) <= sqrt(p) max(z) ||R||_F (Higham, Accuracy and Stability of
+    # Numerical Algorithms, 2nd ed., section 8.3).  Below 1/(2**10 p EPS) the
+    # rank rule's singular values cannot find R deficient, with room for
+    # their own rounding: rank p, and the condition waits for a read.  The
+    # other problems go to _finish's singular values with their y.  An exact
+    # zero pivot raises LinAlgError, for _finish to take those of all.
+    k, p = scale.shape
+    a = np.empty((2 * k, p, p))
+    a[:k] = r
+    np.abs(r, out=a[k:])
+    a[k:] *= _comparison_signs(p)
+    b = np.ones((2 * k, p, 1))
+    b[:k] = rhs
+    y = np.linalg.solve(a, b)[..., 0]
+    certified = y[k:].max(axis=1) * np.sqrt((r * r).sum(axis=(1, 2))) < 1.0 / (2**10 * p * math.sqrt(p) * EPS)
+    y, sure = y[:k], certified.tolist()
+    if not any(sure):
+        return _finish(r, rhs, scale, False, y)
+    rest = iter(() if all(sure) else _finish(*(part[~certified] for part in (r, rhs, scale)), False, y[~certified]))
+    theta = y / scale
+    return [
+        next(rest) if not ok else (row, SolveDiagnostics._deferred(rk)) if finite else SingularSystem(_OVERFLOW)
+        for ok, row, rk, finite in zip(sure, theta, r, np.isfinite(theta).all(axis=1).tolist())
+    ]
+
+
+@lru_cache(maxsize=16)
+def _comparison_signs(p: int) -> np.ndarray:
+    # 1 on the diagonal and -1 off it, read-only: |R| times this is M(R) for triangular R.
+    signs = 2.0 * np.eye(p) - 1.0
+    signs.flags.writeable = False
+    return signs

@@ -30,6 +30,9 @@ from .errors import (
 #: Denominator magnitudes at or below this count as an exact zero.
 DENOM_TOL = 1e-300
 
+# The smallest positive normal float: a result below it has lost bits.
+_SMALLEST_NORMAL = float(np.finfo(float).smallest_normal)
+
 #: Absolute bracket width at which pole bisection stops.
 POLE_REFINE_TOL = 1e-12
 
@@ -424,9 +427,11 @@ def _slopes(c, exponents, x, ts=None):
     # Entries where |Q| <= DENOM_TOL hold no slope: callers check the denominator
     # row before using a slope row.  Where Q*Q overflows and Q does not, the slope
     # is (P' - R*Q')/Q, R = P/Q; any other overflow leaves its entry inf or NaN
-    # (with Q not finite, P'/Q would be 0).  `ts` keeps x**q and the chain-rule
-    # factor's x**(q - 1), as for _substitutions; the factor is taken only past
-    # the x = 0 check, where it would divide by 0.
+    # (with Q not finite, P'/Q would be 0).  A slope in t that underflowed from
+    # a numerator in the normal range is taken again with the chain-rule factor
+    # applied before the divisions by Q.  `ts` keeps x**q and the factor's
+    # x**(q - 1), as for _substitutions; the factor is taken only past the
+    # x = 0 check, where it would divide by 0.
     xs = np.asarray(x, dtype=float)
     t = _substitutions(xs, exponents, ts)
     if np.any(xs == 0.0) and (low := min(exponents)) < 1.0:
@@ -436,13 +441,21 @@ def _slopes(c, exponents, x, ts=None):
     rows[:-1, 2:] = c[1:] * np.arange(1.0, len(c))[:, None, None]
     num, den, dnum, dden = _horner(rows, t)
     square = den * den
-    out = (dnum * den - num * dden) / np.where(np.abs(den) <= DENOM_TOL, 1.0, square)
+    numer = dnum * den - num * dden
+    out = numer / np.where(np.abs(den) <= DENOM_TOL, 1.0, square)
     if (big := np.isinf(square)).any():
         big &= np.isfinite(den)
         out[big] = (dnum[big] - num[big] / den[big] * dden[big]) / den[big]
     if any(q != 1.0 for q in exponents):
         factors = _substitutions(xs, [q - 1.0 for q in exponents], ts)
-        out = out * np.reshape(exponents, (-1,) + (1,) * xs.ndim) * factors
+        powers = np.reshape(exponents, (-1,) + (1,) * xs.ndim)
+        lost = np.abs(out) < _SMALLEST_NORMAL  # a slope in t that may have underflowed
+        out = out * powers * factors
+        if lost.any():  # again where its numerator is normal, the factor taken before the divisions by Q
+            lost &= ~(np.abs(numer) < _SMALLEST_NORMAL) & (np.abs(den) > DENOM_TOL) & (powers != 1.0)
+            chain, d, top = np.broadcast_to(powers * factors, out.shape)[lost], den[lost], numer[lost]
+            again = np.where(np.isfinite(top), top * chain / d / d, (dnum[lost] - num[lost] / d * dden[lost]) * chain / d)
+            out[lost] = np.where(np.isfinite(again), again, out[lost])  # a factor past 1/Q: the first result stands
     return out, den
 
 

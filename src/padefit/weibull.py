@@ -160,7 +160,7 @@ def mle_fit(times: np.ndarray) -> WeibullParams:
 
     def profile(k: float) -> float:
         w = u**k
-        return float(np.dot(w, log_u) / np.sum(w)) - 1.0 / k - mean_log
+        return float(np.dot(w, log_u) / np.add.reduce(w)) - 1.0 / k - mean_log  # np.sum's bits, without its wrapper
 
     lo, hi = SHAPE_BRACKET
     flo, fhi = profile(lo), profile(hi)

@@ -87,3 +87,21 @@ def linalg_calls(monkeypatch) -> dict:
     for name in calls:
         monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
     return calls
+
+
+@pytest.fixture
+def factored(monkeypatch) -> list:
+    """(name, matrices) of every np.linalg.qr, svd and solve call in the
+    test: the leading stack size of its first argument, 1 for one matrix."""
+    calls = []
+
+    def counted(name, call):
+        def counting(a, *args, **kwargs):
+            calls.append((name, a.shape[0] if a.ndim > 2 else 1))
+            return call(a, *args, **kwargs)
+
+        return counting
+
+    for name in ("qr", "svd", "solve"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    return calls

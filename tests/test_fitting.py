@@ -647,8 +647,9 @@ def test_a_grid_node_at_zero_is_singular_below_exponent_one(interval, count):
 
 def test_a_batch_finishes_each_column_count_in_one_svd_and_one_solve(linalg_calls):
     # zero and positive penalties on three column counts: two QRs for a
-    # count with both, one for a count with one kind, one svd and one solve
-    # per count, and every member the bits of its own fit
+    # count with both, one for a count with one kind, one solve per count,
+    # which certifies every member full rank, so no svd; and every member the
+    # bits of its own fit
     data = _exact_dataset(count=12)
     configs = [
         FitConfig(n=2, m=1),
@@ -658,7 +659,7 @@ def test_a_batch_finishes_each_column_count_in_one_svd_and_one_solve(linalg_call
         FitConfig(n=1, m=1, x_power=2.0, lam=1e-2),
     ]
     batch = fitting._fit(data, configs, None)
-    assert linalg_calls == {"qr": 5, "svd": 3, "solve": 3}
+    assert linalg_calls == {"qr": 5, "svd": 0, "solve": 3}
     for report, config in zip(batch, configs):
         (alone,) = fitting._fit(data, [config], None)
         assert report.model == alone.model and report.diagnostics == alone.diagnostics
@@ -687,8 +688,9 @@ def test_a_tail_column_takes_the_numerator_weight():
 
 def test_structures_sharing_a_column_count_solve_as_one_stack(linalg_calls):
     # seven structures of four columns, one of three, plain and ridged members
-    # interleaved: one svd per column count, and every member the bits of its
-    # own solve with lam1 on its denominator columns and lam elsewhere
+    # interleaved: one solve per column count, certifying every member full
+    # rank (no svd), and every member the bits of its own solve with lam1 on
+    # its denominator columns and lam elsewhere
     data = _exact_dataset(count=12)
     structures = [
         {"n": 3, "m": 0},
@@ -703,7 +705,7 @@ def test_structures_sharing_a_column_count_solve_as_one_stack(linalg_calls):
     penalties = [(0.0, 0.0), (1e-3, 0.0), (0.0, 0.5), (1e-2, 0.1)]
     configs = [FitConfig(**s, lam=lam, lam1=lam1) for lam, lam1 in penalties for s in structures]
     batch = fitting._fit(data, configs, None)
-    assert linalg_calls["svd"] == 2
+    assert linalg_calls == {"qr": 4, "svd": 0, "solve": 2}
     for cfg, report in zip(configs, batch):
         cols = free_columns(cfg.n, cfg.m, cfg.tail_power, cfg.zero_powers)
         ridges = np.array([[cfg.lam1 if kind == "denom" else cfg.lam for kind, _power in cols]])

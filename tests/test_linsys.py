@@ -1,19 +1,24 @@
 """Design columns and the least-squares solve with its ridge rows, checked
 against exact (Fraction) and 50-digit (mpmath) oracles."""
 
+import copy
 import math
+import pickle
+from dataclasses import replace
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracle
-from padefit import Dataset, FitConfig, free_columns, linsys, solve_least_squares
+from padefit import Dataset, FitConfig, SolveDiagnostics, free_columns, linsys, solve_least_squares
 from padefit.datagen import sin2pi, uniform_grid
 from padefit.errors import InsufficientData, SingularSystem
 from padefit.fitting import _fit
-from padefit.linsys import design_matrix
+from padefit.linsys import EPS, design_matrix
 
 
 # -- column layout ----------------------------------------------------------
@@ -184,11 +189,14 @@ def _assert_same_outcome(got, want):
 
 
 @pytest.mark.parametrize("rows", [8, 3])
-def test_mixed_penalties_finish_in_one_svd_and_one_solve(linalg_calls, rows):
+def test_mixed_penalties_finish_in_one_svd_and_one_solve(factored, rows):
     # the zero-penalty and the ridged stacks are triangularized apart (a
     # square plain stack by no QR at all), then finished together by one
-    # svd and one solve call; every member keeps the bits or the error of
-    # its own solve
+    # solve and at most one svd: with 8 rows every R is triangular, the solve
+    # certifies full rank where it can, stacking M(R) z = 1 under R y = Q'F,
+    # and the svd takes only the rank-deficient problem 2 (its y comes from
+    # that solve); with 3 the square plain stack takes the svd of every
+    # problem.  Every member keeps the bits or the error of its own solve.
     rng = np.random.default_rng(3)
     g = rng.normal(size=(6, rows, 3))
     g[2, :, 2] = g[2, :, 0] + g[2, :, 1]  # rank deficient
@@ -198,10 +206,12 @@ def test_mixed_penalties_finish_in_one_svd_and_one_solve(linalg_calls, rows):
     f = rng.normal(size=rows)
     ridges = np.array([[0.0] * 3, [0.1, 0.2, 0.3], [0.0] * 3, [0.0] * 3, [0.5, 0.0, 0.5], [1e-2] * 3])
     alone = [solve_least_squares(gk, f, ridge[None])[0] for gk, ridge in zip(g, ridges)]
-    for name in linalg_calls:
-        linalg_calls[name] = 0
+    factored.clear()
     got = solve_least_squares(g, f, ridges)
-    assert linalg_calls == {"qr": 1 if rows == 3 else 2, "svd": 1, "solve": 1}
+    if rows == 8:  # stacks of 2 plain and 2 ridged problems: 4 R and 4 M(R) in the solve
+        assert factored == [("qr", 2), ("qr", 2), ("solve", 8), ("svd", 1)]
+    else:
+        assert factored == [("qr", 2), ("svd", 4), ("solve", 3)]
     assert [isinstance(r, SingularSystem) for r in got] == [False, False, True, True, True, False]
     for result, want in zip(got, alone):
         _assert_same_outcome(result, want)
@@ -209,25 +219,27 @@ def test_mixed_penalties_finish_in_one_svd_and_one_solve(linalg_calls, rows):
 
 def test_a_failed_batched_solve_falls_back_to_each_problem(monkeypatch):
     # a LinAlgError in the shared call is found problem by problem: the
-    # failing one gets its SingularSystem, the others their lone results
+    # failing one gets its SingularSystem, the others their lone results.
+    # The certifying solve of the 4 triangular R and their M(R) fails first,
+    # then the solve after the svd, then each problem alone.
     rng = np.random.default_rng(4)
     g = rng.normal(size=(4, 8, 3))
     f = rng.normal(size=8)
     ridges = np.array([[0.0] * 3, [0.1] * 3, [0.0] * 3, [0.2] * 3])
     alone = [solve_least_squares(gk, f, ridge[None])[0] for gk, ridge in zip(g, ridges)]
-    solve, singles = np.linalg.solve, []
+    solve, sizes = np.linalg.solve, []
 
     def failing(a, b):
+        sizes.append(len(a))
         if len(a) > 1:
             raise np.linalg.LinAlgError("batched")
-        singles.append(len(a))
-        if len(singles) == 2:  # the plain stack comes first: problem 2
+        if sizes.count(1) == 2:  # the plain stack comes first: problem 2
             raise np.linalg.LinAlgError("Singular matrix")
         return solve(a, b)
 
     monkeypatch.setattr(np.linalg, "solve", failing)
     got = solve_least_squares(g, f, ridges)
-    assert singles == [1, 1, 1, 1]
+    assert sizes == [8, 4, 1, 1, 1, 1]
     assert type(got[2]) is SingularSystem and str(got[2]) == "Singular matrix"
     for k in (0, 1, 3):
         _assert_same_outcome(got[k], alone[k])
@@ -250,7 +262,9 @@ def test_the_private_solve_entry_matches_the_public_one(linalg_calls, rows, kind
     # linsys._solve, the entry a fit batch calls with its checked weights and
     # a C-contiguous F, gives the theta bytes, diagnostics and errors of
     # solve_least_squares, batched and problem by problem, here with a strided
-    # F; one qr per non-square, nonempty stack, one svd and one solve
+    # F; one qr per non-square, nonempty stack and one solve; one svd where a
+    # problem is not certified full rank (here the rank-deficient problem 1 of
+    # a plain stack) or the plain stack is square, none otherwise
     ridges = PRIVATE_RIDGES[kind]
     rng = np.random.default_rng(5)
     g = rng.normal(size=(len(ridges), rows, 3))
@@ -264,6 +278,13 @@ def test_the_private_solve_entry_matches_the_public_one(linalg_calls, rows, kind
     for name in linalg_calls:
         linalg_calls[name] = 0
     got = linsys._solve(g, np.ascontiguousarray(f), ridges)
+    some = (ridges > 0.0).any(axis=1)
+    stacks = [(rows, ~some), (rows + 3, some)]  # (row count, members) of the plain and the ridged stack
+    qr = sum(n > 3 and bool(members.any()) for n, members in stacks) if rows >= 3 else 0
+    solved = int(rows >= 3 and len(ridges) > 0)
+    # the rank-deficient problem 1 is certified only with its ridge rows; a square plain stack takes the svd of all
+    svd = solved and (len(ridges) > 1 and not some[1] or rows == 3 and bool((~some).any()))
+    assert linalg_calls == {"qr": qr, "svd": int(svd), "solve": solved}
     assert len(got) == len(batched) == len(ridges)
     for result, want, lone in zip(got, batched, alone):
         if isinstance(want, InsufficientData):
@@ -271,11 +292,6 @@ def test_the_private_solve_entry_matches_the_public_one(linalg_calls, rows, kind
             continue
         _assert_same_outcome(result, want)
         _assert_same_outcome(result, lone)
-    some = (ridges > 0.0).any(axis=1)
-    stacks = [(rows, ~some), (rows + 3, some)]  # (row count, members) of the plain and the ridged stack
-    qr = sum(n > 3 and bool(members.any()) for n, members in stacks) if rows >= 3 else 0
-    solved = int(rows >= 3 and len(ridges) > 0)
-    assert linalg_calls == {"qr": qr, "svd": solved, "solve": solved}
 
 
 def test_a_fit_batch_solves_once_per_column_count(monkeypatch):
@@ -290,6 +306,125 @@ def test_a_fit_batch_solves_once_per_column_count(monkeypatch):
     reports = _fit(Dataset(x, sin2pi(x)), configs, None)
     assert calls == [(3, len(x), 4), (1, len(x), 5), (1, len(x), 2)]
     assert all(not isinstance(report, Exception) for report in reports)
+
+
+# -- the rank certificate and deferred diagnostics ---------------------------
+
+
+@st.composite
+def triangular_stacks(draw):
+    """(R, rhs, scale) as _finish takes them: K = 1..4 upper-triangular p x p
+    factors, p = 1..15, each graded (rows and columns scaled by up to
+    10**+-6), near the rank threshold (singular values spread to a condition
+    of 1e8 to 1e17, through a QR), a Kahan matrix (s**i on the diagonal,
+    -c s**i right of it, c**2 + s**2 = 1: ill-conditioned without a small
+    pivot) or with exact zeros on its diagonal."""
+    p, k = draw(st.integers(1, 15)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    r = np.triu(rng.normal(size=(k, p, p)))
+    for i in range(k):
+        kind = draw(st.sampled_from(["graded", "near", "kahan", "zero"]))
+        if kind == "graded":
+            decades = draw(st.floats(0.0, 6.0))
+            r[i] *= 10.0 ** (decades * rng.uniform(-1.0, 1.0, (p, 1))) * 10.0 ** (decades * rng.uniform(-1.0, 1.0, p))
+        elif kind == "near":
+            spread = np.geomspace(1.0, 10.0 ** -draw(st.floats(8.0, 17.0)), p)
+            u, v = np.linalg.qr(rng.normal(size=(p + 3, p)))[0], np.linalg.qr(rng.normal(size=(p, p)))[0]
+            r[i] = np.linalg.qr((u * spread) @ v.T)[1]
+        elif kind == "kahan":
+            angle = draw(st.floats(0.3, 1.4))
+            r[i] = np.sin(angle) ** np.arange(p)[:, None] * (np.eye(p) - np.cos(angle) * np.triu(np.ones((p, p)), 1))
+        else:
+            zeros = rng.choice(p, size=draw(st.integers(1, p)), replace=False)
+            r[i, zeros, zeros] = 0.0
+    return r, rng.normal(size=(k, p, 1)), 2.0 ** rng.integers(-3, 4, (k, p))
+
+
+@settings(max_examples=300, deadline=None)
+@given(triangular_stacks())
+def test_a_certified_problem_is_full_rank_by_the_svd_rule(stack):
+    # every problem the certificate passes (its condition not yet taken) has
+    # rank p by the rule on its singular values, and every problem gets the
+    # theta bytes, diagnostics (read later, from its own R) or error of the
+    # singular values of the whole stack
+    r, rhs, scale = stack
+    p = scale.shape[1]
+    with np.errstate(all="ignore"):
+        got = linsys._finish(r, rhs, scale, True)
+        want = linsys._finish(r, rhs, scale, False)
+    for i, (result, eager) in enumerate(zip(got, want)):
+        if isinstance(result, tuple) and "condition" not in vars(result[1]):
+            sv = np.linalg.svd(r[i], compute_uv=False)
+            assert (sv > sv[0] * p * EPS).sum() == p
+        _assert_same_outcome(result, eager)
+
+
+def _deferred_diagnostics() -> SolveDiagnostics:
+    # a certified problem's diagnostics, nothing read yet
+    g, f = _toy_problem()
+    ((_theta, diagnostics),) = solve_least_squares(g, f, np.zeros((1, 2)))
+    assert vars(diagnostics).keys() == {"rank", "_pending"}
+    return diagnostics
+
+
+DIAGNOSTICS_VIEWS = {
+    "eq": lambda d: d,
+    "hash": hash,
+    "repr": repr,
+    "replace": lambda d: replace(d, rank=1),
+    "pickle": pickle.dumps,
+    "unpickled": lambda d: vars(pickle.loads(pickle.dumps(d))),
+    "deepcopy": lambda d: vars(copy.deepcopy(d)),
+}
+
+
+@pytest.mark.parametrize("view", DIAGNOSTICS_VIEWS)
+def test_deferred_diagnostics_behave_as_eager_ones(view):
+    show = DIAGNOSTICS_VIEWS[view]
+    first = _deferred_diagnostics()
+    eager = SolveDiagnostics(first.condition, first.rank, first.condition_flag)
+    assert show(_deferred_diagnostics()) == show(eager)
+
+
+def test_deferred_diagnostics_take_the_singular_values_of_their_r_once(factored):
+    diagnostics = _deferred_diagnostics()
+    r = diagnostics._pending
+    factored.clear()
+    assert diagnostics.rank == 2 and factored == []
+    flag = diagnostics.condition_flag  # either field first
+    assert factored == [("svd", 1)]
+    sv = np.linalg.svd(r, compute_uv=False)
+    assert diagnostics.condition == (sv[0] / sv[-1]).item() and flag is (diagnostics.condition > linsys.CONDITION_FLAG_LIMIT)
+    assert factored == [("svd", 1), ("svd", 1)]  # the test's own
+    with pytest.raises(AttributeError, match="has no attribute 'pivot_min'"):
+        diagnostics.pivot_min
+
+
+def test_a_certified_problem_can_carry_the_condition_flag():
+    # nearly collinear columns of a tall system: the bound still certifies a
+    # condition of 2.4e9, and the flag read later is set
+    a = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-9], [1.0, 1.0 - 1e-9]])
+    theta, diagnostics = _solve(a, a @ np.array([1.0, 2.0]))
+    assert "condition" not in vars(diagnostics)
+    np.testing.assert_allclose(theta, [1.0, 2.0], rtol=1e-5)
+    assert diagnostics.condition_flag and 1e9 < diagnostics.condition < 1e10
+
+
+def test_a_fit_batch_takes_no_singular_values_until_a_condition_is_read(factored):
+    # every member of the batch is certified: each column count's solve
+    # factors its R and their M(R) (3 and 3 for four columns, 1 and 1 for
+    # five), and a member's svd runs on the first read of its condition, alone
+    x = uniform_grid(0.0, 1.0, 20)
+    configs = [FitConfig(2, 1), FitConfig(1, 2), FitConfig(3, 1, lam=0.1), FitConfig(2, 1, lam1=0.5)]
+    reports = _fit(Dataset(x, sin2pi(x)), configs, None)
+    assert factored == [("qr", 2), ("qr", 1), ("solve", 6), ("qr", 1), ("solve", 2)]
+    assert [report.diagnostics.rank for report in reports] == [4, 4, 5, 4]
+    factored.clear()
+    first = reports[0].diagnostics.condition
+    assert factored == [("svd", 1)]
+    assert reports[0].diagnostics.condition_flag is (first > linsys.CONDITION_FLAG_LIMIT)
+    repr(reports[3])
+    assert factored == [("svd", 1), ("svd", 1)]
 
 
 def test_strided_rhs_solves_like_a_contiguous_copy():

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.polynomial import polynomial as npoly
@@ -234,6 +234,46 @@ def test_derivative_chain_rule_through_substitution():
     m = RationalModel(numer=(0.0, 1.0), x_power=0.5)
     assert m.derivative(4.0) == pytest.approx(0.25, rel=1e-12)
     assert m.derivative(0.25) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_a_slope_in_t_below_the_float_range_keeps_its_chain_rule_factor():
+    # dR/dt of these models underflows (1.3e-345 and -1e-350) while
+    # dR/dx = dR/dt * q x**(q - 1) is a normal float: the slope is taken with
+    # the factor before the divisions by Q, as mpmath's, not 0.0.  The first
+    # Q*Q overflows, the second does not; with x_power 1 there is no factor.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for model, x in (
+            (RationalModel((1.0850032386649475e50,), (-0.6991140403826994,), x_power=2.0), 5.882352941176471e98),
+            (RationalModel((1e-150,), (1.0,), x_power=2.0), 1e50),
+            (RationalModel((1e-170,), (1e220,), x_power=2.0), 1e-30),
+        ):
+            want = float(oracle.slopes(model, x)[0])
+            assert abs(want) > 1e-300
+            assert model.derivative(x) == pytest.approx(want, rel=1e-15, abs=0.0)
+            assert model.derivative(np.array([x, x])).tolist() == [model.derivative(x)] * 2
+        assert RationalModel((1e-150,), (1.0,)).derivative(1e100) == float(oracle.slopes(RationalModel((1e-150,), (1.0,)), 1e100)[0]) == 0.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.floats(-150.0, 150.0),
+    st.floats(-150.0, 150.0),
+    st.sampled_from([1.0, -1.0]),
+    st.sampled_from([0.5, 0.65, 2.0, 3.0]),
+    st.floats(-300.0, 300.0),
+)
+def test_slopes_of_a_over_1_plus_bt_match_mpmath(a_exp, b_exp, sign, q, x_exp):
+    # R = a / (1 + b t), t = x**q: P'Q - PQ' = -ab cancels nothing, so where
+    # no intermediate leaves the float range but dR/dt may underflow, dR/dx
+    # is mpmath's to a few roundings whenever that is a normal float
+    # in decades: t, b t and the chain-rule factor q x**(q - 1) are normal floats, |b t| is not near 1
+    assume(abs(q * x_exp) < 300.0 and 0.7 < abs(b_exp + q * x_exp) < 300.0 and abs((q - 1.0) * x_exp) < 299.0)
+    a, b, x = 10.0**a_exp, sign * 10.0**b_exp, 10.0**x_exp
+    model = RationalModel((a,), (b,), x_power=q)
+    want = float(oracle.slopes(model, x)[0])
+    assume(1e-300 < abs(want) < 1e300)
+    assert model.derivative(x) == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 def test_negative_abscissa_with_fractional_power_raises():
